@@ -27,7 +27,7 @@ from qdrive import (
     ground_state_dm,
     l1_pulse_closed_form,
     propagate,
-    pulse_density,
+    pulse_rho,
     refine_max,
 )
 from qdrive.io import write_series_csv
@@ -38,7 +38,7 @@ for f0 in (0.1, 4.5):
     p = PulseParams(e0=1.0, f0=f0, n_period=1)
     T = p.period
     times = np.linspace(0.0, T, 2001)
-    series = build_series(times, [pulse_density(p, t) for t in times])
+    series = build_series(times, pulse_rho(p, times))
     path = OUT_DIR / f"pulse_f0_{f0}.csv"
     write_series_csv(series, path)
 
@@ -57,9 +57,6 @@ for f0 in (0.1, 4.5):
 # switching times (here: steps divisible by 2 over [0, T]).
 p = PulseParams(e0=1.0, f0=4.5, n_period=1)
 series = propagate(SquarePulse(p), ground_state_dm(), TimeGrid(0.0, p.period, 8192))
-worst = max(
-    np.abs(series.rho[i] - pulse_density(p, t).matrix).max()
-    for i, t in enumerate(series.t)
-)
+worst = np.abs(series.rho - pulse_rho(p, series.t)).max()
 print(f"strong drive, RK4 vs closed form: max entrywise error = {worst:.3e}")
 print(f"state returns to |0><0| at T: rho00(T) = {series.rho[-1][0, 0].real:.12f}")

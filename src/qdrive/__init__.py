@@ -5,6 +5,8 @@ Lewis-type dynamical invariant that reproduces the density matrix, Floquet
 quasi-energies, l1/Frobenius coherence measures, and a fixed-step RK4
 Liouville propagator that cross-checks every closed form.
 """
+from types import ModuleType as _ModuleType
+
 from .coherence import (
     build_series,
     frobenius_coherence,
@@ -28,6 +30,7 @@ from .core import (
     dm_purity,
     ground_state_dm,
     mat2,
+    validate_rho,
 )
 from .errors import (
     BadParam,
@@ -68,6 +71,7 @@ from .pulse import (
     pulse_f,
     pulse_hamiltonian,
     pulse_lewis_phase,
+    pulse_rho,
     pulse_state,
 )
 from .rabi import (
@@ -76,69 +80,12 @@ from .rabi import (
     floquet_solution,
     rabi_density,
     rabi_hamiltonian,
+    rabi_rho,
     rabi_state,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadParam",
-    "ConfigInvalid",
-    "DegenerateDrive",
-    "DensityMatrix",
-    "DiscriminantNegative",
-    "DriveHamiltonian",
-    "IDENTITY",
-    "InvariantCoefficients",
-    "InvariantDrift",
-    "NotHermitian",
-    "NotNormalized",
-    "NotPositive",
-    "OutOfRange",
-    "PulseParams",
-    "QdriveError",
-    "RabiParams",
-    "RwaRabi",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "Sample",
-    "Sampled",
-    "SquarePulse",
-    "StateVector",
-    "StepSpansDiscontinuity",
-    "TimeGrid",
-    "TimeSeries",
-    "TraceNotOne",
-    "ZeroCoupling",
-    "build_series",
-    "commutator",
-    "dm_eigenvalues",
-    "dm_new",
-    "dm_purity",
-    "floquet_quasienergy",
-    "floquet_solution",
-    "frobenius_coherence",
-    "ground_state_dm",
-    "hamiltonian_at",
-    "invariance_residual",
-    "invariant_coefficients",
-    "invariant_operator",
-    "l1_coherence",
-    "l1_pulse_closed_form",
-    "lewis_phase",
-    "liouville_rhs",
-    "mat2",
-    "periodicity_T",
-    "propagate",
-    "pulse_density",
-    "pulse_f",
-    "pulse_hamiltonian",
-    "pulse_lewis_phase",
-    "pulse_state",
-    "rabi_density",
-    "rabi_hamiltonian",
-    "rabi_state",
-    "refine_max",
-    "xi_squared",
-]
+# the public API is exactly the names imported above
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

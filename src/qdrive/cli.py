@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .coherence import build_series
 from .config import merge_config, scenario_config_from_dict
-from .core import dm_new
+from .core import validate_rho
 from .errors import ConfigInvalid, QdriveError
 from .io import (
     fmt17,
@@ -117,52 +117,31 @@ def _parse_coupling(text: str) -> list[float]:
     return [c.real, c.imag]
 
 
+# config block -> ((config key, argparse attribute), ...) filled from flags
+_FLAG_KEYS = {
+    "rabi": (("e_g", "e_g"), ("e_e", "e_e"), ("omega0", "omega0"), ("coupling", "coupling")),
+    "pulse": (("e0", "e0"), ("f0", "f0"), ("n_period", "n")),
+    "sampled": (("drive_file", "drive"),),
+    "grid": (("t_start", "t_start"), ("t_end", "t_end"), ("steps", "steps")),
+    "output": (("path", "output"), ("format", "format")),
+}
+
+
 def _flags_to_raw(args: argparse.Namespace, scenario: str | None, mode: str | None) -> dict:
     """Assemble the raw config mapping from explicitly given flags.
 
     scenario=None contributes no scenario/params keys (the config file must
     then provide them)."""
-    params: dict = {}
-    if scenario == "rabi":
-        for key in ("e_g", "e_e", "omega0"):
-            v = getattr(args, key, None)
-            if v is not None:
-                params[key] = v
-        if getattr(args, "coupling", None) is not None:
-            params["coupling"] = _parse_coupling(args.coupling)
-    elif scenario == "pulse":
-        for key, attr in (("e0", "e0"), ("f0", "f0"), ("n_period", "n")):
-            v = getattr(args, attr, None)
-            if v is not None:
-                params[key] = v
-    elif scenario == "sampled":
-        if getattr(args, "drive", None) is not None:
-            params["drive_file"] = args.drive
+    def block(name: str | None) -> dict:
+        given = ((key, getattr(args, attr, None)) for key, attr in _FLAG_KEYS.get(name, ()))
+        return {key: v for key, v in given if v is not None}
 
-    grid: dict = {}
-    for key in ("t_start", "t_end", "steps"):
-        v = getattr(args, key, None)
-        if v is not None:
-            grid[key] = v
-
-    output: dict = {}
-    if getattr(args, "output", None) is not None:
-        output["path"] = args.output
-    if getattr(args, "format", None) is not None:
-        output["format"] = args.format
-
-    raw: dict = {}
-    if scenario is not None:
-        raw["scenario"] = scenario
-    if params:
-        raw["params"] = params
-    if grid:
-        raw["grid"] = grid
-    if mode is not None:
-        raw["mode"] = mode
-    if output:
-        raw["output"] = output
-    return raw
+    params = block(scenario)
+    if "coupling" in params:
+        params["coupling"] = _parse_coupling(params["coupling"])
+    raw = {"scenario": scenario, "params": params, "grid": block("grid"), "mode": mode,
+           "output": block("output")}
+    return {key: v for key, v in raw.items() if v}
 
 
 def _load_config_file(path: str) -> dict:
@@ -183,23 +162,21 @@ def _assemble_config(args: argparse.Namespace, scenario: str | None, mode: str |
 
 
 def _reject_cross_scenario_flags(args: argparse.Namespace, scenario: str) -> None:
-    rabi_flags = ("e_g", "e_e", "omega0", "coupling")
-    pulse_flags = ("e0", "f0", "n")
-    wrong = pulse_flags if scenario == "rabi" else rabi_flags
-    for attr in wrong:
+    for _, attr in _FLAG_KEYS["pulse" if scenario == "rabi" else "rabi"]:
         if getattr(args, attr, None) is not None:
             raise ConfigInvalid(
                 f"flag --{attr.replace('_', '-')} does not belong to scenario {scenario!r}"
             )
 
 
-def _write_series(series, cfg) -> None:
-    if cfg.output_path is None:
-        return
-    if cfg.output_format == "json":
-        write_series_json(series, cfg.output_path)
+def _write_series(series, path: str | None, fmt: str) -> None:
+    """Write the series to path, or to stdout when path is None."""
+    if path is None:
+        sys.stdout.write(series_json_text(series) if fmt == "json" else series_csv_text(series))
+    elif fmt == "json":
+        write_series_json(series, path)
     else:
-        write_series_csv(series, cfg.output_path)
+        write_series_csv(series, path)
 
 
 def _print_report(report) -> None:
@@ -215,7 +192,8 @@ def _run_command(args: argparse.Namespace, scenario: str | None, forced_mode: st
     mode = getattr(args, "mode", None) or forced_mode
     cfg = _assemble_config(args, scenario, mode)
     series, report = run_scenario(cfg)
-    _write_series(series, cfg)
+    if cfg.output_path is not None:
+        _write_series(series, cfg.output_path, cfg.output_format)
     if report is not None:
         _print_report(report)
         return 0 if report.passed else 1
@@ -226,24 +204,12 @@ def _run_command(args: argparse.Namespace, scenario: str | None, forced_mode: st
 
 
 def _coherence_command(args: argparse.Namespace) -> int:
-    t, rhos = read_states_csv(args.input)
-    states = []
-    for i, m in enumerate(rhos):
-        try:
-            # runtime tolerances: accept states produced by the propagator
-            states.append(dm_new(m, tol_herm=1e-8, tol_trace=1e-8, tol_psd=1e-8))
-        except QdriveError as exc:
-            raise ConfigInvalid(f"row {i + 2} of {args.input}: {exc}") from exc
-    series = build_series(t, states)
-    if args.output is None:
-        if args.format == "json":
-            sys.stdout.write(series_json_text(series))
-        else:
-            sys.stdout.write(series_csv_text(series))
-    elif args.format == "json":
-        write_series_json(series, args.output)
-    else:
-        write_series_csv(series, args.output)
+    t, rho = read_states_csv(args.input)
+    # runtime tolerances: accept states produced by the propagator
+    bad = validate_rho(rho, tol_herm=1e-8, tol_trace=1e-8, tol_psd=1e-8)
+    if bad is not None:
+        raise ConfigInvalid(f"row {bad[0] + 2} of {args.input}: {bad[1]}") from bad[1]
+    _write_series(build_series(t, rho), args.output, args.format)
     return 0
 
 
@@ -308,8 +274,8 @@ def main(argv: list[str] | None = None) -> int:
                 return _run_command(args, args.scenario, "verify")
             if args.config is None:
                 raise ConfigInvalid("verify needs --scenario (or a config file setting it)")
-            param_flags = ("e_g", "e_e", "omega0", "coupling", "e0", "f0", "n")
-            if any(getattr(args, a, None) is not None for a in param_flags):
+            if any(getattr(args, a, None) is not None
+                   for _, a in _FLAG_KEYS["rabi"] + _FLAG_KEYS["pulse"]):
                 raise ConfigInvalid("give --scenario when combining parameter flags "
                                     "with --config")
             return _run_command(args, None, "verify")

@@ -17,74 +17,78 @@ half-period) when f0 >= 1, while the Frobenius measure stays constant at 1.
 """
 from __future__ import annotations
 
-import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .core import DensityMatrix, TimeSeries, dm_purity
+from .core import DensityMatrix, TimeSeries, cabs, purities
 from .errors import DiscriminantNegative
-from .pulse import PulseParams
+from .pulse import PulseParams, reduced_time
+
+
+def l1_columns(rho: np.ndarray) -> np.ndarray:
+    """|rho01| + |rho10| of each matrix in a (..., 2, 2) array."""
+    return cabs(rho[..., 0, 1]) + cabs(rho[..., 1, 0])
 
 
 def l1_coherence(rho: DensityMatrix) -> float:
     """Sum of off-diagonal magnitudes; 2|rho01| for a valid density matrix."""
-    m = rho.matrix
-    return float(abs(m[0, 1]) + abs(m[1, 0]))
+    return float(l1_columns(rho.matrix))
 
 
-def frobenius_coherence(rho: DensityMatrix) -> float:
-    """sqrt(1 + 4|rho01|^2 - 4 rho00 rho11), radicand clamped to [0, 1].
+def frobenius_columns(rho: np.ndarray) -> np.ndarray:
+    """sqrt(1 + 4|rho01|^2 - 4 rho00 rho11) of each matrix in a (..., 2, 2)
+    array, radicand clamped to [0, 1].
 
     Clamping only absorbs rounding at machine scale; a radicand below -1e-12
     indicates an invalid state and raises DiscriminantNegative.
     """
-    m = rho.matrix
-    radicand = 1.0 + 4.0 * abs(m[0, 1]) ** 2 - 4.0 * m[0, 0].real * m[1, 1].real
-    if radicand < -1e-12:
-        raise DiscriminantNegative(f"coherence radicand {radicand:.3e} below -1e-12")
-    return math.sqrt(min(max(radicand, 0.0), 1.0))
+    radicand = np.asarray(1.0 + 4.0 * np.float_power(cabs(rho[..., 0, 1]), 2.0)
+                          - 4.0 * rho[..., 0, 0].real * rho[..., 1, 1].real)
+    bad = radicand < -1e-12
+    if bad.any():
+        raise DiscriminantNegative(f"coherence radicand {radicand[bad][0]:.3e} below -1e-12")
+    return np.sqrt(np.clip(radicand, 0.0, 1.0))
 
 
-def l1_pulse_closed_form(p: PulseParams, t: float) -> float:
-    """Closed-form l1 coherence of the square-pulse solution at time t."""
-    tau = math.fmod(t, p.period)
-    if tau < 0.0:
-        tau += p.period
+def frobenius_coherence(rho: DensityMatrix) -> float:
+    """Frobenius coherence of one state; see frobenius_columns."""
+    return float(frobenius_columns(rho.matrix))
+
+
+def l1_pulse_closed_form(p: PulseParams, t: np.ndarray | float) -> np.ndarray | float:
+    """Closed-form l1 coherence of the square-pulse solution at time(s) t:
+    a float for scalar t, an array of t's shape otherwise."""
+    tau, _ = reduced_time(p, t)
     f0 = p.f0
     arg = p.eps0 * tau
-    s2 = math.sin(arg) ** 2
-    return (
-        2.0 * f0 / (1.0 + f0 * f0) * math.sqrt(s2 * (1.0 + f0 * f0 * math.cos(arg) ** 2))
-    )
+    s2 = np.float_power(np.sin(arg), 2.0)
+    c = 2.0 * f0 / (1.0 + f0 * f0) * np.sqrt(
+        s2 * (1.0 + f0 * f0 * np.float_power(np.cos(arg), 2.0)))
+    return c if np.ndim(t) else float(c)
 
 
-def build_series(t: np.ndarray, states: Sequence[DensityMatrix]) -> TimeSeries:
-    """Assemble a TimeSeries from validated states, attaching purity and
-    both coherence measures per sample."""
-    n = len(states)
-    rho = np.empty((n, 2, 2), dtype=complex)
-    purity = np.empty(n)
-    c_l1 = np.empty(n)
-    c_frob = np.empty(n)
-    for i, dm in enumerate(states):
-        rho[i] = dm.matrix
-        purity[i] = dm_purity(dm)
-        c_l1[i] = l1_coherence(dm)
-        c_frob[i] = frobenius_coherence(dm)
-    return TimeSeries(t=np.asarray(t, dtype=float), rho=rho, purity=purity, c_l1=c_l1, c_frob=c_frob)
+def build_series(t: np.ndarray, rho: np.ndarray) -> TimeSeries:
+    """Assemble a TimeSeries from an (n, 2, 2) array of validated states,
+    attaching purity and both coherence measures as columns."""
+    rho = np.asarray(rho, dtype=complex)
+    return TimeSeries(t=np.asarray(t, dtype=float), rho=rho, purity=purities(rho),
+                      c_l1=l1_columns(rho), c_frob=frobenius_columns(rho))
 
 
-def refine_max(fn: Callable[[float], float], lo: float, hi: float, samples: int = 4096) -> float:
+def refine_max(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
+               samples: int = 4096) -> float:
     """Maximum of a smooth scalar function on [lo, hi]: dense scan plus a
     bounded local polish around the best grid point.
 
-    The scan guards against the polish settling in a secondary lobe; the
-    polish removes the O(grid^2) bias of the bare scan.
+    ``fn`` must accept both an array of times (the scan calls it once on
+    the whole grid) and a single float (the polish).  The scan guards
+    against the polish settling in a secondary lobe; the polish removes the
+    O(grid^2) bias of the bare scan.
     """
     ts = np.linspace(lo, hi, samples + 1)
-    vals = np.array([fn(t) for t in ts])
+    vals = np.asarray(fn(ts), dtype=float)
     i = int(np.argmax(vals))
     a, b = ts[max(i - 1, 0)], ts[min(i + 1, samples)]
     if a == b:

@@ -25,7 +25,8 @@ Parameter blocks and defaults:
 Grid defaults: t_start = 0 (sampled: first sample time), t_end = one drive
 period (rabi: pi/Omega, pulse: T; sampled: last sample time), steps from the
 QDRIVE_STEPS_DEFAULT environment variable, falling back to 4096.  An
-explicitly configured steps value always wins over the environment.
+explicitly configured steps value always wins over the environment; either
+way steps may not exceed MAX_STEPS.
 """
 from __future__ import annotations
 
@@ -50,6 +51,10 @@ FORMATS = ("csv", "json")
 BUILTIN_STEPS_DEFAULT = 4096
 STEPS_ENV_VAR = "QDRIVE_STEPS_DEFAULT"
 
+#: Largest accepted grid.steps: a trajectory holds 96 bytes per sample (2x2
+#: complex rho, t, three measure columns), 1.5 GiB at 2**24 before CSV text.
+MAX_STEPS = 2**24
+
 RABI_DEFAULTS = {"e_g": 0.0, "e_e": 1.0, "omega0": 1.0, "coupling": 0.5 + 0.0j}
 PULSE_DEFAULTS = {"e0": 1.0, "f0": 1.0, "n_period": 1}
 
@@ -65,10 +70,6 @@ class ScenarioConfig:
     mode: str
     output_path: str | None
     output_format: str
-
-    @property
-    def params(self) -> RabiParams | PulseParams | Sampled:
-        return {"rabi": self.rabi, "pulse": self.pulse, "sampled": self.sampled}[self.scenario]
 
 
 def _check_keys(block: dict, allowed: tuple[str, ...], where: str) -> None:
@@ -171,6 +172,8 @@ def _default_steps() -> int:
         raise ConfigInvalid(f"{STEPS_ENV_VAR} must be a positive integer, got {raw!r}") from None
     if steps < 1:
         raise ConfigInvalid(f"{STEPS_ENV_VAR} must be a positive integer, got {raw!r}")
+    if steps > MAX_STEPS:
+        raise ConfigInvalid(f"{STEPS_ENV_VAR} must be at most {MAX_STEPS}, got {raw!r}")
     return steps
 
 
@@ -224,6 +227,8 @@ def scenario_config_from_dict(raw: dict[str, Any]) -> ScenarioConfig:
     t_start = _number(grid_block, "t_start", "grid", span[0])
     t_end = _number(grid_block, "t_end", "grid", span[1])
     steps = _integer(grid_block, "steps", "grid", _default_steps())
+    if steps > MAX_STEPS:
+        raise ConfigInvalid(f"grid.steps must be at most {MAX_STEPS}, got {steps}")
     try:
         grid = TimeGrid(t_start=t_start, t_end=t_end, steps=steps)
     except BadParam as exc:

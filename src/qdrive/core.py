@@ -1,8 +1,9 @@
 """Scalar/2x2-matrix arithmetic and the validated state types.
 
 Everything downstream works with 2x2 complex matrices (numpy arrays of
-shape ``(2, 2)``, dtype complex128).  This module provides the constructors
-that validate physical invariants at the boundary:
+shape ``(2, 2)``, dtype complex128).  This module provides the batch check of
+density-matrix invariants (:func:`validate_rho`, on ``(n, 2, 2)`` arrays)
+and the constructors that apply it at the boundary:
 
 * :class:`DensityMatrix` -- Hermitian, unit trace, positive semidefinite;
 * :class:`StateVector`   -- normalized two-component amplitude vector;
@@ -22,9 +23,11 @@ import numpy as np
 from .errors import (
     BadParam,
     DiscriminantNegative,
+    InvariantDrift,
     NotHermitian,
     NotNormalized,
     NotPositive,
+    QdriveError,
     TraceNotOne,
 )
 
@@ -34,8 +37,8 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 #: Construction tolerances for density-matrix invariants.  Fixed defaults;
-#: the numerical propagator passes relaxed values (1e-8) when re-wrapping
-#: integrated samples.
+#: the numerical propagator and the coherence subcommand pass relaxed
+#: values (1e-8) when checking integrated or re-read samples.
 TOL_HERM = 1e-12
 TOL_TRACE = 1e-12
 TOL_PSD = 1e-12
@@ -44,14 +47,10 @@ TOL_PSD = 1e-12
 def mat2(a00: complex, a01: complex, a10: complex, a11: complex) -> np.ndarray:
     """Build a 2x2 complex matrix, rejecting non-finite entries."""
     m = np.array([[a00, a01], [a10, a11]], dtype=complex)
-    _require_finite(m, "matrix entry")
-    return m
-
-
-def _require_finite(m: np.ndarray, what: str) -> None:
     # np.isfinite on complex arrays requires both real and imaginary parts finite
     if not np.isfinite(m).all():
-        raise BadParam(f"{what} must be finite, got {m!r}")
+        raise BadParam(f"matrix entry must be finite, got {m!r}")
+    return m
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -59,13 +58,85 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
+# Array code mirrors the scalar formulas bit for bit: |z| is libm hypot
+# (np.abs on complex arrays may round differently), x ** 2 is libm pow via
+# np.float_power (not always x * x), and complex products go through cmul
+# (numpy's complex array multiply may fuse them into FMAs).
+
+
+def cabs(z: np.ndarray) -> np.ndarray:
+    """Elementwise |z|, rounded like Python's scalar abs(complex)."""
+    return np.hypot(z.real, z.imag)
+
+
+def cmul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) as (re, im), rounded like a scalar complex product."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def hermitian(r00, r11, re01, im01) -> np.ndarray:
+    """(..., 2, 2) matrices [[r00, re01 + i im01], [re01 - i im01, r11]]."""
+    m = np.empty(np.shape(r00) + (2, 2), dtype=complex)
+    m[..., 0, 0], m[..., 1, 1] = r00, r11
+    m[..., 0, 1].real = m[..., 1, 0].real = re01
+    m[..., 0, 1].imag, m[..., 1, 0].imag = im01, -im01
+    return m
+
+
+def validate_rho(
+    rho: np.ndarray,
+    tol_herm: float = TOL_HERM,
+    tol_trace: float = TOL_TRACE,
+    tol_psd: float = TOL_PSD,
+    tol_drift: float | None = None,
+) -> tuple[int, QdriveError] | None:
+    """Check each matrix of a (..., 2, 2) array as a density matrix.
+
+    Returns None if all pass, else ``(i, error)``: the lowest failing index
+    of the flattened batch and its unraised error for the first violated
+    invariant, in the order: trace or Hermiticity drift past ``tol_drift``
+    (InvariantDrift; only if given), finite (BadParam), Hermitian
+    (NotHermitian), unit trace (TraceNotOne), positive semidefinite
+    (NotPositive).
+    """
+    m = np.asarray(rho, dtype=complex).reshape(-1, 2, 2)
+    r00, r11 = m[:, 0, 0].real, m[:, 1, 1].real
+    with np.errstate(invalid="ignore", over="ignore"):
+        herm = np.maximum(cabs(m[:, 1, 0] - np.conj(m[:, 0, 1])),
+                          np.maximum(np.abs(m[:, 0, 0].imag), np.abs(m[:, 1, 1].imag)))
+        tr_err = np.abs(r00 + r11 - 1.0)
+        drift = cabs(m[:, 0, 0] + m[:, 1, 1] - 1.0)
+        # eigenvalues of the Hermitian part; the discriminant is a sum of
+        # squares, so it cannot go negative
+        disc = np.sqrt(np.float_power((r00 - r11) / 2.0, 2.0)
+                       + np.float_power(cabs(m[:, 0, 1]), 2.0))
+        lam_min = (r00 + r11) / 2.0 - disc
+    drifted = (np.zeros(len(m), dtype=bool) if tol_drift is None
+               else (drift > tol_drift) | (herm > tol_drift))
+    finite = np.isfinite(m).all(axis=(1, 2))
+    failing = (drifted | ~finite | (herm > tol_herm) | (tr_err > tol_trace)
+               | (lam_min < -tol_psd))
+    if not failing.any():
+        return None
+    i = int(np.argmax(failing))
+    if drifted[i]:
+        error: QdriveError = InvariantDrift(
+            f"trace drift {drift[i]:.3e}, Hermiticity drift {herm[i]:.3e} (limit {tol_drift:g})")
+    elif not finite[i]:
+        error = BadParam(f"density-matrix entry must be finite, got {m[i]!r}")
+    elif herm[i] > tol_herm:
+        error = NotHermitian(f"Hermiticity violation {herm[i]:.3e} exceeds {tol_herm:.1e}")
+    elif tr_err[i] > tol_trace:
+        error = TraceNotOne(f"|trace - 1| = {tr_err[i]:.3e} exceeds {tol_trace:.1e}")
+    else:
+        error = NotPositive(f"smallest eigenvalue {lam_min[i]:.3e} below -{tol_psd:.1e}")
+    return i, error
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """2x2 density matrix validated at construction.
-
-    Checks, in order: finite entries, Hermiticity (rho10 = conj(rho01),
-    real diagonal), unit trace, positive semidefiniteness.  The stored
-    matrix is the one supplied -- never renormalized -- and is read-only.
+    """2x2 density matrix checked at construction by validate_rho.  The
+    stored matrix is the one supplied -- never renormalized -- and read-only.
     """
 
     matrix: np.ndarray
@@ -77,28 +148,9 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise BadParam(f"density matrix must be 2x2, got shape {m.shape}")
-        _require_finite(m, "density-matrix entry")
-
-        herm = max(
-            abs(m[1, 0] - np.conj(m[0, 1])),
-            abs(m[0, 0].imag),
-            abs(m[1, 1].imag),
-        )
-        if herm > tol_herm:
-            raise NotHermitian(f"Hermiticity violation {herm:.3e} exceeds {tol_herm:.1e}")
-
-        tr_err = abs(m[0, 0].real + m[1, 1].real - 1.0)
-        if tr_err > tol_trace:
-            raise TraceNotOne(f"|trace - 1| = {tr_err:.3e} exceeds {tol_trace:.1e}")
-
-        # Eigenvalues of the Hermitian part; the discriminant is a sum of
-        # squares, so it cannot go negative.
-        r00, r11 = m[0, 0].real, m[1, 1].real
-        disc = math.sqrt(((r00 - r11) / 2.0) ** 2 + abs(m[0, 1]) ** 2)
-        lam_min = (r00 + r11) / 2.0 - disc
-        if lam_min < -tol_psd:
-            raise NotPositive(f"smallest eigenvalue {lam_min:.3e} below -{tol_psd:.1e}")
-
+        bad = validate_rho(m, tol_herm, tol_trace, tol_psd)
+        if bad is not None:
+            raise bad[1]
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -139,10 +191,15 @@ def ground_state_dm() -> DensityMatrix:
     return DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
 
 
+def purities(rho: np.ndarray) -> np.ndarray:
+    """tr(rho^2) of each matrix in a (..., 2, 2) array."""
+    return (np.float_power(rho[..., 0, 0].real, 2.0) + np.float_power(rho[..., 1, 1].real, 2.0)
+            + 2.0 * np.float_power(cabs(rho[..., 0, 1]), 2.0))
+
+
 def dm_purity(rho: DensityMatrix) -> float:
     """tr(rho^2); 1 for pure states, 0.5 for the maximally mixed qubit."""
-    m = rho.matrix
-    return float(m[0, 0].real ** 2 + m[1, 1].real ** 2 + 2.0 * abs(m[0, 1]) ** 2)
+    return float(purities(rho.matrix))
 
 
 def dm_eigenvalues(rho: DensityMatrix) -> tuple[float, float]:

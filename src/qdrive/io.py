@@ -35,22 +35,23 @@ def fmt17(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _series_rows(series: TimeSeries):
-    for s in series:
-        yield (
-            s.t,
-            s.rho[0, 0].real, s.rho[0, 0].imag,
-            s.rho[0, 1].real, s.rho[0, 1].imag,
-            s.rho[1, 0].real, s.rho[1, 0].imag,
-            s.rho[1, 1].real, s.rho[1, 1].imag,
-            s.purity, s.c_l1, s.c_frob,
-        )
+_ROW_FORMAT = ",".join(["%.17g"] * len(CSV_FIELDS))  # fmt17 per field
+
+
+def _rows(series: TimeSeries):
+    """The series as rows of Python floats in CSV_FIELDS order, converted a
+    block at a time so the whole table is never held as Python floats."""
+    n = len(series)
+    # (n, 2, 2) complex viewed as (n, 8) floats: re/im of rho00, 01, 10, 11
+    parts = np.ascontiguousarray(series.rho).reshape(n, 4).view(float)
+    table = np.column_stack([series.t, parts, series.purity, series.c_l1, series.c_frob])
+    for start in range(0, n, 4096):
+        yield from table[start:start + 4096].tolist()
 
 
 def series_csv_text(series: TimeSeries) -> str:
-    lines = [CSV_HEADER]
-    lines.extend(",".join(fmt17(v) for v in row) for row in _series_rows(series))
-    return "\n".join(lines) + "\n"
+    rows = [_ROW_FORMAT % tuple(row) for row in _rows(series)]
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
 def write_series_csv(series: TimeSeries, path: str | Path) -> None:
@@ -58,7 +59,7 @@ def write_series_csv(series: TimeSeries, path: str | Path) -> None:
 
 
 def series_json_text(series: TimeSeries) -> str:
-    records = [dict(zip(CSV_FIELDS, row)) for row in _series_rows(series)]
+    records = [dict(zip(CSV_FIELDS, row)) for row in _rows(series)]
     return json.dumps(records, indent=1) + "\n"
 
 
@@ -66,66 +67,17 @@ def write_series_json(series: TimeSeries, path: str | Path) -> None:
     Path(path).write_text(series_json_text(series), encoding="ascii")
 
 
-def read_series_csv(path: str | Path) -> TimeSeries:
-    """Read a CSV in the schema above back into a TimeSeries.
-
-    Values re-read from a file written by write_series_csv compare equal to
-    the originals bit for bit.
-    """
+def _read_table(path: str | Path, headers: tuple[str, ...]) -> np.ndarray:
+    """Parse a CSV whose header is one of ``headers`` into an (n, ncols)
+    float array; ConfigInvalid names the file and row of any defect."""
     text = Path(path).read_text(encoding="ascii")
     lines = [ln for ln in text.split("\n") if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ConfigInvalid(
-            f"CSV header mismatch in {path}: expected {CSV_HEADER!r}, "
-            f"got {(lines[0] if lines else '')!r}"
-        )
-    n = len(lines) - 1
-    data = np.empty((n, len(CSV_FIELDS)))
-    for i, ln in enumerate(lines[1:]):
-        parts = ln.split(",")
-        if len(parts) != len(CSV_FIELDS):
-            raise ConfigInvalid(f"row {i + 2} of {path} has {len(parts)} fields, "
-                                f"expected {len(CSV_FIELDS)}")
-        try:
-            data[i] = [float(v) for v in parts]
-        except ValueError as exc:
-            raise ConfigInvalid(f"row {i + 2} of {path}: {exc}") from exc
-    rho = _rho_from_columns(data)
-    return TimeSeries(t=data[:, 0], rho=rho, purity=data[:, 9],
-                      c_l1=data[:, 10], c_frob=data[:, 11])
-
-
-def _rho_from_columns(data: np.ndarray) -> np.ndarray:
-    # assign through the real/imag views: re + 1j*im would flip -0.0 to +0.0
-    # and break the bit-exact round trip
-    rho = np.zeros((len(data), 2, 2), dtype=complex)
-    for col, (i, j, part) in enumerate(
-        ((0, 0, "real"), (0, 0, "imag"), (0, 1, "real"), (0, 1, "imag"),
-         (1, 0, "real"), (1, 0, "imag"), (1, 1, "real"), (1, 1, "imag")),
-        start=1,
-    ):
-        getattr(rho, part)[:, i, j] = data[:, col]
-    return rho
-
-
-def read_states_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Read (t, rho) rows from a CSV whose header is either the full schema
-    or its first nine columns (t plus the eight rho components).
-
-    Returns (times, matrices) without validating the states; callers decide
-    the tolerance to wrap them with.
-    """
-    text = Path(path).read_text(encoding="ascii")
-    lines = [ln for ln in text.split("\n") if ln]
-    state_header = ",".join(CSV_FIELDS[:9])
-    if not lines or lines[0] not in (CSV_HEADER, state_header):
-        raise ConfigInvalid(
-            f"CSV header mismatch in {path}: expected {CSV_HEADER!r} or "
-            f"{state_header!r}"
-        )
-    ncols = len(lines[0].split(","))
-    n = len(lines) - 1
-    data = np.empty((n, ncols))
+    if not lines or lines[0] not in headers:
+        expected = " or ".join(repr(h) for h in headers)
+        got = f", got {(lines[0] if lines else '')!r}" if len(headers) == 1 else ""
+        raise ConfigInvalid(f"CSV header mismatch in {path}: expected {expected}{got}")
+    ncols = lines[0].count(",") + 1
+    data = np.empty((len(lines) - 1, ncols))
     for i, ln in enumerate(lines[1:]):
         parts = ln.split(",")
         if len(parts) != ncols:
@@ -135,6 +87,34 @@ def read_states_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
             data[i] = [float(v) for v in parts]
         except ValueError as exc:
             raise ConfigInvalid(f"row {i + 2} of {path}: {exc}") from exc
+    return data
+
+
+def _rho_from_columns(data: np.ndarray) -> np.ndarray:
+    # reinterpret the eight re/im columns as complex: re + 1j*im would flip
+    # -0.0 to +0.0 and break the bit-exact round trip
+    return data[:, 1:9].copy().view(complex).reshape(-1, 2, 2)
+
+
+def read_series_csv(path: str | Path) -> TimeSeries:
+    """Read a CSV in the schema above back into a TimeSeries.
+
+    Values re-read from a file written by write_series_csv compare equal to
+    the originals bit for bit.
+    """
+    data = _read_table(path, (CSV_HEADER,))
+    return TimeSeries(t=data[:, 0], rho=_rho_from_columns(data), purity=data[:, 9],
+                      c_l1=data[:, 10], c_frob=data[:, 11])
+
+
+def read_states_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """Read (t, rho) rows from a CSV whose header is either the full schema
+    or its first nine columns (t plus the eight rho components).
+
+    Returns (times, matrices) without validating the states; callers decide
+    the tolerance to check them with.
+    """
+    data = _read_table(path, (CSV_HEADER, ",".join(CSV_FIELDS[:9])))
     return data[:, 0], _rho_from_columns(data)
 
 

@@ -14,9 +14,10 @@ mixes the two pulse branches and the integrator keeps its 4th-order
 accuracy across switches.  The delta-function kick exactly at the switch is
 measure zero and is not integrated.
 
-Integration acts on the raw matrix; every sample is re-validated as a
-density matrix (relaxed 1e-8 tolerances) rather than renormalized, so
-integrator defects surface as errors instead of being masked.
+Integration acts on the raw matrix; the finished (n, 2, 2) trajectory is
+validated as density matrices in one batch (relaxed 1e-8 tolerances)
+rather than renormalized, so integrator defects surface as errors -- naming
+the first failing step and its time -- instead of being masked.
 """
 from __future__ import annotations
 
@@ -27,8 +28,8 @@ from typing import Union
 import numpy as np
 
 from .coherence import build_series
-from .core import DensityMatrix, TimeGrid, TimeSeries, commutator, dm_new
-from .errors import BadParam, InvariantDrift, OutOfRange, StepSpansDiscontinuity
+from .core import DensityMatrix, TimeGrid, TimeSeries, commutator, validate_rho
+from .errors import BadParam, OutOfRange, QdriveError, StepSpansDiscontinuity
 from .pulse import PulseParams, pulse_hamiltonian
 from .rabi import RabiParams, rabi_hamiltonian
 
@@ -122,12 +123,22 @@ def _check_pulse_nodes(p: PulseParams, grid: TimeGrid) -> None:
             )
 
 
+def _check_states(rhos: np.ndarray, times: np.ndarray) -> None:
+    """Raise for the lowest integrated state k >= 1 whose trace or Hermiticity
+    drifted past 1e-6 (InvariantDrift) or that fails the relaxed 1e-8
+    density-matrix checks, naming k and t_k."""
+    bad = validate_rho(rhos[1:], tol_herm=1e-8, tol_trace=1e-8, tol_psd=1e-8, tol_drift=1e-6)
+    if bad is not None:
+        k, error = bad[0] + 1, bad[1]
+        raise type(error)(f"step {k}, t = {float(times[k])!r}: {error}") from None
+
+
 def propagate(drive: DriveHamiltonian, rho0: DensityMatrix, grid: TimeGrid) -> TimeSeries:
     """Fixed-step RK4 propagation of rho over the grid.
 
     Returns a TimeSeries of steps + 1 samples including the initial state.
     Raises StepSpansDiscontinuity if a square-pulse switch falls inside a
-    step, and InvariantDrift if trace or Hermiticity drift past 1e-6.
+    step; see _check_states for the errors of an integrated state.
     """
     if isinstance(drive, SquarePulse):
         _check_pulse_nodes(drive.params, grid)
@@ -135,36 +146,27 @@ def propagate(drive: DriveHamiltonian, rho0: DensityMatrix, grid: TimeGrid) -> T
     h = grid.h
     t0 = grid.t_start
     piecewise_const = isinstance(drive, SquarePulse)
-
-    rho = np.array(rho0.matrix, dtype=complex)
-    states = [rho0]
-    for i in range(grid.steps):
-        a = t0 + i * h
-        if piecewise_const:
-            # constant on the open step interval; the midpoint picks the branch
-            hm = hamiltonian_at(drive, a + 0.5 * h)
-            k1 = -1j * commutator(hm, rho)
-            k2 = -1j * commutator(hm, rho + 0.5 * h * k1)
-            k3 = -1j * commutator(hm, rho + 0.5 * h * k2)
-            k4 = -1j * commutator(hm, rho + h * k3)
-        else:
-            k1 = liouville_rhs(drive, a, rho)
-            k2 = liouville_rhs(drive, a + 0.5 * h, rho + 0.5 * h * k1)
-            k3 = liouville_rhs(drive, a + 0.5 * h, rho + 0.5 * h * k2)
-            k4 = liouville_rhs(drive, a + h, rho + h * k3)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        tr_drift = abs(rho[0, 0] + rho[1, 1] - 1.0)
-        herm_drift = max(
-            abs(rho[0, 1] - np.conj(rho[1, 0])),
-            abs(rho[0, 0].imag),
-            abs(rho[1, 1].imag),
-        )
-        if tr_drift > 1e-6 or herm_drift > 1e-6:
-            raise InvariantDrift(
-                f"at t = {a + h}: trace drift {tr_drift:.3e}, "
-                f"Hermiticity drift {herm_drift:.3e} (limit 1e-6)"
-            )
-        states.append(dm_new(rho, tol_herm=1e-8, tol_trace=1e-8, tol_psd=1e-8))
-
-    return build_series(grid.times(), states)
+    times = grid.times()
+    rhos = np.empty((grid.steps + 1, 2, 2), dtype=complex)
+    rhos[0] = rho = np.array(rho0.matrix, dtype=complex)
+    # an unstable step size may overflow; _check_states reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for i in range(grid.steps):
+                a = t0 + i * h
+                if piecewise_const:
+                    # constant on the open step interval; the midpoint picks the branch
+                    h_a = h_mid = h_b = hamiltonian_at(drive, a + 0.5 * h)
+                else:
+                    h_a, h_mid, h_b = (hamiltonian_at(drive, a), hamiltonian_at(drive, a + 0.5 * h),
+                                       hamiltonian_at(drive, a + h))
+                k1 = -1j * commutator(h_a, rho)
+                k2 = -1j * commutator(h_mid, rho + 0.5 * h * k1)
+                k3 = -1j * commutator(h_mid, rho + 0.5 * h * k2)
+                k4 = -1j * commutator(h_b, rho + h * k3)
+                rhos[i + 1] = rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        except QdriveError:
+            _check_states(rhos[:i + 1], times)  # an earlier state may have failed
+            raise
+    _check_states(rhos, times)
+    return build_series(times, rhos)

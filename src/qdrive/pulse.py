@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SIGMA_X, SIGMA_Z, DensityMatrix, StateVector, dm_new
+from .core import SIGMA_X, SIGMA_Z, DensityMatrix, StateVector, cmul, dm_new, hermitian
 from .errors import BadParam
 
 
@@ -64,21 +64,20 @@ class PulseParams:
         return periodicity_T(self.e0, self.f0, self.n_period)
 
 
-def _reduce(p: PulseParams, t: float) -> tuple[float, float]:
-    """Map t to (tau, s): tau = t mod T and the pulse sign s on that branch."""
+def reduced_time(p: PulseParams, t: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+    """Map t (any shape) to (tau, s): tau = t mod T in [0, T) and the pulse
+    sign s on that branch (+1 before T/2, -1 from T/2 on)."""
     T = p.period
-    tau = math.fmod(t, T)
-    if tau < 0.0:
-        tau += T
-    s = 1.0 if tau < T / 2.0 else -1.0
-    return tau, s
+    tau = np.fmod(t, T)
+    tau = np.where(tau < 0.0, tau + T, tau)
+    return tau, np.where(tau < T / 2.0, 1.0, -1.0)
 
 
 def pulse_f(p: PulseParams, t: float) -> float:
     """Square pulse value: +f0 for tau < T/2, -f0 for tau >= T/2 (right limit
     at the switch)."""
-    _, s = _reduce(p, t)
-    return s * p.f0
+    _, s = reduced_time(p, t)
+    return float(s) * p.f0
 
 
 def pulse_hamiltonian(p: PulseParams, t: float) -> np.ndarray:
@@ -86,26 +85,31 @@ def pulse_hamiltonian(p: PulseParams, t: float) -> np.ndarray:
     return -p.e0 * (SIGMA_Z + pulse_f(p, t) * SIGMA_X)
 
 
-def pulse_density(p: PulseParams, t: float) -> DensityMatrix:
-    """Closed-form density matrix for the system started in |0>.
+def pulse_rho(p: PulseParams, t: np.ndarray | float) -> np.ndarray:
+    """Closed-form density matrices at times t (shape S) for the system
+    started in |0>, as an S + (2, 2) array.
 
     With x = 2 eps0 tau and q = 1 + f0^2:
         rho00 = (f0^2 / 2q) cos x + (2 + f0^2) / 2q
         rho01 = s [ (f0 / 2q)(1 - cos x) - (i f0 / 2 sqrt(q)) sin x ]
     and rho11 = 1 - rho00, rho10 = conj(rho01).  The sign s follows the
-    pulse branch; at the switches both branches give rho01 = 0.
+    pulse branch; at the switches both branches give rho01 = 0 (with the
+    signed zeros of the scalar complex expression).
     """
-    tau, s = _reduce(p, t)
+    tau, s = reduced_time(p, t)
     f0 = p.f0
     q = 1.0 + f0 * f0
     x = 2.0 * p.eps0 * tau
-    r00 = f0 * f0 / (2.0 * q) * math.cos(x) + (2.0 + f0 * f0) / (2.0 * q)
-    r01 = s * (
-        f0 / (2.0 * q) * (1.0 - math.cos(x))
-        - 1j * f0 / (2.0 * math.sqrt(q)) * math.sin(x)
-    )
-    m = np.array([[r00, r01], [np.conj(r01), 1.0 - r00]], dtype=complex)
-    return dm_new(m)
+    r00 = f0 * f0 / (2.0 * q) * np.cos(x) + (2.0 + f0 * f0) / (2.0 * q)
+    b = 1j * f0 / (2.0 * math.sqrt(q))
+    b_re, b_im = cmul(b.real, b.imag, np.sin(x), 0.0)
+    d_re, d_im = f0 / (2.0 * q) * (1.0 - np.cos(x)) - b_re, 0.0 - b_im
+    return hermitian(r00, 1.0 - r00, *cmul(s, 0.0, d_re, d_im))
+
+
+def pulse_density(p: PulseParams, t: float) -> DensityMatrix:
+    """Validated closed-form density matrix at a single time t (see pulse_rho)."""
+    return dm_new(pulse_rho(p, t))
 
 
 def pulse_state(p: PulseParams, t: float) -> StateVector:
@@ -116,7 +120,8 @@ def pulse_state(p: PulseParams, t: float) -> StateVector:
 
     The |1> amplitude flips sign with the pulse branch.
     """
-    tau, s = _reduce(p, t)
+    tau, s = reduced_time(p, t)
+    tau, s = float(tau), float(s)
     root = math.sqrt(1.0 + p.f0 * p.f0)
     arg = p.eps0 * tau
     c0 = math.cos(arg) + 1j / root * math.sin(arg)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, StateVector, dm_new
+from .core import DensityMatrix, StateVector, cmul, dm_new, hermitian
 from .errors import BadParam, DegenerateDrive
 
 
@@ -82,26 +82,39 @@ def rabi_hamiltonian(p: RabiParams, t: float) -> np.ndarray:
     )
 
 
-def rabi_density(p: RabiParams, t: float) -> DensityMatrix:
-    """Density matrix at time t for the system started in the ground state.
+def rabi_rho(p: RabiParams, t: np.ndarray | float) -> np.ndarray:
+    """Density matrices at times t (shape S) for the system started in the
+    ground state, as an S + (2, 2) array.
 
     rho_gg = cos^2(Omega t) + (Theta^2 / 4 Omega^2) sin^2(Omega t)
     rho_ee = (|g|^2 / Omega^2) sin^2(Omega t)
     rho_ge = (conj(g) e^{i w0 t} / 4 Omega^2)
              (Theta cos(2 Omega t) - Theta + 2i Omega sin(2 Omega t))
+
+    Complex arithmetic is spelled out as the scalar expression evaluates it.
     """
+    t = np.asarray(t, dtype=float)
     om = _nonzero_omega(p)
     th = p.theta
     g = p.coupling
-    s, c = math.sin(om * t), math.cos(om * t)
+    s, c = np.sin(om * t), np.cos(om * t)
     rgg = c * c + (th * th / (4.0 * om * om)) * s * s
     ree = (abs(g) ** 2 / (om * om)) * s * s
-    phase = cmath.exp(1j * p.omega0 * t)
-    rge = (np.conj(g) * phase / (4.0 * om * om)) * (
-        th * math.cos(2.0 * om * t) - th + 2j * om * math.sin(2.0 * om * t)
-    )
-    m = np.array([[rgg, rge], [np.conj(rge), ree]], dtype=complex)
-    return dm_new(m)
+    z = 1j * p.omega0  # e^{i w0 t} = e^{i Im(z t)}
+    arg = z.real * 0.0 + z.imag * t
+    a_re, a_im = cmul(g.real, -g.imag, np.cos(arg), np.sin(arg))
+    # numpy divides by a real d > 0 as (a_re + a_im * 0, a_im - a_re * 0) * (1/d)
+    scl = 1.0 / (4.0 * om * om)
+    a_re, a_im = (a_re + a_im * 0.0) * scl, (a_im - a_re * 0.0) * scl
+    w = 2j * om
+    w_re, w_im = cmul(w.real, w.imag, np.sin(2.0 * om * t), 0.0)
+    b_re, b_im = (th * np.cos(2.0 * om * t) - th) + w_re, 0.0 + w_im
+    return hermitian(rgg, ree, *cmul(a_re, a_im, b_re, b_im))
+
+
+def rabi_density(p: RabiParams, t: float) -> DensityMatrix:
+    """Validated closed-form density matrix at a single time t (see rabi_rho)."""
+    return dm_new(rabi_rho(p, t))
 
 
 def rabi_state(p: RabiParams, t: float) -> StateVector:

@@ -3,16 +3,17 @@ reports, and parameter sweeps."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .coherence import build_series, l1_coherence, l1_pulse_closed_form, refine_max
+from .coherence import build_series, l1_columns, l1_pulse_closed_form, refine_max
 from .config import ScenarioConfig
-from .core import TimeSeries, dm_purity
+from .core import TimeSeries, purities, validate_rho
 from .errors import ConfigInvalid, QdriveError
 from .liouville import RwaRabi, SquarePulse, propagate
-from .pulse import pulse_density
-from .rabi import RabiParams, rabi_density
+from .pulse import pulse_density, pulse_rho
+from .rabi import RabiParams, rabi_density, rabi_rho
 
 #: Verification thresholds: numeric-vs-analytic entrywise error and trace drift.
 ENTRYWISE_THRESHOLD = 1e-6
@@ -33,16 +34,23 @@ class VerifyReport:
                 and self.max_trace_drift <= TRACE_THRESHOLD)
 
 
+def _require_valid(rho: np.ndarray) -> np.ndarray:
+    bad = validate_rho(rho)
+    if bad is not None:
+        raise bad[1]
+    return rho
+
+
 def analytic_series(cfg: ScenarioConfig) -> TimeSeries:
     """Sample the scenario's closed-form density matrix over the grid."""
     times = cfg.grid.times()
     if cfg.scenario == "rabi":
-        states = [rabi_density(cfg.rabi, t) for t in times]
+        rho = rabi_rho(cfg.rabi, times)
     elif cfg.scenario == "pulse":
-        states = [pulse_density(cfg.pulse, t) for t in times]
+        rho = pulse_rho(cfg.pulse, times)
     else:
         raise ConfigInvalid("sampled drives have no closed form")
-    return build_series(times, states)
+    return build_series(times, _require_valid(rho))
 
 
 def numeric_series(cfg: ScenarioConfig) -> TimeSeries:
@@ -100,28 +108,24 @@ def _swept_rabi(base: RabiParams, param: str, value: float) -> RabiParams:
 def _sweep_row(cfg: ScenarioConfig, param: str, value: float) -> SweepRow:
     if cfg.scenario == "pulse":
         p = replace(cfg.pulse, f0=value)
-        period = p.period
-        def c_l1_at(t: float) -> float:
-            return l1_pulse_closed_form(p, t)
-        def dm_at(t: float):
-            return pulse_density(p, t)
+        period, rho_at, dm_at = p.period, pulse_rho, pulse_density
+        c_l1_at = partial(l1_pulse_closed_form, p)
     else:
         p = _swept_rabi(cfg.rabi, param, value)
-        period = p.population_period
-        def c_l1_at(t: float) -> float:
-            return l1_coherence(rabi_density(p, t))
-        def dm_at(t: float):
-            return rabi_density(p, t)
+        period, rho_at, dm_at = p.population_period, rabi_rho, rabi_density
+
+        def c_l1_at(t):
+            return l1_columns(_require_valid(rabi_rho(p, t)))
 
     times = np.linspace(0.0, period, cfg.grid.steps + 1)
-    purities = [dm_purity(dm_at(t)) for t in times]
+    purity = purities(_require_valid(rho_at(p, times)))
     max_l1 = refine_max(c_l1_at, 0.0, period, samples=cfg.grid.steps)
-    ret = float(np.abs(dm_at(period).matrix - np.diag([1.0, 0.0])).max())
+    ret = float(np.abs(dm_at(p, period).matrix - np.diag([1.0, 0.0])).max())
     return SweepRow(
         value=value,
         max_c_l1=max_l1,
-        min_purity=min(purities),
-        max_purity=max(purities),
+        min_purity=float(purity.min()),
+        max_purity=float(purity.max()),
         period_return_error=ret,
     )
 

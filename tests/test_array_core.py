@@ -1,0 +1,89 @@
+"""The array closed forms and measure columns against per-sample scalar
+reference loops: equal bit for bit, signed zeros included, over random
+parameters and times."""
+import cmath
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from qdrive import PulseParams, RabiParams, build_series, l1_pulse_closed_form, pulse_rho, rabi_rho
+
+
+def moderate(bound):
+    return st.floats(-bound, bound, allow_nan=False, allow_infinity=False)
+
+
+times = st.lists(moderate(1e3), min_size=1, max_size=8, unique=True).map(np.array)
+
+
+def rabi_reference(p, t):
+    om, th, g = p.omega_rabi, p.theta, p.coupling
+    s, c = math.sin(om * t), math.cos(om * t)
+    rgg = c * c + (th * th / (4.0 * om * om)) * s * s
+    ree = (abs(g) ** 2 / (om * om)) * s * s
+    phase = cmath.exp(1j * p.omega0 * t)
+    rge = (np.conj(g) * phase / (4.0 * om * om)) * (
+        th * math.cos(2.0 * om * t) - th + 2j * om * math.sin(2.0 * om * t))
+    return np.array([[rgg, rge], [np.conj(rge), ree]], dtype=complex)
+
+
+def pulse_reduce(p, t):
+    tau = math.fmod(t, p.period)
+    if tau < 0.0:
+        tau += p.period
+    return tau, 1.0 if tau < p.period / 2.0 else -1.0
+
+
+def pulse_reference(p, t):
+    tau, s = pulse_reduce(p, t)
+    f0 = p.f0
+    q = 1.0 + f0 * f0
+    x = 2.0 * p.eps0 * tau
+    r00 = f0 * f0 / (2.0 * q) * math.cos(x) + (2.0 + f0 * f0) / (2.0 * q)
+    r01 = s * (f0 / (2.0 * q) * (1.0 - math.cos(x))
+               - 1j * f0 / (2.0 * math.sqrt(q)) * math.sin(x))
+    return np.array([[r00, r01], [np.conj(r01), 1.0 - r00]], dtype=complex)
+
+
+def l1_reference(p, t):
+    tau, _ = pulse_reduce(p, t)
+    f0 = p.f0
+    arg = p.eps0 * tau
+    s2 = math.sin(arg) ** 2
+    return 2.0 * f0 / (1.0 + f0 * f0) * math.sqrt(s2 * (1.0 + f0 * f0 * math.cos(arg) ** 2))
+
+
+def measures_reference(m):
+    purity = m[0, 0].real ** 2 + m[1, 1].real ** 2 + 2.0 * abs(m[0, 1]) ** 2
+    radicand = 1.0 + 4.0 * abs(m[0, 1]) ** 2 - 4.0 * m[0, 0].real * m[1, 1].real
+    return purity, abs(m[0, 1]) + abs(m[1, 0]), math.sqrt(min(max(radicand, 0.0), 1.0))
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(moderate(50), moderate(50), moderate(50), moderate(10), moderate(10), times)
+def test_rabi_rho_matches_scalar_loop(e_g, e_e, omega0, g_re, g_im, t):
+    p = RabiParams(e_g=e_g, e_e=e_e, omega0=omega0, coupling=complex(g_re, g_im))
+    assume(p.omega_rabi > 1e-6)
+    rho = rabi_rho(p, t)
+    assert same_bits(rho, [rabi_reference(p, ti) for ti in t])
+    series = build_series(np.sort(t), rho)
+    ref = np.array([measures_reference(m) for m in rho])
+    assert same_bits(np.column_stack([series.purity, series.c_l1, series.c_frob]), ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.05, 20), st.floats(1e-3, 20), st.integers(1, 4), times,
+       st.integers(-6, 6))
+def test_pulse_rho_matches_scalar_loop(e0, f0, n, t, k):
+    p = PulseParams(e0=e0, f0=f0, n_period=n)
+    # include exact switching times k T/2, where the signed zeros matter
+    t = np.append(t, k * p.period / 2.0)
+    assert same_bits(pulse_rho(p, t), [pulse_reference(p, ti) for ti in t])
+    assert same_bits(l1_pulse_closed_form(p, t), [l1_reference(p, ti) for ti in t])
+    assert all(l1_pulse_closed_form(p, float(ti)) == l1_reference(p, ti) for ti in t)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qdrive.cli import main
+from qdrive.config import MAX_STEPS, scenario_config_from_dict
 from qdrive.io import CSV_HEADER, read_series_csv
 
 
@@ -155,6 +156,36 @@ class TestConfig:
         assert run(["rabi"]) == 2
         monkeypatch.setenv("QDRIVE_STEPS_DEFAULT", "-3")
         assert run(["rabi"]) == 2
+
+    @pytest.fixture
+    def no_compute(self, monkeypatch):
+        """Fail the test if anything past config validation runs."""
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran past config validation")
+        monkeypatch.setattr("qdrive.cli.run_scenario", must_not_run)
+        monkeypatch.setattr("qdrive.cli.run_sweep", must_not_run)
+        monkeypatch.setattr("qdrive.core.TimeGrid.times", must_not_run)
+
+    @pytest.mark.parametrize("argv", [
+        ["rabi", "--steps", 10**12],
+        ["pulse", "--mode", "numeric", "--steps", MAX_STEPS + 2],
+        ["sweep", "--param", "f0", "--values", "1", "--steps", 10**12],
+    ])
+    def test_oversized_steps_flag_rejected(self, argv, no_compute):
+        assert run(argv) == 2
+
+    def test_oversized_steps_env_rejected(self, monkeypatch, no_compute):
+        monkeypatch.setenv("QDRIVE_STEPS_DEFAULT", str(10**12))
+        assert run(["rabi"]) == 2
+
+    def test_oversized_steps_config_file_rejected(self, tmp_path, no_compute):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "rabi", "grid": {"steps": MAX_STEPS + 1}}))
+        assert run(["rabi", "--config", cfg]) == 2
+
+    def test_steps_ceiling_is_inclusive(self):
+        cfg = scenario_config_from_dict({"scenario": "rabi", "grid": {"steps": MAX_STEPS}})
+        assert cfg.grid.steps == MAX_STEPS
 
 
 class TestScenarios:

@@ -5,6 +5,7 @@ import pytest
 from qdrive import (
     BadParam,
     InvariantDrift,
+    NotPositive,
     OutOfRange,
     PulseParams,
     RabiParams,
@@ -167,5 +168,22 @@ class TestPropagate:
         drive = Sampled(times=np.array([0.0, 1000.0]),
                         matrices=np.stack([mat2(0, 1, 1, 0)] * 2))
         rho0 = dm_new(mat2(0.5 + 1e-12j, 0.5, 0.5, 0.5))
-        with pytest.raises(InvariantDrift):
+        # step 1 also fails the 1e-8 Hermiticity check; drift is reported first
+        with pytest.raises(InvariantDrift, match=r"^step 1, t = 100\.0: trace drift"):
             propagate(drive, rho0, TimeGrid(0.0, 1000.0, 10))
+
+    def test_unstable_step_names_step_and_time(self):
+        # h = 2 under a sigma_x drive: RK4 is unstable and the first state
+        # already has eigenvalue -3.3
+        sx = mat2(0, 1, 1, 0)
+        drive = Sampled(times=np.array([0.0, 20.0]), matrices=np.stack([sx, sx]))
+        with pytest.raises(NotPositive, match=r"^step 1, t = 2\.0: smallest eigenvalue -3\.304e\+00"):
+            propagate(drive, ground_state_dm(), TimeGrid(0.0, 20.0, 10))
+
+    def test_invalid_state_reported_before_later_out_of_range(self):
+        # the drive ends at t = 10, so step 5 leaves its range; the state
+        # after step 1 is already invalid and is the failure reported
+        sx = mat2(0, 1, 1, 0)
+        drive = Sampled(times=np.array([0.0, 10.0]), matrices=np.stack([sx, sx]))
+        with pytest.raises(NotPositive, match=r"^step 1, t = 2\.0: "):
+            propagate(drive, ground_state_dm(), TimeGrid(0.0, 20.0, 10))

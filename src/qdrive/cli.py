@@ -16,15 +16,17 @@ run) failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import re
 import sys
 from pathlib import Path
 
 from .coherence import build_series
 from .config import merge_config, scenario_config_from_dict
-from .core import validate_rho
 from .errors import ConfigInvalid, QdriveError
 from .io import (
+    check_states,
     fmt17,
     read_states_csv,
     series_csv_text,
@@ -41,7 +43,9 @@ from .runner import (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing does not mutate it)."""
     parser = argparse.ArgumentParser(
         prog="qdrive",
         description="Density-matrix dynamics of periodically driven two-level systems",
@@ -205,11 +209,7 @@ def _run_command(args: argparse.Namespace, scenario: str | None, forced_mode: st
 
 def _coherence_command(args: argparse.Namespace) -> int:
     t, rho = read_states_csv(args.input)
-    # runtime tolerances: accept states produced by the propagator
-    bad = validate_rho(rho, tol_herm=1e-8, tol_trace=1e-8, tol_psd=1e-8)
-    if bad is not None:
-        raise ConfigInvalid(f"row {bad[0] + 2} of {args.input}: {bad[1]}") from bad[1]
-    _write_series(build_series(t, rho), args.output, args.format)
+    _write_series(build_series(t, check_states(rho, args.input)), args.output, args.format)
     return 0
 
 
@@ -256,9 +256,27 @@ def _write_sweep_csv(path: str, param: str, rows: list[SweepRow]) -> None:
     Path(path).write_bytes(("\n".join(lines) + "\n").encode())
 
 
+# a --values list that starts with a negative number, e.g. "-0.5,1"
+_NEGATIVE_LIST = re.compile(r"-[0-9.]")
+
+
+def _attach_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--values -0.5,1`` as ``--values=-0.5,1``.
+
+    argparse reads a token that starts with '-' as an option unless it is a
+    single negative number, so a list with a leading minus would otherwise
+    leave --values without its argument."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--values" and _NEGATIVE_LIST.match(tok):
+            out[-1] = f"--values={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "rabi":
             return _run_command(args, "rabi", None)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import TimeSeries
+from .core import TimeSeries, validate_rho
 from .errors import BadParam, ConfigInvalid
 from .liouville import Sampled
 
@@ -96,23 +96,34 @@ def _rho_from_columns(data: np.ndarray) -> np.ndarray:
     return data[:, 1:9].copy().view(complex).reshape(-1, 2, 2)
 
 
+def check_states(rho: np.ndarray, path: str | Path) -> np.ndarray:
+    """Return the states read from ``path`` if each is a density matrix to
+    within 1e-8, a runtime tolerance loose enough for propagated states;
+    otherwise raise ConfigInvalid naming the first bad row of the file."""
+    bad = validate_rho(rho, tol_herm=1e-8, tol_trace=1e-8, tol_psd=1e-8)
+    if bad is not None:
+        raise ConfigInvalid(f"row {bad[0] + 2} of {path}: {bad[1]}") from bad[1]
+    return rho
+
+
 def read_series_csv(path: str | Path) -> TimeSeries:
-    """Read a CSV in the schema above back into a TimeSeries.
+    """Read a CSV in the schema above back into a TimeSeries; its states are
+    checked with check_states.
 
     Values re-read from a file written by write_series_csv compare equal to
     the originals bit for bit.
     """
     data = _read_table(path, (CSV_HEADER,))
-    return TimeSeries(t=data[:, 0], rho=_rho_from_columns(data), purity=data[:, 9],
-                      c_l1=data[:, 10], c_frob=data[:, 11])
+    return TimeSeries(t=data[:, 0], rho=check_states(_rho_from_columns(data), path),
+                      purity=data[:, 9], c_l1=data[:, 10], c_frob=data[:, 11])
 
 
 def read_states_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read (t, rho) rows from a CSV whose header is either the full schema
     or its first nine columns (t plus the eight rho components).
 
-    Returns (times, matrices) without validating the states; callers decide
-    the tolerance to check them with.
+    Returns (times, matrices) without validating the states; callers check
+    them, e.g. with check_states.
     """
     data = _read_table(path, (CSV_HEADER, ",".join(CSV_FIELDS[:9])))
     return data[:, 0], _rho_from_columns(data)

@@ -118,8 +118,12 @@ def _sweep_row(cfg: ScenarioConfig, param: str, value: float) -> SweepRow:
             return l1_columns(_require_valid(rabi_rho(p, t)))
 
     times = np.linspace(0.0, period, cfg.grid.steps + 1)
-    purity = purities(_require_valid(rho_at(p, times)))
-    max_l1 = refine_max(c_l1_at, 0.0, period, samples=cfg.grid.steps)
+    rho = _require_valid(rho_at(p, times))
+    purity = purities(rho)
+    # rabi scans the states it just validated; pulse scans its closed form,
+    # whose bits differ from l1_columns(rho)
+    scan = None if cfg.scenario == "pulse" else l1_columns(rho)
+    max_l1 = refine_max(c_l1_at, 0.0, period, samples=cfg.grid.steps, scan=scan)
     ret = float(np.abs(dm_at(p, period).matrix - np.diag([1.0, 0.0])).max())
     return SweepRow(
         value=value,

@@ -1,12 +1,17 @@
 """CLI contract: subcommands, config handling, CSV/JSON schema, exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qdrive.cli import main
+from qdrive.cli import build_parser, main
 from qdrive.config import MAX_STEPS, scenario_config_from_dict
 from qdrive.io import CSV_HEADER, read_series_csv
+from test_output_digests import EXPECTED, run_case
 
 
 def run(argv):
@@ -309,3 +314,42 @@ class TestSweep:
     def test_param_scenario_mismatch(self):
         assert run(["sweep", "--scenario", "rabi", "--param", "f0",
                     "--values", "1"]) == 2
+
+    def test_values_with_leading_minus(self, tmp_path, capsys):
+        # "--values -0.5,1,1.7" must parse like "--values=-0.5,1,1.7"
+        outputs = []
+        for i, values in enumerate((["--values=-0.5,1,1.7"], ["--values", "-0.5,1,1.7"])):
+            out = tmp_path / f"sweep{i}.csv"
+            assert run(["sweep", "--param", "omega0", *values, "--steps", 128,
+                        "--output", out]) == 0
+            outputs.append((capsys.readouterr().out, out.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0].count("\n") == 4  # header and three rows
+
+    def test_values_flag_still_needs_an_argument(self):
+        with pytest.raises(SystemExit) as exc:
+            run(["sweep", "--param", "omega0", "--values", "--steps", 128])
+        assert exc.value.code == 2
+
+
+class TestProcess:
+    def test_parser_is_built_once_and_reused(self, tmp_path):
+        assert build_parser() is build_parser()
+        # successive commands on the one parser keep their pinned output bytes
+        for case in ("sweep_omega0_csv", "pulse_json", "coherence_json",
+                     "sweep_coupling_stdout", "rabi_detuned_csv"):
+            work = tmp_path / case
+            work.mkdir()
+            assert run_case(case, work)[1] == EXPECTED[case]
+
+    def test_cli_run_never_imports_scipy(self):
+        code = ("import sys, qdrive, qdrive.cli\n"
+                "rc = qdrive.cli.main(['sweep', '--param', 'f0', '--values', '0.5,2',"
+                " '--steps', '64'])\n"
+                "assert rc == 0, rc\n"
+                "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

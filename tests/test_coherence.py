@@ -1,9 +1,13 @@
-"""l1 and Frobenius coherence measures and the pulse closed form."""
+"""l1 and Frobenius coherence measures, the pulse closed form and the
+bounded peak polish."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdrive import (
     PulseParams,
+    RabiParams,
     dm_eigenvalues,
     dm_new,
     frobenius_coherence,
@@ -11,8 +15,10 @@ from qdrive import (
     l1_pulse_closed_form,
     mat2,
     pulse_density,
+    rabi_rho,
     refine_max,
 )
+from qdrive.coherence import _fminbound, l1_columns
 from conftest import random_density_matrix
 
 
@@ -107,3 +113,115 @@ class TestPulseClosedForm:
             assert peak == pytest.approx(expected, abs=1e-9)
             tau_star = (np.pi / 2) / p.eps0
             assert l1_pulse_closed_form(p, tau_star) == pytest.approx(expected, abs=1e-12)
+
+
+def _reference_min(f, a, b, xatol=1e-14):
+    """f's minimum on [a, b] by the reference bounded Brent minimiser."""
+    optimize = pytest.importorskip("scipy.optimize")
+    return optimize.minimize_scalar(f, bounds=(a, b), method="bounded",
+                                    options={"xatol": xatol}).fun
+
+
+def _scan_bracket(fn, lo, hi, samples):
+    """The grid interval around the scan maximum, as refine_max picks it."""
+    ts = np.linspace(lo, hi, samples + 1)
+    i = int(np.argmax(fn(ts)))
+    return ts[max(i - 1, 0)], ts[min(i + 1, samples)]
+
+
+def _same_bits(x, y):
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+def _assert_same_run(f, a, b, xatol=1e-14):
+    """_fminbound evaluates f at the reference's points, in the reference's
+    order, and returns the same minimum, all bit for bit."""
+    ours, ref = [], []
+
+    def logged(log):
+        def g(t):
+            log.append(np.float64(t).tobytes())
+            return f(t)
+        return g
+
+    fx = _fminbound(logged(ours), a, b, xatol=xatol)
+    assert _same_bits(fx, _reference_min(logged(ref), a, b, xatol))
+    assert ours == ref
+    return len(ours)
+
+
+samples = st.sampled_from([8, 33, 256, 1000, 4096])
+
+
+class TestFminbound:
+    """_fminbound against the reference implementation, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(0.05, 5.0), st.floats(0.01, 10.0), st.integers(1, 4), samples)
+    def test_pulse_closed_form_bracket(self, e0, f0, n, k):
+        p = PulseParams(e0=e0, f0=f0, n_period=n)
+
+        def f(t):
+            return -l1_pulse_closed_form(p, t)
+
+        a, b = _scan_bracket(lambda t: l1_pulse_closed_form(p, t), 0.0, p.period, k)
+        _assert_same_run(f, a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+           st.floats(0.01, 2.0), st.floats(0.0, 2 * np.pi), samples)
+    def test_rabi_l1_column_bracket(self, e_g, e_e, omega0, g, phase, k):
+        p = RabiParams(e_g=e_g, e_e=e_e, omega0=omega0, coupling=g * np.exp(1j * phase))
+
+        def f(t):
+            return -l1_columns(rabi_rho(p, t))
+
+        a, b = _scan_bracket(lambda t: l1_columns(rabi_rho(p, t)), 0.0,
+                             p.population_period, k)
+        _assert_same_run(f, a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(-3.0, 3.0), st.floats(0.1, 20.0), st.floats(-3.0, 3.0),
+           st.floats(-1.0, 1.0), st.floats(-10.0, 10.0), st.floats(1e-9, 10.0))
+    def test_smooth_function_any_bracket(self, amp, w, phase, curv, a, width):
+        def f(t):
+            return amp * np.cos(w * t + phase) + curv * t * t
+
+        b = a + width
+        _assert_same_run(f, a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8), st.floats(0.5, 5.0), st.floats(-5.0, 5.0), st.floats(0.1, 10.0))
+    def test_staircase_function_ties(self, levels, w, a, width):
+        # equal function values exercise the tie branches of the bracket update
+        def f(t):
+            return np.floor(levels * np.cos(w * t)) / levels
+
+        b = a + width
+        _assert_same_run(f, a, b)
+
+    def test_evaluation_cap(self):
+        # with xatol = 0 the kink at 0 is approached until 500 evaluations
+        assert _assert_same_run(abs, -1.0, 2.0, xatol=0.0) == 500
+
+    @pytest.mark.parametrize("a, b", [(0.7, 0.7), (0.0, 0.0), (0.7, np.nextafter(0.7, 1.0))])
+    def test_degenerate_bracket(self, a, b):
+        def f(t):
+            return np.sin(3.0 * t) - t
+
+        _assert_same_run(f, a, b)
+
+    def test_refine_max_scan_argument_skips_the_grid_call(self):
+        p = PulseParams(e0=1.0, f0=0.5, n_period=1)
+        grid_calls = []
+
+        def fn(t):
+            if np.ndim(t):
+                grid_calls.append(len(t))
+            return l1_pulse_closed_form(p, t)
+
+        scan = l1_pulse_closed_form(p, np.linspace(0.0, p.period, 257))
+        given_scan = refine_max(fn, 0.0, p.period, samples=256, scan=scan)
+        assert grid_calls == []
+        assert _same_bits(given_scan, refine_max(fn, 0.0, p.period, samples=256))
+        assert grid_calls == [257]

@@ -43,7 +43,6 @@ from .errors import (
     NotPositive,
     OutOfRange,
     QdriveError,
-    StepSpansDiscontinuity,
     TraceNotOne,
     ZeroCoupling,
 )

@@ -16,6 +16,7 @@ run) failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import re
@@ -246,30 +247,28 @@ def _print_sweep(param: str, rows: list[SweepRow]) -> None:
 
 
 def _write_sweep_csv(path: str, param: str, rows: list[SweepRow]) -> None:
-    lines = ["param,value,max_c_l1,min_purity,max_purity,period_return_error,error"]
-    for r in rows:
-        cells = [param, fmt17(r.value)]
-        for v in (r.max_c_l1, r.min_purity, r.max_purity, r.period_return_error):
-            cells.append("" if v is None else fmt17(v))
-        cells.append(r.error or "")
-        lines.append(",".join(cells))
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode())
+    # csv quotes an error cell that holds a comma, quote or newline
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(["param", "value", "max_c_l1", "min_purity", "max_purity",
+                         "period_return_error", "error"])
+        for r in rows:
+            stats = (r.max_c_l1, r.min_purity, r.max_purity, r.period_return_error)
+            writer.writerow([param, fmt17(r.value), *("" if v is None else fmt17(v) for v in stats),
+                             r.error or ""])
 
 
-# a --values list that starts with a negative number, e.g. "-0.5,1"
-_NEGATIVE_LIST = re.compile(r"-[0-9.]")
+_NEGATIVE = re.compile(r"-[0-9.]")
 
 
 def _attach_values(argv: list[str]) -> list[str]:
-    """Rewrite ``--values -0.5,1`` as ``--values=-0.5,1``.
-
-    argparse reads a token that starts with '-' as an option unless it is a
-    single negative number, so a list with a leading minus would otherwise
-    leave --values without its argument."""
+    """Rewrite ``--flag -1e308`` as ``--flag=-1e308`` for every long option
+    (each takes a value): argparse counts only '-1'-like tokens as numbers
+    and would read '-1e308', '-1e-3' or '-0.5,1' as an option."""
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] == "--values" and _NEGATIVE_LIST.match(tok):
-            out[-1] = f"--values={tok}"
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE.match(tok):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
     return out

@@ -234,14 +234,6 @@ def scenario_config_from_dict(raw: dict[str, Any]) -> ScenarioConfig:
     except BadParam as exc:
         raise ConfigInvalid(f"grid: {exc}") from exc
 
-    if scenario == "pulse" and mode in ("numeric", "verify"):
-        div = 2 * pulse.n_period
-        if steps % div != 0:
-            raise ConfigInvalid(
-                f"grid.steps must be divisible by 2*n_period = {div} for numeric "
-                f"square-pulse runs (nodes must land on switching times), got {steps}"
-            )
-
     output_block = raw.get("output", {})
     if not isinstance(output_block, dict):
         raise ConfigInvalid("output must be an object")

@@ -123,7 +123,7 @@ def validate_rho(
         error: QdriveError = InvariantDrift(
             f"trace drift {drift[i]:.3e}, Hermiticity drift {herm[i]:.3e} (limit {tol_drift:g})")
     elif not finite[i]:
-        error = BadParam(f"density-matrix entry must be finite, got {m[i]!r}")
+        error = BadParam(f"density-matrix entry must be finite, got {m[i].tolist()!r}")
     elif herm[i] > tol_herm:
         error = NotHermitian(f"Hermiticity violation {herm[i]:.3e} exceeds {tol_herm:.1e}")
     elif tr_err[i] > tol_trace:
@@ -252,8 +252,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
-            raise BadParam("grid endpoints must be finite")
+        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end - self.t_start)):
+            raise BadParam("grid endpoints and the span between them must be finite")
         if not self.t_end > self.t_start:
             raise BadParam(f"t_end ({self.t_end}) must exceed t_start ({self.t_start})")
         if int(self.steps) != self.steps or self.steps < 1:

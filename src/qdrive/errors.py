@@ -46,12 +46,8 @@ class OutOfRange(QdriveError):
     """Time lies outside the range covered by a sampled drive."""
 
 
-class StepSpansDiscontinuity(QdriveError):
-    """A square-pulse switching time falls strictly inside an integration step."""
-
-
 class InvariantDrift(QdriveError):
-    """Trace or Hermiticity drift of the propagated state exceeded 1e-6."""
+    """Trace or Hermiticity drift of a propagated state exceeded 1e-8."""
 
 
 class ConfigInvalid(QdriveError):

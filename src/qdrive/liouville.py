@@ -5,14 +5,12 @@
 with a fixed-step classical 4th-order Runge-Kutta integrator.  This is the
 independent cross-check for every closed-form solution in the package.
 
-Drives are a tagged union: the RWA harmonic drive, the square-pulse drive,
-or an arbitrary sampled Hamiltonian held piecewise constant from the left
-sample.  For the square pulse the grid must place a node on every switching
-time k*T/2 inside the integration window; each RK4 step then evaluates the
-(per-step constant) Hamiltonian at the step midpoint, so no stage ever
-mixes the two pulse branches and the integrator keeps its 4th-order
-accuracy across switches.  The delta-function kick exactly at the switch is
-measure zero and is not integrated.
+Drives are a tagged union: the RWA harmonic drive (H at a, a + h/2 and
+a + h), and two that are piecewise constant: the square pulse (a piece from
+each switch k*T/2 on) and a sampled Hamiltonian (held from each sample on).
+A step takes the piece in force at its midpoint; a piece starting more than
+1e-9*h inside a step splits it into one RK4 sub-step per piece, so every
+drive integrates at 4th order on any grid.
 
 Integration acts on the raw matrix; the finished (n, 2, 2) trajectory is
 validated as density matrices in one batch (relaxed 1e-8 tolerances)
@@ -29,8 +27,8 @@ import numpy as np
 
 from .coherence import build_series
 from .core import DensityMatrix, TimeGrid, TimeSeries, commutator, validate_rho
-from .errors import BadParam, OutOfRange, QdriveError, StepSpansDiscontinuity
-from .pulse import PulseParams, pulse_hamiltonian
+from .errors import BadParam, OutOfRange
+from .pulse import PulseParams, pulse_hamiltonian, reduced_time
 from .rabi import RabiParams, rabi_hamiltonian
 
 
@@ -75,6 +73,15 @@ class Sampled:
 DriveHamiltonian = Union[RwaRabi, SquarePulse, Sampled]
 
 
+def _held(starts: np.ndarray, t):
+    """Index of the piece held at t (float or array): the last one starting
+    at or before t, else the first (left hold); -1 outside [starts[0],
+    starts[-1]] widened by a slack for one-ulp drift of step times."""
+    slack = 1e-12 * max(1.0, abs(starts[0]), abs(starts[-1]))
+    held = np.maximum(np.searchsorted(starts, t, side="right") - 1, 0)
+    return np.where((t < starts[0] - slack) | (t > starts[-1] + slack), -1, held)
+
+
 def hamiltonian_at(drive: DriveHamiltonian, t: float) -> np.ndarray:
     """Drive Hamiltonian matrix at time t.
 
@@ -87,14 +94,10 @@ def hamiltonian_at(drive: DriveHamiltonian, t: float) -> np.ndarray:
     if isinstance(drive, SquarePulse):
         return pulse_hamiltonian(drive.params, t)
     if isinstance(drive, Sampled):
-        times = drive.times
-        # slack tolerates one-ulp drift of RK4 stage times at the window edge
-        slack = 1e-12 * max(1.0, abs(times[0]), abs(times[-1]))
-        if t < times[0] - slack or t > times[-1] + slack:
-            raise OutOfRange(f"t = {t} outside sampled range [{times[0]}, {times[-1]}]")
-        idx = int(np.searchsorted(times, t, side="right")) - 1
-        idx = min(max(idx, 0), len(times) - 1)
-        return drive.matrices[idx]
+        k = int(_held(drive.times, t))
+        if k < 0:
+            raise OutOfRange(f"t = {t} outside sampled range [{drive.times[0]}, {drive.times[-1]}]")
+        return drive.matrices[k]
     raise BadParam(f"unknown drive type {type(drive).__name__}")
 
 
@@ -103,31 +106,35 @@ def liouville_rhs(drive: DriveHamiltonian, t: float, rho: np.ndarray) -> np.ndar
     return -1j * commutator(hamiltonian_at(drive, t), rho)
 
 
-def _check_pulse_nodes(p: PulseParams, grid: TimeGrid) -> None:
-    # every switching time k*T/2 inside (t_start, t_end) must land on a node
-    half = p.period / 2.0
-    h = grid.h
-    tol = 1e-9 * h
-    k_lo = math.floor(grid.t_start / half) - 1
-    k_hi = math.ceil(grid.t_end / half) + 1
-    for k in range(k_lo, k_hi + 1):
-        s = k * half
-        if s <= grid.t_start + tol or s >= grid.t_end - tol:
-            continue
-        j = round((s - grid.t_start) / h)
-        node = grid.t_start + j * h
-        if abs(s - node) > tol:
-            raise StepSpansDiscontinuity(
-                f"switching time {s!r} falls strictly inside a step "
-                f"(nearest node {node!r}); align the grid with multiples of T/2"
-            )
+def _pieces(drive: DriveHamiltonian, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray] | None:
+    """(start times, matrices) of a piecewise-constant drive; None otherwise."""
+    if isinstance(drive, Sampled):
+        return drive.times, drive.matrices
+    if not isinstance(drive, SquarePulse):
+        return None
+    p, half = drive.params, drive.params.period / 2.0
+    if grid.h > half:  # RK4-unstable anyway, and a step could span any number of switches
+        raise BadParam(f"step {grid.h!r} exceeds the half period T/2 = {half!r}")
+    # piece k runs from k*T/2 on and holds the branch of its midpoint
+    ks = np.arange(math.floor(grid.t_start / half), math.ceil(grid.t_end / half) + 1.0)
+    _, sign = reduced_time(p, (ks + 0.5) * half)
+    branches = np.stack([pulse_hamiltonian(p, 0.0), pulse_hamiltonian(p, half)])
+    return ks * half, branches[(sign < 0).astype(int)]
+
+
+def _rk4(rho: np.ndarray, h: float, h_a: np.ndarray, h_mid: np.ndarray, h_b: np.ndarray):
+    """One RK4 step of length h, given H at its start, midpoint and end."""
+    k1 = -1j * commutator(h_a, rho)
+    k2 = -1j * commutator(h_mid, rho + 0.5 * h * k1)
+    k3 = -1j * commutator(h_mid, rho + 0.5 * h * k2)
+    k4 = -1j * commutator(h_b, rho + h * k3)
+    return rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _check_states(rhos: np.ndarray, times: np.ndarray) -> None:
-    """Raise for the lowest integrated state k >= 1 whose trace or Hermiticity
-    drifted past 1e-6 (InvariantDrift) or that fails the relaxed 1e-8
-    density-matrix checks, naming k and t_k."""
-    bad = validate_rho(rhos[1:], tol_herm=1e-8, tol_trace=1e-8, tol_psd=1e-8, tol_drift=1e-6)
+    """Raise, naming k and t_k, for the lowest state k >= 1 that drifted past
+    1e-8 in trace or Hermiticity (InvariantDrift), is not finite or not PSD."""
+    bad = validate_rho(rhos[1:], tol_herm=1e-8, tol_trace=1e-8, tol_psd=1e-8, tol_drift=1e-8)
     if bad is not None:
         k, error = bad[0] + 1, bad[1]
         raise type(error)(f"step {k}, t = {float(times[k])!r}: {error}") from None
@@ -137,36 +144,37 @@ def propagate(drive: DriveHamiltonian, rho0: DensityMatrix, grid: TimeGrid) -> T
     """Fixed-step RK4 propagation of rho over the grid.
 
     Returns a TimeSeries of steps + 1 samples including the initial state.
-    Raises StepSpansDiscontinuity if a square-pulse switch falls inside a
-    step; see _check_states for the errors of an integrated state.
+    Raises BadParam for a square-pulse step longer than T/2, OutOfRange for
+    the first step outside a sampled drive's window (after checking the
+    states before it), and the errors of _check_states.
     """
-    if isinstance(drive, SquarePulse):
-        _check_pulse_nodes(drive.params, grid)
-
-    h = grid.h
-    t0 = grid.t_start
-    piecewise_const = isinstance(drive, SquarePulse)
-    times = grid.times()
+    h, t0, times, n = grid.h, grid.t_start, grid.times(), grid.steps
+    pieces = _pieces(drive, grid)
+    if pieces is not None:
+        starts, mats = pieces
+        # step i holds pieces first[i]..last[i] (-1: outside the window); a
+        # piece starting within tol of a node counts as starting on it
+        tol = 1e-9 * h
+        first, last = _held(starts, times[:-1] + tol), _held(starts, times[1:] - tol)
+        outside = (first < 0) | (last < 0)
+        n = int(np.argmax(outside)) if outside.any() else n
     rhos = np.empty((grid.steps + 1, 2, 2), dtype=complex)
     rhos[0] = rho = np.array(rho0.matrix, dtype=complex)
     # an unstable step size may overflow; _check_states reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            for i in range(grid.steps):
-                a = t0 + i * h
-                if piecewise_const:
-                    # constant on the open step interval; the midpoint picks the branch
-                    h_a = h_mid = h_b = hamiltonian_at(drive, a + 0.5 * h)
-                else:
-                    h_a, h_mid, h_b = (hamiltonian_at(drive, a), hamiltonian_at(drive, a + 0.5 * h),
-                                       hamiltonian_at(drive, a + h))
-                k1 = -1j * commutator(h_a, rho)
-                k2 = -1j * commutator(h_mid, rho + 0.5 * h * k1)
-                k3 = -1j * commutator(h_mid, rho + 0.5 * h * k2)
-                k4 = -1j * commutator(h_b, rho + h * k3)
-                rhos[i + 1] = rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        except QdriveError:
-            _check_states(rhos[:i + 1], times)  # an earlier state may have failed
-            raise
-    _check_states(rhos, times)
+        for i in range(n):
+            a = t0 + i * h
+            if pieces is None:
+                rho = _rk4(rho, h, hamiltonian_at(drive, a), hamiltonian_at(drive, a + 0.5 * h),
+                           hamiltonian_at(drive, a + h))
+            else:
+                k0, k1 = first[i], last[i]
+                hs = [h] if k0 == k1 else np.diff([a, *starts[k0 + 1:k1 + 1], a + h])
+                for m, dh in zip(mats[k0:k1 + 1], hs):
+                    rho = _rk4(rho, dh, m, m, m)
+            rhos[i + 1] = rho
+    _check_states(rhos[:n + 1], times)
+    if n < grid.steps:
+        raise OutOfRange(f"step {n + 1}, t = {float(times[n + 1])!r}: outside the sampled "
+                         f"range [{starts[0]}, {starts[-1]}]")
     return build_series(times, rhos)

@@ -34,9 +34,12 @@ def periodicity_T(e0: float, f0: float, n: int) -> float:
         raise BadParam(f"e0 must be positive and finite, got {e0!r}")
     if not (math.isfinite(f0) and f0 >= 0):
         raise BadParam(f"f0 must be non-negative and finite, got {f0!r}")
-    if int(n) != n or n < 1:
-        raise BadParam(f"n must be a positive integer, got {n!r}")
-    return 2.0 * n * math.pi / (e0 * math.sqrt(1.0 + f0 * f0))
+    if not 1 <= n <= 1e308 or int(n) != n:
+        raise BadParam(f"n must be an integer in [1, 1e308], got {n!r}")
+    T = 2.0 * n * math.pi / (e0 * math.sqrt(1.0 + f0 * f0))
+    if not 0.0 < T < math.inf:  # eps0 = e0 sqrt(1 + f0^2) overflowed (T = 0) or underflowed
+        raise BadParam(f"period T = {T!r} must be positive and finite")
+    return T
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,9 @@ class RabiParams:
         if not (math.isfinite(c.real) and math.isfinite(c.imag)):
             raise BadParam(f"coupling must be finite, got {c!r}")
         object.__setattr__(self, "coupling", c)
+        # Omega's radicand, without the OverflowError that ** raises
+        if not math.isfinite(self.theta * self.theta / 4.0 + abs(c) * abs(c)):
+            raise BadParam(f"Theta = {self.theta!r} and coupling {c!r} overflow the Rabi frequency")
 
     @property
     def theta(self) -> float:

@@ -1,6 +1,8 @@
 """CLI contract: subcommands, config handling, CSV/JSON schema, exit codes."""
+import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,14 +10,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdrive.cli import build_parser, main
+from qdrive.cli import _write_sweep_csv, build_parser, main
 from qdrive.config import MAX_STEPS, scenario_config_from_dict
 from qdrive.io import CSV_HEADER, read_series_csv
+from qdrive.runner import SweepRow
 from test_output_digests import EXPECTED, run_case
 
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def csv_rows(path):
+    with open(path, newline="") as f:
+        return list(csv.reader(f))
 
 
 class TestCsvContract:
@@ -101,16 +109,27 @@ class TestConfig:
         assert run(["rabi", "--coupling", "0", "--e-g", 0, "--e-e", 1,
                     "--omega0", 1]) == 2
 
+    # numeric square-pulse grids need not put nodes on the switching times:
+    # a switch inside a step is sub-stepped
+
     def test_pulse_numeric_steps_divisibility(self):
-        assert run(["pulse", "--mode", "numeric", "--steps", 333]) == 2
+        assert run(["pulse", "--mode", "numeric", "--steps", 333]) == 0
         assert run(["pulse", "--mode", "numeric", "--steps", 334]) == 0
 
-    def test_steps_divisibility_scales_with_n(self):
-        assert run(["pulse", "--n", 3, "--mode", "numeric", "--steps", 100]) == 2
+    def test_steps_divisibility_scales_with_n(self, capsys):
+        assert run(["pulse", "--n", 3, "--mode", "numeric", "--steps", 100]) == 0
         assert run(["pulse", "--n", 3, "--mode", "numeric", "--steps", 102]) == 0
+        # 100 steps over three periods are too coarse for the 1e-6 verdict
+        # (error 1e-3, as on the aligned 102); 1001 steps pass
+        capsys.readouterr()
+        assert run(["verify", "--scenario", "pulse", "--n", 3, "--steps", 100]) == 1
+        assert run(["verify", "--scenario", "pulse", "--n", 3, "--steps", 1001]) == 0
+        verdicts = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("verdict")]
+        assert verdicts == ["verdict: FAIL", "verdict: PASS"]
 
-    def test_steps_divisibility_applies_to_verify(self):
-        assert run(["verify", "--scenario", "pulse", "--steps", 333]) == 2
+    def test_steps_divisibility_applies_to_verify(self, capsys):
+        assert run(["verify", "--scenario", "pulse", "--steps", 333]) == 0
+        assert "verdict: PASS" in capsys.readouterr().out
 
     def test_inline_samples_and_rho0(self, tmp_path):
         # sampled scenario fully described by a config file: zero drive
@@ -178,6 +197,19 @@ class TestConfig:
     ])
     def test_oversized_steps_flag_rejected(self, argv, no_compute):
         assert run(argv) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["rabi", "--omega0", 1e308], "overflow the Rabi frequency"),
+        (["rabi", "--coupling", "1e200"], "overflow the Rabi frequency"),
+        (["pulse", "--f0", 1e200], r"period T = 0\.0 must be positive and finite"),
+        (["pulse", "--e0", 1e-320], r"period T = inf"),
+        (["rabi", "--t-start", -1e308, "--t-end", 1e308], "span between them must be finite"),
+    ], ids=["omega0", "coupling", "f0", "e0", "grid-span"])
+    def test_overflowing_params_are_config_errors(self, argv, message, capsys):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(("config error: params: ", "config error: grid: "))
+        assert re.search(message, err) and err.count("\n") == 1
 
     def test_oversized_steps_env_rejected(self, monkeypatch, no_compute):
         monkeypatch.setenv("QDRIVE_STEPS_DEFAULT", str(10**12))
@@ -325,6 +357,34 @@ class TestSweep:
             outputs.append((capsys.readouterr().out, out.read_bytes()))
         assert outputs[0] == outputs[1]
         assert outputs[0][0].count("\n") == 4  # header and three rows
+
+    def test_overflowing_value_is_a_one_line_row_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--param", "omega0", "--values", "1e308,1", "--steps", 64,
+                    "--output", out]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert len(lines) == 3
+        assert "BadParam: Theta = -1e+308" in lines[1]
+        assert "overflow the Rabi frequency" in lines[1]
+        assert [len(row) for row in csv_rows(out)] == [7, 7, 7]
+
+    def test_error_cell_is_quoted(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        error = 'BadParam: got [[nan, 1], "x"], and\na second line'
+        _write_sweep_csv(out, "f0", [SweepRow(value=1.0, error=error), SweepRow(value=2.0)])
+        rows = csv_rows(out)
+        assert [len(row) for row in rows] == [7, 7, 7]
+        assert rows[1][-1] == error
+        # a row without those characters keeps its plain bytes
+        assert out.read_bytes().endswith(b"\nf0,2,,,,,\n")
+
+    @pytest.mark.parametrize("flag, value", [("--e-g", "-1e308"), ("--t-start", "-1e-3")])
+    def test_negative_scientific_flag_values(self, flag, value, capsys):
+        results = []
+        for argv in (["rabi", flag, value], ["rabi", f"{flag}={value}"]):
+            results.append((run([*argv, "--steps", 8]), capsys.readouterr()))
+        assert results[0] == results[1]
+        assert results[0][0] == (2 if flag == "--e-g" else 0)
 
     def test_values_flag_still_needs_an_argument(self):
         with pytest.raises(SystemExit) as exc:

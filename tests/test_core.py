@@ -55,6 +55,12 @@ class TestDmNew:
         with pytest.raises(BadParam):
             dm_new(np.array([[np.inf, 0], [0, 0]], dtype=complex))
 
+    def test_non_finite_message_is_one_line(self):
+        # a sweep prints and writes it as one cell
+        with pytest.raises(BadParam, match=r"^density-matrix entry must be finite, got "
+                                           r"\[\[\(nan\+0j\), 0j\], \[0j, \(1\+0j\)\]\]$"):
+            dm_new(np.array([[np.nan, 0], [0, 1]], dtype=complex))
+
     def test_relaxed_tolerances(self):
         m = mat2(0.5 + 3e-9, 0.1, 0.1, 0.5 - 1e-9)
         with pytest.raises(TraceNotOne):
@@ -148,6 +154,8 @@ class TestTimeGrid:
             TimeGrid(0.0, 1.0, 0)
         with pytest.raises(BadParam):
             TimeGrid(0.0, np.inf, 4)
+        with pytest.raises(BadParam, match="span"):  # t_end - t_start overflows
+            TimeGrid(-1e308, 1e308, 4)
 
 
 class TestTimeSeries:

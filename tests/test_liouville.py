@@ -12,7 +12,6 @@ from qdrive import (
     RwaRabi,
     Sampled,
     SquarePulse,
-    StepSpansDiscontinuity,
     TimeGrid,
     dm_new,
     ground_state_dm,
@@ -21,7 +20,10 @@ from qdrive import (
     mat2,
     propagate,
     pulse_density,
+    pulse_hamiltonian,
+    pulse_rho,
     rabi_density,
+    rabi_hamiltonian,
 )
 
 RES = RabiParams(e_g=0.0, e_e=1.0, omega0=1.0, coupling=0.5)
@@ -146,11 +148,6 @@ class TestPropagate:
         ratio = errs[2500] / errs[5000]
         assert 8.0 <= ratio <= 32.0
 
-    def test_switch_inside_step_rejected(self):
-        p = PulseParams(e0=1.0, f0=1.0, n_period=1)
-        with pytest.raises(StepSpansDiscontinuity):
-            propagate(SquarePulse(p), ground_state_dm(), TimeGrid(0.0, p.period, 101))
-
     def test_aligned_multiperiod_grid_accepted(self):
         p = PulseParams(e0=1.0, f0=1.0, n_period=1)
         series = propagate(SquarePulse(p), ground_state_dm(),
@@ -172,6 +169,16 @@ class TestPropagate:
         with pytest.raises(InvariantDrift, match=r"^step 1, t = 100\.0: trace drift"):
             propagate(drive, rho0, TimeGrid(0.0, 1000.0, 10))
 
+    def test_drift_past_1e8_is_invariant_drift(self):
+        # the same defect grows to about 1e-7 by step 4: one drift limit
+        # (1e-8) reports it as InvariantDrift, not NotHermitian
+        drive = Sampled(times=np.array([0.0, 25.0]),
+                        matrices=np.stack([mat2(0, 1, 1, 0)] * 2))
+        rho0 = dm_new(mat2(0.5 + 1e-12j, 0.5, 0.5, 0.5))
+        with pytest.raises(InvariantDrift, match=r"^step 4, t = 10\.0: trace drift 1\.000e-12, "
+                                                 r"Hermiticity drift 1\.053e-07 \(limit 1e-08\)$"):
+            propagate(drive, rho0, TimeGrid(0.0, 25.0, 10))
+
     def test_unstable_step_names_step_and_time(self):
         # h = 2 under a sigma_x drive: RK4 is unstable and the first state
         # already has eigenvalue -3.3
@@ -187,3 +194,63 @@ class TestPropagate:
         drive = Sampled(times=np.array([0.0, 10.0]), matrices=np.stack([sx, sx]))
         with pytest.raises(NotPositive, match=r"^step 1, t = 2\.0: "):
             propagate(drive, ground_state_dm(), TimeGrid(0.0, 20.0, 10))
+
+
+P15 = PulseParams(e0=1.0, f0=1.5, n_period=1)
+# the square pulse as a sampled drive: samples at 0, T/2 and T
+SAMPLED_PULSE = Sampled(times=np.array([0.0, P15.period / 2, P15.period]),
+                        matrices=np.stack([pulse_hamiltonian(P15, t)
+                                           for t in (0.0, P15.period / 2, P15.period)]))
+# a slowly varying drive held constant over 32 pieces of [0, 3]
+SMOOTH_TIMES = np.linspace(0.0, 3.0, 33)
+SMOOTH = Sampled(times=SMOOTH_TIMES, matrices=np.stack([
+    rabi_hamiltonian(RabiParams(e_g=0.2, e_e=1.1, omega0=0.9, coupling=0.4), t)
+    for t in SMOOTH_TIMES]))
+
+
+def observed_order(drive, t_end, steps):
+    """log2(|rho_4h - rho_2h| / |rho_2h - rho_h|) over the nodes of the
+    coarsest of three grids of steps, 2 steps and 4 steps."""
+    rho = [propagate(drive, ground_state_dm(), TimeGrid(0.0, t_end, k * steps)).rho[::k]
+           for k in (1, 2, 4)]
+    return np.log2(np.abs(rho[0] - rho[1]).max() / np.abs(rho[1] - rho[2]).max())
+
+
+class TestPiecewiseConstantOrder:
+    """Every piecewise-constant drive integrates at 4th order, whether its
+    pieces start on grid nodes or inside steps (which are then sub-stepped)."""
+
+    @pytest.mark.parametrize("drive, t_end, steps", [
+        (SAMPLED_PULSE, P15.period, 64),   # switches on nodes
+        (SquarePulse(P15), P15.period, 101),  # switches inside steps
+        (SMOOTH, 3.0, 64),                 # samples on nodes
+        (SMOOTH, 3.0, 200),                # samples inside steps
+    ], ids=["sampled-pulse-aligned", "square-pulse-unaligned", "smooth-aligned",
+            "smooth-unaligned"])
+    def test_fourth_order(self, drive, t_end, steps):
+        assert 3.5 <= observed_order(drive, t_end, steps) <= 4.5
+
+    def test_sampled_pulse_matches_closed_form(self):
+        # no step may mix the two branches of the held samples
+        series = propagate(SAMPLED_PULSE, ground_state_dm(), TimeGrid(0.0, P15.period, 1024))
+        assert np.abs(series.rho - pulse_rho(P15, series.t)).max() <= 1e-8
+
+    def test_aligned_sampled_pulse_equals_square_pulse(self):
+        # both hold the branch in force at each step midpoint, bit for bit
+        grid = TimeGrid(0.0, P15.period, 256)
+        a = propagate(SAMPLED_PULSE, ground_state_dm(), grid)
+        b = propagate(SquarePulse(P15), ground_state_dm(), grid)
+        assert np.array_equal(a.rho, b.rho)
+
+    def test_switch_within_tolerance_of_node_does_not_split(self):
+        # moving a switch by 1e-10 h keeps it on the node: same bits
+        h = P15.period / 64
+        moved = Sampled(times=SAMPLED_PULSE.times + np.array([0.0, 1e-10 * h, 0.0]),
+                        matrices=SAMPLED_PULSE.matrices)
+        grid = TimeGrid(0.0, P15.period, 64)
+        assert np.array_equal(propagate(moved, ground_state_dm(), grid).rho,
+                              propagate(SAMPLED_PULSE, ground_state_dm(), grid).rho)
+
+    def test_step_longer_than_half_period_rejected(self):
+        with pytest.raises(BadParam, match="exceeds the half period"):
+            propagate(SquarePulse(P15), ground_state_dm(), TimeGrid(0.0, 3 * P15.period, 5))

@@ -68,7 +68,8 @@ CASES = {
 EXPECTED = {
     "coherence_csv_stdout": "57c82e38e72acbfb17c15613ea24df977d9346ce50dfdfb92a2351debcba2730",
     "coherence_json": "80de0965b7669ec40fa0dac531dcd259c76a0955f25cbbe0aad21e86e41be5fe",
-    "integrate_csv": "adba0154474868dff4655950da9eb4a1ec093e32cc2293012e82e8b0c11de2f7",
+    # recorded with sampled drives on the piecewise-constant RK4 path
+    "integrate_csv": "660994f601abef1dbbec84415a272a6a37de5de1acf19f5d323e657a6e26a090",
     "pulse_default_csv": "050c866ff7dd2797697daac78cff9ab3120dcee267040d223f893181a7e96a57",
     "pulse_json": "eaf6fef4367b6fb56368b0f8fe3b710d6e2c0e2f8e4c779436e0393431235fd9",
     "rabi_default_csv": "488f0c9147ca810f401a14bb1a2de726af400ef711b92c6528dfcab91aaf43da",

@@ -39,6 +39,16 @@ class TestPeriodicity:
         with pytest.raises(BadParam):
             PulseParams(e0=1.0, f0=0.0, n_period=1)  # driven case needs f0 > 0
 
+    @pytest.mark.parametrize("e0, f0, n", [
+        (1.0, 1e200, 1),      # eps0 overflows, T = 0
+        (1e-320, 1.0, 1),     # eps0 subnormal, T = inf
+        (1.0, 1.0, 10**400),  # 2 n pi overflows
+        (1.0, 1.0, np.inf),
+    ], ids=["eps0-overflow", "eps0-underflow", "huge-n", "infinite-n"])
+    def test_overflow_rejected(self, e0, f0, n):
+        with pytest.raises(BadParam):
+            periodicity_T(e0, f0, n)
+
     def test_derived_quantities(self):
         assert P11.eps0 == pytest.approx(np.sqrt(2.0), abs=1e-15)
         assert P11.period == pytest.approx(2 * np.pi / np.sqrt(2.0), abs=1e-12)

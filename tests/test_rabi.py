@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from qdrive import (
+    BadParam,
     DegenerateDrive,
     RabiParams,
     RwaRabi,
@@ -20,6 +21,16 @@ RESONANT = RabiParams(e_g=0.0, e_e=1.0, omega0=1.0, coupling=0.5)
 DETUNED = RabiParams(e_g=0.3, e_e=1.7, omega0=1.0, coupling=0.4 - 0.3j)
 # detuning Theta = 1 with unit |coupling|
 THETA_ONE = RabiParams(e_g=0.0, e_e=2.0, omega0=1.0, coupling=1.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(e_g=0.0, e_e=1.0, omega0=1e308, coupling=0.5),     # Theta**2 overflows
+    dict(e_g=-1.7e308, e_e=1.7e308, omega0=0.0, coupling=0.5),  # Theta = inf
+    dict(e_g=0.0, e_e=1.0, omega0=1.0, coupling=1e200),     # |g|**2 overflows
+])
+def test_overflowing_rabi_frequency_rejected(kwargs):
+    with pytest.raises(BadParam, match="overflow the Rabi frequency"):
+        RabiParams(**kwargs)
 
 
 def test_derived_constants():

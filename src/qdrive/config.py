@@ -38,7 +38,7 @@ from typing import Any
 import numpy as np
 
 from .core import DensityMatrix, TimeGrid, dm_new, ground_state_dm
-from .errors import BadParam, ConfigInvalid, QdriveError
+from .errors import BadParam, ConfigInvalid, DegenerateDrive, QdriveError
 from .io import read_sampled_drive, sampled_from_records
 from .liouville import Sampled
 from .pulse import PulseParams
@@ -199,9 +199,10 @@ def scenario_config_from_dict(raw: dict[str, Any]) -> ScenarioConfig:
     rho0 = ground_state_dm()
     if scenario == "rabi":
         rabi = _rabi_params(params_block)
-        if rabi.omega_rabi == 0.0:
-            raise ConfigInvalid("params: degenerate drive (coupling and detuning "
-                                "both zero); nothing to evolve")
+        try:
+            period = rabi.population_period
+        except DegenerateDrive as exc:
+            raise ConfigInvalid(f"params: degenerate drive: {exc}") from exc
     elif scenario == "pulse":
         pulse = _pulse_params(params_block)
     else:
@@ -211,7 +212,7 @@ def scenario_config_from_dict(raw: dict[str, Any]) -> ScenarioConfig:
 
     # default time span: one drive period (sampled: the sample window)
     if scenario == "rabi":
-        span = (0.0, rabi.population_period)
+        span = (0.0, period)
     elif scenario == "pulse":
         span = (0.0, pulse.period)
     else:

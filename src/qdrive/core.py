@@ -245,7 +245,8 @@ class StateVector:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid: ``steps`` intervals covering [t_start, t_end]."""
+    """Uniform time grid: ``steps`` intervals covering [t_start, t_end],
+    with strictly increasing nodes."""
 
     t_start: float
     t_end: float
@@ -258,6 +259,16 @@ class TimeGrid:
             raise BadParam(f"t_end ({self.t_end}) must exceed t_start ({self.t_start})")
         if int(self.steps) != self.steps or self.steps < 1:
             raise BadParam(f"steps must be a positive integer, got {self.steps}")
+        # node i rounds i*h and t_start + i*h, each by at most half the
+        # spacing u of doubles at 2 max(|t_start|, |t_end|), so nodes differ
+        # by at least h - 2u; only a smaller h needs a node-by-node check
+        if self.h <= 4.0 * math.ulp(2.0 * max(abs(self.t_start), abs(self.t_end))):
+            times = self.times()
+            stuck = np.flatnonzero(np.diff(times) <= 0.0)
+            if len(stuck):
+                k = int(stuck[0])
+                raise BadParam(f"nodes {k} and {k + 1} coincide at t = {float(times[k])!r}: "
+                               f"step {self.h!r} is below the spacing of doubles there")
 
     @property
     def h(self) -> float:

@@ -31,7 +31,8 @@ class DiscriminantNegative(QdriveError):
 
 
 class DegenerateDrive(QdriveError):
-    """Rabi frequency is zero (zero coupling and zero detuning); closed forms divide by it."""
+    """Rabi frequency is zero (zero coupling and zero detuning), or so small that
+    1/(4 Omega^2) overflows; closed forms divide by it."""
 
 
 class ZeroCoupling(QdriveError):

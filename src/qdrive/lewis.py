@@ -64,22 +64,26 @@ def xi_squared(p: RabiParams, t: float, c_const: float) -> float:
     ) / (4.0 * om * om)
 
 
-def _xi_xidot(p: RabiParams, t: float, c_const: float) -> float:
-    # xi * xidot = d(xi^2)/dt / 2, differentiated analytically
-    om = p.omega_rabi
-    g2 = abs(p.coupling) ** 2
-    return -(2.0 - c_const) * g2 / (2.0 * om) * math.sin(2.0 * om * t)
-
-
 def invariant_coefficients(p: RabiParams, t: float, c_const: float = 1.0) -> InvariantCoefficients:
-    """Coefficient record of the rescaled invariant at time t."""
+    """Coefficient record of the rescaled invariant at time t.
+
+    xi^2 - 1 = (2 - C)(|g|^2 / 2 Omega^2)(cos 2 Omega t - 1) and xi xidot =
+    -(2 - C)(|g|^2 / 2 Omega) sin 2 Omega t share the factor |g|^2 = g conj(g),
+    so gamma1 is evaluated as
+
+        (2 - C) conj(g) e^{i w0 t} (Theta (cos 2 Omega t - 1)
+                                    + 2i Omega sin 2 Omega t) / 4 Omega^2,
+
+    without dividing by g: the quotient form loses about eps Theta/|g| to
+    cancellation, and gives NaN once Theta/2g overflows.
+    """
     if p.coupling == 0:
         raise ZeroCoupling("gamma1 divides by the coupling, which is zero")
     x2 = xi_squared(p, t, c_const)
+    om = p.omega_rabi
     phase = cmath.exp(1j * p.omega0 * t)
-    g1 = p.theta / (2.0 * p.coupling) * phase * (x2 - 1.0) - 1j * _xi_xidot(
-        p, t, c_const
-    ) * phase / p.coupling
+    g1 = ((2.0 - c_const) * p.coupling.conjugate() * phase / (4.0 * om * om)
+          * (p.theta * (math.cos(2.0 * om * t) - 1.0) + 2j * om * math.sin(2.0 * om * t)))
     return InvariantCoefficients(
         delta1=x2,
         delta2=c_const - x2,

@@ -33,7 +33,9 @@ class RabiParams:
     """Physical parameters of the RWA drive.
 
     Omega is zero only in the fully degenerate case (zero coupling AND zero
-    detuning); operations that divide by Omega reject it with DegenerateDrive.
+    detuning); operations that divide by Omega reject it with DegenerateDrive,
+    and also a nonzero Omega below about 3.7e-155, where 1/(4 Omega^2)
+    overflows.  An Omega that overflows is rejected here with BadParam.
     """
 
     e_g: float
@@ -74,15 +76,24 @@ def _nonzero_omega(p: RabiParams) -> float:
     om = p.omega_rabi
     if om == 0.0:
         raise DegenerateDrive("Omega = 0 (zero coupling and zero detuning)")
+    if om * om == 0.0 or math.isinf(1.0 / (4.0 * om * om)):  # rabi_rho scales by it
+        raise DegenerateDrive(f"Omega = {om!r} is too small: 1/(4 Omega^2) overflows")
     return om
 
 
-def rabi_hamiltonian(p: RabiParams, t: float) -> np.ndarray:
-    """RWA drive Hamiltonian [[E_g, conj(g) e^{i w0 t}], [g e^{-i w0 t}, E_e]]."""
-    ph = cmath.exp(-1j * p.omega0 * t)
-    return np.array(
-        [[p.e_g, np.conj(p.coupling * ph)], [p.coupling * ph, p.e_e]], dtype=complex
-    )
+def rabi_hamiltonian(p: RabiParams, t: np.ndarray | float) -> np.ndarray:
+    """RWA drive Hamiltonian [[E_g, conj(g) e^{i w0 t}], [g e^{-i w0 t}, E_e]]
+    at times t (shape S), as an S + (2, 2) array.
+
+    Complex arithmetic is spelled out as the scalar expression
+    g * cmath.exp(-1j * w0 * t) evaluates it.
+    """
+    t = np.asarray(t, dtype=float)
+    z = -1j * p.omega0  # e^{-i w0 t} = e^{i Im(z t)}
+    arg = z.real * 0.0 + z.imag * t
+    g = p.coupling
+    re, im = cmul(g.real, g.imag, np.cos(arg), np.sin(arg))
+    return hermitian(np.full(t.shape, p.e_g), p.e_e, re, -im)
 
 
 def rabi_rho(p: RabiParams, t: np.ndarray | float) -> np.ndarray:

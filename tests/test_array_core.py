@@ -1,6 +1,6 @@
-"""The array closed forms and measure columns against per-sample scalar
-reference loops: equal bit for bit, signed zeros included, over random
-parameters and times."""
+"""The array closed forms, the RWA Hamiltonian and the measure columns
+against per-sample scalar reference loops: equal bit for bit, signed zeros
+included, over random parameters and times."""
 import cmath
 import math
 
@@ -8,7 +8,8 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qdrive import PulseParams, RabiParams, build_series, l1_pulse_closed_form, pulse_rho, rabi_rho
+from qdrive import (PulseParams, RabiParams, build_series, l1_pulse_closed_form, pulse_rho,
+                    rabi_hamiltonian, rabi_rho)
 
 
 def moderate(bound):
@@ -27,6 +28,11 @@ def rabi_reference(p, t):
     rge = (np.conj(g) * phase / (4.0 * om * om)) * (
         th * math.cos(2.0 * om * t) - th + 2j * om * math.sin(2.0 * om * t))
     return np.array([[rgg, rge], [np.conj(rge), ree]], dtype=complex)
+
+
+def hamiltonian_reference(p, t):
+    ph = cmath.exp(-1j * p.omega0 * t)
+    return np.array([[p.e_g, np.conj(p.coupling * ph)], [p.coupling * ph, p.e_e]], dtype=complex)
 
 
 def pulse_reduce(p, t):
@@ -87,3 +93,15 @@ def test_pulse_rho_matches_scalar_loop(e0, f0, n, t, k):
     assert same_bits(pulse_rho(p, t), [pulse_reference(p, ti) for ti in t])
     assert same_bits(l1_pulse_closed_form(p, t), [l1_reference(p, ti) for ti in t])
     assert all(l1_pulse_closed_form(p, float(ti)) == l1_reference(p, ti) for ti in t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(moderate(50), moderate(50), moderate(50), moderate(10), moderate(10), times)
+def test_rabi_hamiltonian_matches_scalar_loop(e_g, e_e, omega0, g_re, g_im, t):
+    p = RabiParams(e_g=e_g, e_e=e_e, omega0=omega0, coupling=complex(g_re, g_im))
+    t = np.append(t, [0.0, -0.0])
+    assert same_bits(rabi_hamiltonian(p, t), [hamiltonian_reference(p, ti) for ti in t])
+    assert same_bits(rabi_hamiltonian(p, t.reshape(-1, 1)),
+                     [[hamiltonian_reference(p, ti)] for ti in t])
+    assert all(same_bits(rabi_hamiltonian(p, float(ti)), hamiltonian_reference(p, float(ti)))
+               for ti in t)

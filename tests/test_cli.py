@@ -204,12 +204,24 @@ class TestConfig:
         (["pulse", "--f0", 1e200], r"period T = 0\.0 must be positive and finite"),
         (["pulse", "--e0", 1e-320], r"period T = inf"),
         (["rabi", "--t-start", -1e308, "--t-end", 1e308], "span between them must be finite"),
-    ], ids=["omega0", "coupling", "f0", "e0", "grid-span"])
+        (["rabi", "--e-e", 0, "--omega0", 0, "--coupling", "1.5e-155j"],
+         r"too small: 1/\(4 Omega\^2\) overflows"),
+    ], ids=["omega0", "coupling", "f0", "e0", "grid-span", "tiny-omega"])
     def test_overflowing_params_are_config_errors(self, argv, message, capsys):
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(("config error: params: ", "config error: grid: "))
         assert re.search(message, err) and err.count("\n") == 1
+
+    def test_colliding_grid_nodes_rejected_before_compute(self, monkeypatch, capsys):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran past config validation")
+        monkeypatch.setattr("qdrive.cli.run_scenario", must_not_run)
+        argv = ["rabi", "--t-start", 1e20, "--t-end", 1.0000000000001e20, "--steps", 4096]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: grid: nodes 0 and 1 coincide at t = 1e+20")
+        assert err.count("\n") == 1
 
     def test_oversized_steps_env_rejected(self, monkeypatch, no_compute):
         monkeypatch.setenv("QDRIVE_STEPS_DEFAULT", str(10**12))

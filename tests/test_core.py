@@ -157,6 +157,14 @@ class TestTimeGrid:
         with pytest.raises(BadParam, match="span"):  # t_end - t_start overflows
             TimeGrid(-1e308, 1e308, 4)
 
+    def test_colliding_nodes_rejected(self):
+        # h = 2440 is below 16384, the spacing of doubles at 1e20
+        with pytest.raises(BadParam, match=r"^nodes 0 and 1 coincide at t = 1e\+20: step 2440\.0 "):
+            TimeGrid(1e20, 1.0000000000001e20, 4096)
+        # a step of a few spacings still gives strictly increasing nodes
+        grid = TimeGrid(1e20, 1e20 + 4096 * 65536.0, 4096)
+        assert (np.diff(grid.times()) > 0).all()
+
 
 class TestTimeSeries:
     def test_requires_increasing_times(self):

@@ -1,6 +1,10 @@
 """Fixed-step RK4 Liouville propagator and the drive variants."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qdrive import (
     BadParam,
@@ -25,6 +29,9 @@ from qdrive import (
     rabi_density,
     rabi_hamiltonian,
 )
+from qdrive.core import commutator
+from qdrive.liouville import _held, _pieces
+from test_array_core import moderate
 
 RES = RabiParams(e_g=0.0, e_e=1.0, omega0=1.0, coupling=0.5)
 
@@ -93,6 +100,13 @@ class TestRhs:
 class TestPropagate:
     def test_zero_drive_is_constant(self):
         rho0 = dm_new(mat2(0.7, 0.2, 0.2, 0.3))
+        series = propagate(zero_drive(), rho0, TimeGrid(0.0, 5.0, 64))
+        assert np.abs(series.rho - rho0.matrix).max() == 0.0
+
+    def test_zero_drive_keeps_non_hermitian_start(self):
+        # rho01 and rho10 miss being conjugates by 8e-13: the anti-Hermitian
+        # part Q of rho = P + iQ is carried along with P and put back
+        rho0 = dm_new(mat2(0.7, 0.2 + 4e-13, 0.2 - 4e-13, 0.3))
         series = propagate(zero_drive(), rho0, TimeGrid(0.0, 5.0, 64))
         assert np.abs(series.rho - rho0.matrix).max() == 0.0
 
@@ -254,3 +268,111 @@ class TestPiecewiseConstantOrder:
     def test_step_longer_than_half_period_rejected(self):
         with pytest.raises(BadParam, match="exceeds the half period"):
             propagate(SquarePulse(P15), ground_state_dm(), TimeGrid(0.0, 3 * P15.period, 5))
+
+
+def rk4_step(rho, h, h_a, h_mid, h_b):
+    """One stage-by-stage classical RK4 step of length h on the raw matrix,
+    given H at its start, midpoint and end."""
+    k1 = -1j * commutator(h_a, rho)
+    k2 = -1j * commutator(h_mid, rho + 0.5 * h * k1)
+    k3 = -1j * commutator(h_mid, rho + 0.5 * h * k2)
+    k4 = -1j * commutator(h_b, rho + h * k3)
+    return rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_propagate(drive, rho0, grid):
+    """Raw (steps + 1, 2, 2) trajectory from the four RK4 stages of every
+    step and sub-step, on the grid and pieces that propagate uses; the grid
+    must lie inside a sampled drive's window."""
+    h, t0, times = grid.h, grid.t_start, grid.times()
+    pieces = _pieces(drive, grid)
+    if pieces is not None:
+        starts, mats = pieces
+        tol = 1e-9 * h
+        first, last = _held(starts, times[:-1] + tol), _held(starts, times[1:] - tol)
+        assert (first >= 0).all() and (last >= 0).all()
+    rhos = [np.array(rho0.matrix, dtype=complex)]
+    for i in range(grid.steps):
+        a, rho = t0 + i * h, rhos[-1]
+        if pieces is None:
+            rho = rk4_step(rho, h, hamiltonian_at(drive, a), hamiltonian_at(drive, a + 0.5 * h),
+                           hamiltonian_at(drive, a + h))
+        else:
+            k0, k1 = first[i], last[i]
+            hs = [h] if k0 == k1 else np.diff([a, *starts[k0 + 1:k1 + 1], a + h])
+            for m, dh in zip(mats[k0:k1 + 1], hs):
+                rho = rk4_step(rho, dh, m, m, m)
+        rhos.append(rho)
+    return np.array(rhos)
+
+
+# a mixed start: RK4's truncation error at large h then cannot push an
+# eigenvalue below zero, which propagate would reject
+MIXED = dm_new(mat2(0.7, 0.1 - 0.2j, 0.1 + 0.2j, 0.3))
+
+
+def assert_matches_reference(drive, grid):
+    series = propagate(drive, MIXED, grid)
+    # rounding only: both routes evaluate the same polynomial in the step's
+    # generators h (rho -> -i [H, rho])
+    assert np.abs(series.rho - reference_propagate(drive, MIXED, grid)).max() <= 1e-12 * grid.steps
+
+
+def gap(mats):
+    """Largest eigenvalue gap of (..., 2, 2) Hermitian matrices: rho ->
+    -i [H, rho] has eigenvalues 0 and +-i times it, so h * gap bounds the
+    RK4 step."""
+    return float(np.max(np.hypot(mats[..., 0, 0].real - mats[..., 1, 1].real,
+                                 2.0 * np.abs(mats[..., 0, 1]))))
+
+
+# h * (gap + drive frequency), inside RK4's stable range on the imaginary
+# axis (2.8); grids have at most a few hundred steps
+courants = st.floats(0.01, 1.0)
+steps_ = st.integers(1, 300)
+
+
+class TestMatchesStageByStageReference:
+    """propagate applies one 4x4 map per step; the stage-by-stage RK4 loop it
+    replaced must give the same trajectory up to rounding."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(moderate(5), moderate(5), moderate(5), moderate(2), moderate(2), moderate(100),
+           steps_, courants)
+    def test_rwa(self, e_g, e_e, omega0, g_re, g_im, t_start, steps, courant):
+        p = RabiParams(e_g=e_g, e_e=e_e, omega0=omega0, coupling=complex(g_re, g_im))
+        rate = gap(rabi_hamiltonian(p, 0.0)) + abs(omega0)  # H also turns at omega0
+        assume(rate > 1e-3)
+        assert_matches_reference(RwaRabi(p),
+                                 TimeGrid(t_start, t_start + steps * courant / rate, steps))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.05, 5), st.floats(0.01, 5), st.integers(1, 4), st.integers(-4, 4),
+           st.integers(1, 3), st.integers(1, 200), steps_, st.floats(0.0, 1.0), courants)
+    def test_square_pulse_aligned_and_split(self, e0, f0, n, k, halves, per_half, steps,
+                                            shift, courant):
+        p = PulseParams(e0=e0, f0=f0, n_period=n)
+        drive, half = SquarePulse(p), p.period / 2
+        # switches on nodes: h 2 eps0 = 2 n pi / per_half, the pulse's gap
+        # being 2 eps0, so at least 2 n pi steps per half period
+        per_half = max(per_half, math.ceil(2 * n * math.pi))
+        assert_matches_reference(drive, TimeGrid(k * half, (k + halves) * half,
+                                                 halves * per_half))
+        # switches inside steps, which are then split
+        t_start = (k + shift) * half
+        assert_matches_reference(drive, TimeGrid(t_start, t_start + steps * courant / (2 * p.eps0),
+                                                 steps))
+
+    @settings(max_examples=40, deadline=None)
+    @given(moderate(2), moderate(2), moderate(2), moderate(1), moderate(1), st.integers(2, 40),
+           steps_, st.floats(0.0, 0.5), courants)
+    def test_smooth_sampled(self, e_g, e_e, omega0, g_re, g_im, samples, steps, inset,
+                            courant):
+        p = RabiParams(e_g=e_g, e_e=e_e, omega0=omega0, coupling=complex(g_re, g_im))
+        rate = gap(rabi_hamiltonian(p, 0.0)) + abs(omega0)
+        assume(rate > 1e-3)
+        # a window inside the samples; steps and sample times rarely align
+        span = steps * courant / rate / (1 - inset)
+        times = np.linspace(0.0, span, samples)
+        drive = Sampled(times=times, matrices=rabi_hamiltonian(p, times))
+        assert_matches_reference(drive, TimeGrid(inset * span / 2, span * (1 - inset / 2), steps))

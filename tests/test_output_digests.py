@@ -68,8 +68,9 @@ CASES = {
 EXPECTED = {
     "coherence_csv_stdout": "57c82e38e72acbfb17c15613ea24df977d9346ce50dfdfb92a2351debcba2730",
     "coherence_json": "80de0965b7669ec40fa0dac531dcd259c76a0955f25cbbe0aad21e86e41be5fe",
-    # recorded with sampled drives on the piecewise-constant RK4 path
-    "integrate_csv": "660994f601abef1dbbec84415a272a6a37de5de1acf19f5d323e657a6e26a090",
+    # integrate_csv and the two verify cases run RK4; recorded with each step
+    # applied as one real 4x4 transfer map, sampled drives as pieces
+    "integrate_csv": "79fdd913ddaecf3d7f005cd177c69ae807ac3395e8f2f139b571679993016a0a",
     "pulse_default_csv": "050c866ff7dd2797697daac78cff9ab3120dcee267040d223f893181a7e96a57",
     "pulse_json": "eaf6fef4367b6fb56368b0f8fe3b710d6e2c0e2f8e4c779436e0393431235fd9",
     "rabi_default_csv": "488f0c9147ca810f401a14bb1a2de726af400ef711b92c6528dfcab91aaf43da",
@@ -77,8 +78,8 @@ EXPECTED = {
     "sweep_coupling_stdout": "110e0caf4f27e8b410e3cdf114889b7f1623c3a94f26c7afccb1e298afabb4d8",
     "sweep_f0_csv": "01888c9d6eef97f81dd79947d135e390180cfc7fccc50f396d5e0af8394568c3",
     "sweep_omega0_csv": "0e0c87cd0f19ceba0bf1bde6dee1acc3ca6a5e1bade3e2c3f0b57eee4251cab8",
-    "verify_pulse_stdout": "c59ee1e4d3e6f0a0a86de63c0fc44e280513f7bb7f093e640a1c4e116582b86d",
-    "verify_rabi_stdout": "b6b9a33c30231ba50318065b54b4bc061a0efd49d3d9c684cbb1ee5e87683074",
+    "verify_pulse_stdout": "abbed92ab3de78841709b018cd78aa776cf83e181283cbb5b94f46f789d41170",
+    "verify_rabi_stdout": "ea0864c5731dfafeddce782e19bbd3b8dcb7990ceec838878862147d05a9bdf1",
 }
 
 

@@ -14,6 +14,7 @@ from qdrive import (
     propagate,
     rabi_density,
     rabi_hamiltonian,
+    rabi_rho,
     rabi_state,
 )
 
@@ -31,6 +32,16 @@ THETA_ONE = RabiParams(e_g=0.0, e_e=2.0, omega0=1.0, coupling=1.0)
 def test_overflowing_rabi_frequency_rejected(kwargs):
     with pytest.raises(BadParam, match="overflow the Rabi frequency"):
         RabiParams(**kwargs)
+
+
+@pytest.mark.parametrize("coupling", [1.5e-155j, 1e-160, 3.7e-155])
+def test_rabi_frequency_too_small_for_closed_form_rejected(coupling):
+    # 1/(4 Omega^2) overflowed and rabi_rho returned NaN coherences
+    p = RabiParams(e_g=0.0, e_e=0.0, omega0=0.0, coupling=coupling)
+    with pytest.raises(DegenerateDrive, match=r"too small: 1/\(4 Omega\^2\) overflows"):
+        rabi_rho(p, 0.0)
+    p = RabiParams(e_g=0.0, e_e=0.0, omega0=0.0, coupling=3.8e-155)
+    assert np.isfinite(rabi_rho(p, np.array([0.0, 1e150]))).all()
 
 
 def test_derived_constants():

@@ -30,8 +30,7 @@ from .io import (
     check_states,
     fmt17,
     read_states_csv,
-    series_csv_text,
-    series_json_text,
+    write_series,
     write_series_csv,
     write_series_json,
 )
@@ -177,7 +176,7 @@ def _reject_cross_scenario_flags(args: argparse.Namespace, scenario: str) -> Non
 def _write_series(series, path: str | None, fmt: str) -> None:
     """Write the series to path, or to stdout when path is None."""
     if path is None:
-        sys.stdout.write(series_json_text(series) if fmt == "json" else series_csv_text(series))
+        write_series(series, sys.stdout, fmt)
     elif fmt == "json":
         write_series_json(series, path)
     else:

@@ -292,7 +292,7 @@ class TimeSeries:
     """Ordered record of (t, rho, purity, l1 coherence, Frobenius coherence).
 
     ``rho`` is stored as an (n, 2, 2) complex array; rows were validated as
-    density matrices when the series was built.
+    density matrices when the series was built.  Every column must be finite.
     """
 
     t: np.ndarray
@@ -308,6 +308,9 @@ class TimeSeries:
         for name in ("purity", "c_l1", "c_frob"):
             if len(getattr(self, name)) != n:
                 raise BadParam(f"{name} length does not match t")
+        for name in ("t", "rho", "purity", "c_l1", "c_frob"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise BadParam(f"{name} holds a non-finite value")
         if n > 1 and not np.all(np.diff(self.t) > 0):
             raise BadParam("sample times must be strictly increasing")
 

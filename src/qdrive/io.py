@@ -5,7 +5,7 @@ round trip reproduces every double bit-exactly):
 
     t,rho00_re,rho00_im,rho01_re,rho01_im,rho10_re,rho10_im,rho11_re,rho11_im,purity,c_l1,c_frobenius
 
-JSON output is an array of per-sample objects with the same field names.
+JSON output is json.dumps(records, indent=1) of per-sample records, same fields.
 Sampled drives are JSON documents {"samples": [{"t": ..., "h00_re": ...,
 ..., "h11_im": ...}, ...]}.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -36,40 +37,43 @@ def fmt17(x: float) -> str:
 
 
 _ROW_FORMAT = ",".join(["%.17g"] * len(CSV_FIELDS))  # fmt17 per field
+# one record as json.dumps(records, indent=1) lays it out; %r is json's float repr
+_JSON_RECORD = " {\n" + ",\n".join(f'  "{k}": %r' for k in CSV_FIELDS) + "\n }"
+# fmt -> (row template, row separator, head, tail, text of an empty series)
+_LAYOUTS = {
+    "csv": (_ROW_FORMAT, "\n", CSV_HEADER + "\n", "\n", CSV_HEADER + "\n"),
+    "json": (_JSON_RECORD, ",\n", "[\n", "\n]\n", "[]\n"),
+}
 
 
-def _rows(series: TimeSeries):
-    """The series as rows of Python floats in CSV_FIELDS order, converted a
-    block at a time so the whole table is never held as Python floats."""
+def write_series(series: TimeSeries, out: TextIO, fmt: str) -> None:
+    """Write the series to the text stream ``out`` in format "csv" or "json",
+    4096 rows at a time: the whole text is never held in memory."""
+    row, sep, head, tail, empty = _LAYOUTS[fmt]
     n = len(series)
     # (n, 2, 2) complex viewed as (n, 8) floats: re/im of rho00, 01, 10, 11
     parts = np.ascontiguousarray(series.rho).reshape(n, 4).view(float)
     table = np.column_stack([series.t, parts, series.purity, series.c_l1, series.c_frob])
+    out.write(head if n else empty)
     for start in range(0, n, 4096):
-        yield from table[start:start + 4096].tolist()
-
-
-def series_csv_text(series: TimeSeries) -> str:
-    rows = [_ROW_FORMAT % tuple(row) for row in _rows(series)]
-    return "\n".join([CSV_HEADER, *rows]) + "\n"
+        block = [row % tuple(r) for r in table[start:start + 4096].tolist()]
+        out.write((sep if start else "") + sep.join(block))
+    out.write(tail if n else "")
 
 
 def write_series_csv(series: TimeSeries, path: str | Path) -> None:
-    Path(path).write_bytes(series_csv_text(series).encode("ascii"))
-
-
-def series_json_text(series: TimeSeries) -> str:
-    records = [dict(zip(CSV_FIELDS, row)) for row in _rows(series)]
-    return json.dumps(records, indent=1) + "\n"
+    with open(path, "w", encoding="ascii", newline="") as f:
+        write_series(series, f, "csv")
 
 
 def write_series_json(series: TimeSeries, path: str | Path) -> None:
-    Path(path).write_text(series_json_text(series), encoding="ascii")
+    with open(path, "w", encoding="ascii", newline="") as f:
+        write_series(series, f, "json")
 
 
 def _read_table(path: str | Path, headers: tuple[str, ...]) -> np.ndarray:
-    """Parse a CSV whose header is one of ``headers`` into an (n, ncols)
-    float array; ConfigInvalid names the file and row of any defect."""
+    """Parse a CSV whose header is one of ``headers`` into an (n, ncols) array
+    of finite floats; ConfigInvalid names the file and row of any defect."""
     text = Path(path).read_text(encoding="ascii")
     lines = [ln for ln in text.split("\n") if ln]
     if not lines or lines[0] not in headers:
@@ -87,6 +91,11 @@ def _read_table(path: str | Path, headers: tuple[str, ...]) -> np.ndarray:
             data[i] = [float(v) for v in parts]
         except ValueError as exc:
             raise ConfigInvalid(f"row {i + 2} of {path}: {exc}") from exc
+    bad = np.argwhere(~np.isfinite(data))
+    if len(bad):
+        i, j = bad[0]
+        raise ConfigInvalid(f"row {i + 2} of {path}: {lines[0].split(',')[j]} = "
+                            f"{float(data[i, j])!r} is not finite")
     return data
 
 

@@ -323,6 +323,25 @@ class TestScenarios:
         assert float(row[10]) == 1.0   # c_l1 of the maximally coherent state
         assert float(row[11]) == 1.0   # c_frobenius of a pure state
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("times, row", [(["0", "inf"], 3), (["-inf", "0"], 2), (["nan"], 2)])
+    def test_coherence_rejects_non_finite_times(self, tmp_path, capsys, fmt, times, row):
+        # the times are increasing, and the states valid: only finiteness fails
+        header = ",".join(CSV_HEADER.split(",")[:9])
+        src = tmp_path / "states.csv"
+        src.write_text(header + "\n" + "".join(f"{t},1,0,0,0,0,0,0,0\n" for t in times))
+        assert run(["coherence", "--input", src, "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.match(rf"config error: row {row} of .*states\.csv: t = -?\w+ is not finite\n$", err)
+
+    @pytest.mark.parametrize("fmt, text", [("csv", CSV_HEADER + "\n"), ("json", "[]\n")])
+    def test_coherence_of_header_only_csv(self, tmp_path, capsys, fmt, text):
+        src = tmp_path / "empty.csv"
+        src.write_text(CSV_HEADER + "\n")
+        assert run(["coherence", "--input", src, "--format", fmt]) == 0
+        assert capsys.readouterr().out == text
+
 
 class TestSweep:
     def test_f0_sweep_values(self, capsys):

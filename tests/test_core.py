@@ -178,6 +178,15 @@ class TestTimeSeries:
                 c_frob=np.zeros(n),
             )
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["t", "rho", "purity", "c_l1", "c_frob"])
+    def test_rejects_non_finite_values(self, name, value):
+        cols = dict(t=np.array([0.0, 1.0]), rho=np.stack([np.diag([1.0, 0.0]).astype(complex)] * 2),
+                    purity=np.ones(2), c_l1=np.zeros(2), c_frob=np.ones(2))
+        cols[name][-1] = value
+        with pytest.raises(BadParam, match=rf"^{name} holds a non-finite value$"):
+            TimeSeries(**cols)
+
     def test_iteration_yields_samples(self):
         rho = np.stack([np.diag([1.0, 0.0]).astype(complex)] * 2)
         series = TimeSeries(

@@ -1,7 +1,13 @@
-"""CSV round trip: any finite doubles survive write and re-read bit for bit;
-read_series_csv also rejects rows that are not density matrices."""
+"""Series writers and readers.
+
+The block writer gives the same bytes as the one-shot reference writers
+below, CSV and JSON round trips keep any finite double bit for bit, and the
+readers reject non-finite values and rows that are not density matrices."""
+import io
+import json
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +17,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qdrive import ConfigInvalid, TimeSeries
-from qdrive.io import CSV_FIELDS, read_series_csv, read_states_csv, series_csv_text, write_series_csv
+from qdrive.coherence import build_series
+from qdrive.io import (
+    CSV_FIELDS,
+    CSV_HEADER,
+    read_series_csv,
+    read_states_csv,
+    write_series,
+    write_series_csv,
+    write_series_json,
+)
+from qdrive.rabi import RabiParams, rabi_rho
 
 MAX = sys.float_info.max
 SUBNORMAL = 5e-324
@@ -68,6 +84,84 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _table(s: TimeSeries) -> np.ndarray:
+    """The series as an (n, 12) float table in CSV_FIELDS order."""
+    parts = np.ascontiguousarray(s.rho).reshape(len(s), 4).view(float)
+    return np.column_stack([s.t, parts, s.purity, s.c_l1, s.c_frob])
+
+
+# reference writers: the whole text at once, one row or record per sample
+def reference_csv(s: TimeSeries) -> str:
+    row = ",".join(["%.17g"] * len(CSV_FIELDS))
+    return "\n".join([CSV_HEADER, *(row % tuple(r) for r in _table(s).tolist())]) + "\n"
+
+
+def reference_json(s: TimeSeries) -> str:
+    return json.dumps([dict(zip(CSV_FIELDS, r)) for r in _table(s).tolist()], indent=1) + "\n"
+
+
+REFERENCES = {"csv": reference_csv, "json": reference_json}
+FILE_WRITERS = {"csv": write_series_csv, "json": write_series_json}
+
+
+def _text(s: TimeSeries, fmt: str) -> str:
+    out = io.StringIO()
+    write_series(s, out, fmt)
+    return out.getvalue()
+
+
+def _check_writers(s: TimeSeries, directory: Path) -> None:
+    """Both writers, to a stream and to a file, give the reference bytes."""
+    for fmt, reference in REFERENCES.items():
+        expected = reference(s)
+        assert _text(s, fmt) == expected, fmt
+        path = directory / f"series.{fmt}"
+        FILE_WRITERS[fmt](s, path)
+        assert path.read_bytes() == expected.encode("ascii"), fmt
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(series(), valid_series()))
+@example(_edge_series())
+@example(_valid_edge_series())
+def test_writers_match_reference(s):
+    with tempfile.TemporaryDirectory() as d:
+        _check_writers(s, Path(d))
+    # JSON floats are shortest reprs, so JSON round-trips bit for bit too
+    records = json.loads(_text(s, "json"))
+    back = np.array([[rec[k] for k in CSV_FIELDS] for rec in records], dtype=float)
+    assert _same_bits(back.reshape(len(s), len(CSV_FIELDS)), _table(s))
+
+
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8193])
+def test_writers_match_reference_across_blocks(n, tmp_path):
+    # values from the edge row and random doubles of every magnitude
+    rng = np.random.default_rng(n)
+    pool = np.concatenate([EDGE_ROW, rng.standard_normal(64) * 10.0 ** rng.integers(-320, 308, 64)])
+    cols = rng.choice(pool, (n, 11))
+    rho = np.ascontiguousarray(cols[:, :8]).view(complex).reshape(n, 2, 2)
+    s = TimeSeries(t=np.linspace(-1e300, 1e300, n), rho=rho, purity=cols[:, 8], c_l1=cols[:, 9],
+                   c_frob=cols[:, 10])
+    _check_writers(s, tmp_path)
+
+
+@pytest.mark.parametrize("fmt, bound_mb", [("csv", 8.0), ("json", 16.0)])
+def test_writer_peak_memory(fmt, bound_mb, tmp_path):
+    """Writing a 16385-row trajectory holds about one 4096-row block of text:
+    the peak traced allocation is about 5 MB (CSV) and 7 MB (JSON), where
+    building the whole text took about 10 MB and 52 MB."""
+    t = np.linspace(0.0, 40.0, 16385)
+    s = build_series(t, rabi_rho(RabiParams(e_g=-0.1, e_e=1.2, omega0=-0.9,
+                                            coupling=0.3 - 0.4j), t))
+    tracemalloc.start()
+    try:
+        FILE_WRITERS[fmt](s, tmp_path / "series")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 1e6
+
+
 @settings(max_examples=200, deadline=None)
 @given(valid_series())
 @example(_valid_edge_series())
@@ -85,7 +179,7 @@ def test_series_csv_round_trip(s):
 @example(_edge_series())
 def test_states_only_csv_round_trip(s):
     # the nine-column header: t plus the eight rho components
-    lines = series_csv_text(s).split("\n")
+    lines = _text(s, "csv").split("\n")
     text = "\n".join(",".join(ln.split(",")[:9]) for ln in lines)
     assert lines[0].split(",")[:9] == list(CSV_FIELDS[:9])
     with tempfile.TemporaryDirectory() as d:
@@ -110,3 +204,14 @@ def test_series_csv_rejects_a_corrupted_row(tmp_path):
     path.write_text("\n".join(lines))
     with pytest.raises(ConfigInvalid, match=r"^row 5 of .*series\.csv: \|trace - 1\| = 4\.000e-01"):
         read_series_csv(path)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("reader", [read_series_csv, read_states_csv])
+def test_readers_reject_non_finite_values(reader, value, tmp_path):
+    row = ["0.5", "0", "0", "0", "0", "0", "0", "0.5", "0", "0.5", "0", "0.70710678118654757"]
+    bad = ["1", *row[1:10], value, row[11]]  # c_l1, which check_states never looks at
+    path = tmp_path / "series.csv"
+    path.write_text("\n".join([CSV_HEADER, ",".join(row), ",".join(bad)]) + "\n")
+    with pytest.raises(ConfigInvalid, match=rf"^row 3 of .*series\.csv: c_l1 = {value} is not finite$"):
+        reader(path)

@@ -44,12 +44,17 @@ CASES = {
     "rabi_default_csv": (["rabi", "--steps", 64, "--output", "{out}"], 0, "file"),
     "rabi_detuned_csv": (["rabi", *RABI_DETUNED, "--t-start", -1.5, "--t-end", 7.0,
                           "--steps", 64, "--output", "{out}"], 0, "file"),
+    # 4101 rows: the only case whose series crosses a 4096-row write block
+    "rabi_json_4100": (["rabi", "--steps", 4100, "--format", "json", "--output", "{out}"],
+                       0, "file"),
     "pulse_default_csv": (["pulse", "--steps", 64, "--output", "{out}"], 0, "file"),
     "pulse_json": (["pulse", *PULSE_SWITCHES, "--t-start", -7.5, "--t-end", 9.0,
                     "--steps", 96, "--format", "json", "--output", "{out}"], 0, "file"),
     "coherence_csv_stdout": (["coherence", "--input", "{src}"], 0, "stdout"),
     "coherence_json": (["coherence", "--input", "{src}", "--format", "json",
                         "--output", "{out}"], 0, "file"),
+    "coherence_json_stdout": (["coherence", "--input", "{src}", "--format", "json"],
+                              0, "stdout"),
     "verify_rabi_stdout": (["verify", "--scenario", "rabi", *RABI_DETUNED,
                             "--steps", 32], 1, "stdout"),
     "verify_pulse_stdout": (["verify", "--scenario", "pulse", *PULSE_SWITCHES,
@@ -68,6 +73,8 @@ CASES = {
 EXPECTED = {
     "coherence_csv_stdout": "57c82e38e72acbfb17c15613ea24df977d9346ce50dfdfb92a2351debcba2730",
     "coherence_json": "80de0965b7669ec40fa0dac531dcd259c76a0955f25cbbe0aad21e86e41be5fe",
+    # the same bytes as coherence_json, written to stdout
+    "coherence_json_stdout": "80de0965b7669ec40fa0dac531dcd259c76a0955f25cbbe0aad21e86e41be5fe",
     # integrate_csv and the two verify cases run RK4; recorded with each step
     # applied as one real 4x4 transfer map, sampled drives as pieces
     "integrate_csv": "79fdd913ddaecf3d7f005cd177c69ae807ac3395e8f2f139b571679993016a0a",
@@ -75,6 +82,7 @@ EXPECTED = {
     "pulse_json": "eaf6fef4367b6fb56368b0f8fe3b710d6e2c0e2f8e4c779436e0393431235fd9",
     "rabi_default_csv": "488f0c9147ca810f401a14bb1a2de726af400ef711b92c6528dfcab91aaf43da",
     "rabi_detuned_csv": "45f3b44feb900928b0f67926c37820da2d62ee950997478d6e7e3fcbe6aa96ee",
+    "rabi_json_4100": "cee3c35fc2b672d3b238a192ef202f98c02a8874c4c1bdbcc3916309617f855f",
     "sweep_coupling_stdout": "110e0caf4f27e8b410e3cdf114889b7f1623c3a94f26c7afccb1e298afabb4d8",
     "sweep_f0_csv": "01888c9d6eef97f81dd79947d135e390180cfc7fccc50f396d5e0af8394568c3",
     "sweep_omega0_csv": "0e0c87cd0f19ceba0bf1bde6dee1acc3ca6a5e1bade3e2c3f0b57eee4251cab8",

@@ -151,7 +151,7 @@ def _flags_to_raw(args: argparse.Namespace, scenario: str | None, mode: str | No
 def _load_config_file(path: str) -> dict:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8, a 4300+ digit int
         raise ConfigInvalid(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigInvalid("config file must contain a JSON object")

@@ -39,7 +39,7 @@ import numpy as np
 
 from .core import DensityMatrix, TimeGrid, dm_new, ground_state_dm
 from .errors import BadParam, ConfigInvalid, DegenerateDrive, QdriveError
-from .io import read_sampled_drive, sampled_from_records
+from .io import json_number, read_sampled_drive, sampled_from_records
 from .liouville import Sampled
 from .pulse import PulseParams
 from .rabi import RabiParams
@@ -80,12 +80,10 @@ def _check_keys(block: dict, allowed: tuple[str, ...], where: str) -> None:
 
 
 def _number(block: dict, key: str, where: str, default: float) -> float:
-    v = block.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigInvalid(f"{where}.{key} must be a number, got {v!r}")
+    v = json_number(block.get(key, default), f"{where}.{key}")
     if not math.isfinite(v):
         raise ConfigInvalid(f"{where}.{key} must be finite, got {v!r}")
-    return float(v)
+    return v
 
 
 def _integer(block: dict, key: str, where: str, default: int) -> int:
@@ -99,12 +97,10 @@ def _complex(block: dict, key: str, where: str, default: complex) -> complex:
     v = block.get(key, default)
     if isinstance(v, complex):
         return v
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return complex(v)
-    if (isinstance(v, (list, tuple)) and len(v) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)):
-        return complex(v[0], v[1])
-    raise ConfigInvalid(f"{where}.{key} must be a number or [re, im] pair, got {v!r}")
+    parts = v if isinstance(v, (list, tuple)) and len(v) == 2 else (v, 0.0)
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
+        raise ConfigInvalid(f"{where}.{key} must be a number or [re, im] pair, got {v!r}")
+    return complex(*(json_number(x, f"{where}.{key}") for x in parts))
 
 
 def _rabi_params(block: dict) -> RabiParams:
@@ -153,7 +149,8 @@ def _sampled_params(block: dict) -> tuple[Sampled, DensityMatrix]:
         if not ok:
             raise ConfigInvalid("params.rho0 must be [[re,im],[re,im],[re,im],[re,im]] "
                                 "for (rho00, rho01, rho10, rho11)")
-        entries = [complex(e[0], e[1]) for e in v]
+        entries = [complex(json_number(e[0], f"params.rho0[{i}][0]"),
+                           json_number(e[1], f"params.rho0[{i}][1]")) for i, e in enumerate(v)]
         m = np.array(entries, dtype=complex).reshape(2, 2)
         try:
             rho0 = dm_new(m)

@@ -311,7 +311,7 @@ class TimeSeries:
         for name in ("t", "rho", "purity", "c_l1", "c_frob"):
             if not np.isfinite(getattr(self, name)).all():
                 raise BadParam(f"{name} holds a non-finite value")
-        if n > 1 and not np.all(np.diff(self.t) > 0):
+        if not np.all(self.t[1:] > self.t[:-1]):
             raise BadParam("sample times must be strictly increasing")
 
     def __len__(self) -> int:

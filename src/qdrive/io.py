@@ -12,6 +12,9 @@ Sampled drives are JSON documents {"samples": [{"t": ..., "h00_re": ...,
 from __future__ import annotations
 
 import json
+from array import array
+from contextlib import suppress
+from operator import itemgetter
 from pathlib import Path
 from typing import TextIO
 
@@ -73,28 +76,32 @@ def write_series_json(series: TimeSeries, path: str | Path) -> None:
 
 def _read_table(path: str | Path, headers: tuple[str, ...]) -> np.ndarray:
     """Parse a CSV whose header is one of ``headers`` into an (n, ncols) array
-    of finite floats; ConfigInvalid names the file and row of any defect."""
-    text = Path(path).read_text(encoding="ascii")
-    lines = [ln for ln in text.split("\n") if ln]
-    if not lines or lines[0] not in headers:
-        expected = " or ".join(repr(h) for h in headers)
-        got = f", got {(lines[0] if lines else '')!r}" if len(headers) == 1 else ""
-        raise ConfigInvalid(f"CSV header mismatch in {path}: expected {expected}{got}")
-    ncols = lines[0].count(",") + 1
-    data = np.empty((len(lines) - 1, ncols))
-    for i, ln in enumerate(lines[1:]):
-        parts = ln.split(",")
-        if len(parts) != ncols:
-            raise ConfigInvalid(f"row {i + 2} of {path} has {len(parts)} fields, "
-                                f"expected {ncols}")
-        try:
-            data[i] = [float(v) for v in parts]
-        except ValueError as exc:
-            raise ConfigInvalid(f"row {i + 2} of {path}: {exc}") from exc
+    of finite floats, streaming the lines into one growing buffer of
+    doubles; blank lines are skipped and not counted.  ConfigInvalid names
+    the file and row of any defect."""
+    values = array("d")
+    with open(path, encoding="ascii") as f:
+        lines = filter(None, (ln.rstrip("\n") for ln in f))
+        header = next(lines, "")
+        if header not in headers:
+            expected = " or ".join(repr(h) for h in headers)
+            got = f", got {header!r}" if len(headers) == 1 else ""
+            raise ConfigInvalid(f"CSV header mismatch in {path}: expected {expected}{got}")
+        ncols = header.count(",") + 1
+        for row, ln in enumerate(lines, 2):  # the header is row 1
+            parts = ln.split(",")
+            if len(parts) != ncols:
+                raise ConfigInvalid(f"row {row} of {path} has {len(parts)} fields, "
+                                    f"expected {ncols}")
+            try:
+                values.extend(map(float, parts))
+            except ValueError as exc:
+                raise ConfigInvalid(f"row {row} of {path}: {exc}") from exc
+    data = np.frombuffer(values).reshape(-1, ncols)
     bad = np.argwhere(~np.isfinite(data))
     if len(bad):
         i, j = bad[0]
-        raise ConfigInvalid(f"row {i + 2} of {path}: {lines[0].split(',')[j]} = "
+        raise ConfigInvalid(f"row {i + 2} of {path}: {header.split(',')[j]} = "
                             f"{float(data[i, j])!r} is not finite")
     return data
 
@@ -142,40 +149,65 @@ def read_sampled_drive(path: str | Path) -> Sampled:
     """Load a sampled drive from a JSON file of {"samples": [...]} records."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8, a 4300+ digit int
         raise ConfigInvalid(f"cannot read drive file {path}: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != {"samples"}:
         raise ConfigInvalid('drive file must be an object with the single key "samples"')
     return sampled_from_records(doc["samples"])
 
 
-def sampled_from_records(records: list) -> Sampled:
-    """Build a Sampled drive from a list of {t, h00_re, ..., h11_im} objects."""
-    if not isinstance(records, list) or not records:
-        raise ConfigInvalid('"samples" must be a non-empty array')
-    times = np.empty(len(records))
-    mats = np.empty((len(records), 2, 2), dtype=complex)
+def json_number(v, where: str) -> float:
+    """v as a float if it is a JSON number (an int or float, not a bool)
+    that fits a double; otherwise ConfigInvalid naming the field ``where``."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigInvalid(f"{where} must be a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ConfigInvalid(f"{where} must fit a double, got an integer of "
+                            f"{v.bit_length()} bits") from None
+
+
+_DRIVE_KEYS = frozenset(DRIVE_FIELDS)
+_NUMBER_TYPES = frozenset((int, float))
+_drive_values = itemgetter(*DRIVE_FIELDS)
+_DRIVE_DTYPE = np.dtype((float, len(DRIVE_FIELDS)))
+
+
+def _drive_rows(records: list) -> list[list[float]]:
+    """The rows of every record, checked and converted field by field;
+    ConfigInvalid names the first defect of the lowest-indexed bad record."""
+    rows = []
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise ConfigInvalid(f"samples[{i}] must be an object")
-        unknown = set(rec) - set(DRIVE_FIELDS)
+        unknown = set(rec) - _DRIVE_KEYS
         if unknown:
             raise ConfigInvalid(f"samples[{i}] has unknown keys {sorted(unknown)}")
-        missing = set(DRIVE_FIELDS) - set(rec)
+        missing = _DRIVE_KEYS - set(rec)
         if missing:
             raise ConfigInvalid(f"samples[{i}] is missing keys {sorted(missing)}")
-        vals = {}
-        for k in DRIVE_FIELDS:
-            v = rec[k]
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ConfigInvalid(f"samples[{i}].{k} must be a number, got {v!r}")
-            vals[k] = float(v)
-        times[i] = vals["t"]
-        mats[i, 0, 0] = vals["h00_re"] + 1j * vals["h00_im"]
-        mats[i, 0, 1] = vals["h01_re"] + 1j * vals["h01_im"]
-        mats[i, 1, 0] = vals["h10_re"] + 1j * vals["h10_im"]
-        mats[i, 1, 1] = vals["h11_re"] + 1j * vals["h11_im"]
-    try:
-        return Sampled(times=times, matrices=mats)
+        rows.append([json_number(rec[k], f"samples[{i}].{k}") for k in DRIVE_FIELDS])
+    return rows
+
+
+def sampled_from_records(records: list) -> Sampled:
+    """Build a Sampled drive from a list of {t, h00_re, ..., h11_im} objects.
+
+    Records of plain dicts, ints and floats pass a quick check and are
+    converted in one numpy call; any others, and an int beyond the doubles,
+    go through _drive_rows, which names the first defect."""
+    if not isinstance(records, list) or not records:
+        raise ConfigInvalid('"samples" must be a non-empty array')
+    v = None
+    if all(type(rec) is dict and rec.keys() == _DRIVE_KEYS
+           and _NUMBER_TYPES.issuperset(map(type, _drive_values(rec))) for rec in records):
+        with suppress(OverflowError):
+            v = np.fromiter(map(_drive_values, records), _DRIVE_DTYPE, len(records))
+    if v is None:
+        v = np.array(_drive_rows(records))
+    try:  # times is a copy, so the (n, 9) table is freed on return
+        return Sampled(times=v[:, 0].copy(),
+                       matrices=(v[:, 1::2] + 1j * v[:, 2::2]).reshape(-1, 2, 2))
     except BadParam as exc:
         raise ConfigInvalid(f"invalid sampled drive: {exc}") from exc

@@ -19,7 +19,8 @@ generators h G(H) of rho -> -i h [H, rho] at the stage times.  A raw rho
 is split as P + iQ with P and Q Hermitian, and the map acts on both.  The
 maps of a block of steps are built in one numpy batch and then applied in
 order: one map per piece for a piecewise-constant drive, and for a split
-step the product of its sub-step maps.  A Hermitian start stays exactly
+step the product of its sub-step maps.  Each product is written straight
+into the next node of the trajectory.  A Hermitian start stays exactly
 Hermitian, as under the stage-by-stage RK4 loop.
 
 Integration acts on the raw matrix; the finished (n, 2, 2) trajectory is
@@ -69,7 +70,7 @@ class Sampled:
             raise BadParam(f"matrices must have shape ({len(times)}, 2, 2), got {mats.shape}")
         if not np.isfinite(times).all() or not np.isfinite(mats).all():
             raise BadParam("sampled drive entries must be finite")
-        if len(times) > 1 and not np.all(np.diff(times) > 0):
+        if not np.all(times[1:] > times[:-1]):
             raise BadParam("sample times must be strictly increasing")
         herm = np.abs(mats - np.conj(np.transpose(mats, (0, 2, 1)))).max()
         if herm > 1e-12:
@@ -242,14 +243,14 @@ def propagate(drive: DriveHamiltonian, rho0: DensityMatrix, grid: TimeGrid) -> T
     s, d = 0.5 * (m[0, 1] + np.conj(m[1, 0])), 0.5 * (m[0, 1] - np.conj(m[1, 0]))
     rhos = np.empty((grid.steps + 1, 2, 2), dtype=complex)
     coords = rhos.view(float).reshape(-1, 4, 2)
-    coords[0] = r = np.array([[m[0, 0].real, m[0, 0].imag], [s.real, d.imag],
-                              [s.imag, -d.real], [m[1, 1].real, m[1, 1].imag]])
+    coords[0] = [[m[0, 0].real, m[0, 0].imag], [s.real, d.imag],
+                 [s.imag, -d.real], [m[1, 1].real, m[1, 1].imag]]
     # an unstable step size may overflow; _check_states reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for i0 in range(0, n, _BLOCK):
             maps = _step_maps(drive, held, t0, h, i0, min(i0 + _BLOCK, n))
-            for i in range(len(maps)):
-                r = coords[i0 + i + 1] = maps[i] @ r
+            for step, r, out in zip(maps, coords[i0:], coords[i0 + 1:]):
+                np.dot(step, r, out)
         (px, qx), (py, qy) = coords[:, 1].T.copy(), coords[:, 2].T.copy()
         rhos[:, 0, 1].real, rhos[:, 0, 1].imag = px - qy, py + qx
         rhos[:, 1, 0].real, rhos[:, 1, 0].imag = px + qy, qx - py

@@ -17,6 +17,10 @@ from qdrive.runner import SweepRow
 from test_output_digests import EXPECTED, run_case
 
 
+ZERO_SAMPLE = {k: 0.0 for k in ("t", "h00_re", "h00_im", "h01_re", "h01_im",
+                                 "h10_re", "h10_im", "h11_re", "h11_im")}
+
+
 def run(argv):
     return main([str(a) for a in argv])
 
@@ -212,6 +216,54 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith(("config error: params: ", "config error: grid: "))
         assert re.search(message, err) and err.count("\n") == 1
+
+    HUGE = 10**400  # a JSON int that no double holds: 1329 bits
+
+    @pytest.mark.parametrize("command, doc, message", [
+        ("rabi", {"scenario": "rabi", "params": {"e_g": HUGE}},
+         "params.e_g must fit a double, got an integer of 1329 bits"),
+        ("rabi", {"scenario": "rabi", "params": {"coupling": -HUGE}},
+         "params.coupling must fit a double, got an integer of 1329 bits"),
+        ("rabi", {"scenario": "rabi", "params": {"coupling": [0.5, HUGE]}},
+         "params.coupling must fit a double, got an integer of 1329 bits"),
+        ("rabi", {"scenario": "rabi", "grid": {"t_end": HUGE}},
+         "grid.t_end must fit a double, got an integer of 1329 bits"),
+        ("integrate", {"scenario": "sampled", "params": {"samples": [ZERO_SAMPLE, dict(
+            ZERO_SAMPLE, t=1.0, h01_re=HUGE)]}},
+         "samples[1].h01_re must fit a double, got an integer of 1329 bits"),
+        ("integrate", {"scenario": "sampled", "params": {
+            "samples": [ZERO_SAMPLE, dict(ZERO_SAMPLE, t=1.0)],
+            "rho0": [[1.0, 0.0], [0.0, 0.0], [0.0, "x"], [0.0, 0.0]]}},
+         "params.rho0[2][1] must be a number, got 'x'"),
+        ("integrate", {"scenario": "sampled", "params": {
+            "samples": [ZERO_SAMPLE, dict(ZERO_SAMPLE, t=1.0)],
+            "rho0": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [HUGE, 0.0]]}},
+         "params.rho0[3][0] must fit a double, got an integer of 1329 bits"),
+    ], ids=["param", "coupling", "coupling-pair", "grid", "inline-sample", "rho0-string",
+            "rho0-huge"])
+    def test_numbers_that_are_not_doubles(self, command, doc, message, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_drive_file_number_that_is_not_a_double(self, tmp_path, capsys):
+        drive = tmp_path / "drive.json"
+        drive.write_text(json.dumps({"samples": [ZERO_SAMPLE, dict(ZERO_SAMPLE, t=self.HUGE)]}))
+        assert run(["integrate", "--drive", drive]) == 2
+        assert capsys.readouterr().err == ("config error: samples[1].t must fit a double, "
+                                           "got an integer of 1329 bits\n")
+
+    @pytest.mark.parametrize("data", [b'{"scenario": "rabi", "params": {"e_g": 1' + b"0" * 5000
+                                      + b"}}", b'{"scenario": "\xff"}'],
+                             ids=["5001-digit-int", "bad-utf8"])
+    def test_unreadable_config_file(self, data, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(data)
+        assert run(["rabi", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config file {cfg}: ")
+        assert err.count("\n") == 1
 
     def test_colliding_grid_nodes_rejected_before_compute(self, monkeypatch, capsys):
         def must_not_run(*args, **kwargs):

@@ -1,4 +1,6 @@
 """Core types: validated density matrices, 2x2 helpers, grids and series."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,18 @@ class TestTimeSeries:
                 c_l1=np.zeros(n),
                 c_frob=np.zeros(n),
             )
+
+    def test_far_apart_times_without_overflow(self):
+        # t[1] - t[0] overflows; the order check compares without subtracting
+        rho = np.stack([np.diag([1.0, 0.0]).astype(complex)] * 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = TimeSeries(t=np.array([-1e308, 1e308]), rho=rho, purity=np.ones(2),
+                                c_l1=np.zeros(2), c_frob=np.ones(2))
+            assert len(series) == 2
+            with pytest.raises(BadParam, match="^sample times must be strictly increasing$"):
+                TimeSeries(t=np.array([1e308, -1e308]), rho=rho, purity=np.ones(2),
+                           c_l1=np.zeros(2), c_frob=np.ones(2))
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("name", ["t", "rho", "purity", "c_l1", "c_frob"])

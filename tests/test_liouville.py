@@ -1,5 +1,6 @@
 """Fixed-step RK4 Liouville propagator and the drive variants."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from qdrive import (
     rabi_hamiltonian,
 )
 from qdrive.core import commutator
-from qdrive.liouville import _held, _pieces
+from qdrive.liouville import _BLOCK, _held, _pieces, _step_maps
 from test_array_core import moderate
 
 RES = RabiParams(e_g=0.0, e_e=1.0, omega0=1.0, coupling=0.5)
@@ -39,6 +40,18 @@ RES = RabiParams(e_g=0.0, e_e=1.0, omega0=1.0, coupling=0.5)
 def zero_drive(t_end: float = 10.0) -> Sampled:
     return Sampled(times=np.array([0.0, t_end]),
                    matrices=np.zeros((2, 2, 2), dtype=complex))
+
+
+class TestSampled:
+    def test_far_apart_times_without_overflow(self):
+        # t[1] - t[0] overflows; the order check compares without subtracting
+        mats = np.zeros((2, 2, 2), dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            drive = Sampled(times=np.array([-1e308, 1e308]), matrices=mats)
+            assert np.array_equal(hamiltonian_at(drive, 0.0), mats[0])
+            with pytest.raises(BadParam, match="^sample times must be strictly increasing$"):
+                Sampled(times=np.array([1e308, -1e308]), matrices=mats)
 
 
 class TestHamiltonianAt:
@@ -376,3 +389,57 @@ class TestMatchesStageByStageReference:
         times = np.linspace(0.0, span, samples)
         drive = Sampled(times=times, matrices=rabi_hamiltonian(p, times))
         assert_matches_reference(drive, TimeGrid(inset * span / 2, span * (1 - inset / 2), steps))
+
+
+def chained_propagate(drive, rho0, grid):
+    """Raw (steps + 1, 2, 2) trajectory of propagate's maps, built block by
+    block with _step_maps and applied as r = maps[i] @ r, one new array per
+    step; the grid must lie inside a sampled drive's window."""
+    h, t0, times, n = grid.h, grid.t_start, grid.times(), grid.steps
+    held = pieces = _pieces(drive, grid)
+    if pieces is not None:
+        starts, mats = pieces
+        tol = 1e-9 * h
+        held = (starts, mats, _held(starts, times[:-1] + tol), _held(starts, times[1:] - tol))
+    m = np.array(rho0.matrix, dtype=complex)
+    s, d = 0.5 * (m[0, 1] + np.conj(m[1, 0])), 0.5 * (m[0, 1] - np.conj(m[1, 0]))
+    r = np.array([[m[0, 0].real, m[0, 0].imag], [s.real, d.imag], [s.imag, -d.real],
+                  [m[1, 1].real, m[1, 1].imag]])
+    rhos = np.empty((n + 1, 2, 2), dtype=complex)
+    coords = rhos.view(float).reshape(-1, 4, 2)
+    coords[0] = r
+    for i0 in range(0, n, _BLOCK):
+        maps = _step_maps(drive, held, t0, h, i0, min(i0 + _BLOCK, n))
+        for i in range(len(maps)):
+            r = maps[i] @ r
+            coords[i0 + i + 1] = r
+    # rho01 = P01 + i Q01 and rho10 = conj(P01) + i conj(Q01)
+    (px, qx), (py, qy) = coords[:, 1].T.copy(), coords[:, 2].T.copy()
+    rhos[:, 0, 1].real, rhos[:, 0, 1].imag = px - qy, py + qx
+    rhos[:, 1, 0].real, rhos[:, 1, 0].imag = px + qy, qx - py
+    rhos[0] = m
+    return rhos
+
+
+P_SPLIT = PulseParams(e0=0.7, f0=1.3, n_period=2)
+
+
+class TestInPlaceApply:
+    """propagate writes each map's product into the trajectory in place; it
+    must give the bits of the plain chain, over several 512-step blocks."""
+
+    @pytest.mark.parametrize("drive, grid", [
+        (RwaRabi(RabiParams(e_g=-0.2, e_e=1.1, omega0=0.9, coupling=0.3 - 0.4j)),
+         TimeGrid(0.3, 40.0, 1500)),
+        # switches inside steps: 1537 steps over 3.3 half periods
+        (SquarePulse(P_SPLIT), TimeGrid(0.1 * P_SPLIT.period, 1.75 * P_SPLIT.period, 1537)),
+        # 301 samples of the RWA Hamiltonian, none on a node
+        (Sampled(times=np.linspace(-0.01, 30.02, 301),
+                 matrices=rabi_hamiltonian(RES, np.linspace(-0.01, 30.02, 301))),
+         TimeGrid(0.0, 30.0, 1499)),
+    ], ids=["rwa", "square-pulse", "sampled"])
+    def test_matches_chained_maps_bit_for_bit(self, drive, grid):
+        assert _BLOCK < grid.steps // 2
+        rhos = propagate(drive, MIXED, grid).rho
+        expected = chained_propagate(drive, MIXED, grid)
+        assert rhos.dtype == expected.dtype and rhos.tobytes() == expected.tobytes()

@@ -29,6 +29,7 @@ from .errors import ConfigInvalid, QdriveError
 from .io import (
     check_states,
     fmt17,
+    open_output,
     read_states_csv,
     write_series,
     write_series_csv,
@@ -247,7 +248,7 @@ def _print_sweep(param: str, rows: list[SweepRow]) -> None:
 
 def _write_sweep_csv(path: str, param: str, rows: list[SweepRow]) -> None:
     # csv quotes an error cell that holds a comma, quote or newline
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with open_output(path, encoding="utf-8") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["param", "value", "max_c_l1", "min_purity", "max_purity",
                          "period_return_error", "error"])

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import json
 from array import array
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from operator import itemgetter
 from pathlib import Path
-from typing import TextIO
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -39,65 +39,155 @@ def fmt17(x: float) -> str:
     return f"{x:.17g}"
 
 
-_ROW_FORMAT = ",".join(["%.17g"] * len(CSV_FIELDS))  # fmt17 per field
-# one record as json.dumps(records, indent=1) lays it out; %r is json's float repr
-_JSON_RECORD = " {\n" + ",\n".join(f'  "{k}": %r' for k in CSV_FIELDS) + "\n }"
-# fmt -> (row template, row separator, head, tail, text of an empty series)
+def _json_record(slots: list[str]) -> str:
+    # one record as json.dumps(records, indent=1) lays it out
+    return " {\n" + ",\n".join(f'  "{k}": {v}' for k, v in zip(CSV_FIELDS, slots)) + "\n }"
+
+
+# fmt -> (float conversion, row template from its 12 field slots, row
+# separator, head, tail, text of an empty series); %.17g is fmt17, %r is
+# json's float repr
 _LAYOUTS = {
-    "csv": (_ROW_FORMAT, "\n", CSV_HEADER + "\n", "\n", CSV_HEADER + "\n"),
-    "json": (_JSON_RECORD, ",\n", "[\n", "\n]\n", "[]\n"),
+    "csv": ("%.17g", ",".join, "\n", CSV_HEADER + "\n", "\n", CSV_HEADER + "\n"),
+    "json": ("%r", _json_record, ",\n", "[\n", "\n]\n", "[]\n"),
 }
+_SIGN = np.int64(-2**63)  # the sign bit of a double viewed as int64
+
+
+def _format_block(block: np.ndarray, conv: str,
+                  template: Callable[[list[str]], str]) -> list[str]:
+    """The rows of an (m, 12) block of the table, each value formatted with
+    ``conv``.  A column whose bits are constant over the block is formatted
+    once, into the row template.  When rho10 = conj(rho01) bit for bit, rho01
+    is formatted once: rho10_re reuses its text, and rho10_im is rho01_im's
+    text with its leading minus toggled, which is exact for finite doubles,
+    0 and -0 included."""
+    bits = block.view(np.int64)
+    const = (bits == bits[0]).all(axis=0)
+    # columns 3 and 4 hold rho01's re and im, 5 and 6 rho10's
+    hermitian = (np.array_equal(bits[:, 5], bits[:, 3])
+                 and np.array_equal(bits[:, 6], bits[:, 4] ^ _SIGN))
+    first = block[0].tolist()
+    slots, columns, text = [], [], {}
+    for j, column in enumerate(block.T):
+        if const[j]:
+            slots.append(conv % first[j])
+        elif not hermitian or j not in (3, 4, 5, 6):
+            slots.append(conv)
+            columns.append(column.tolist())
+        else:
+            if j == 5:
+                strings = text[3]
+            elif j == 6:
+                strings = [s[1:] if s[0] == "-" else "-" + s for s in text[4]]
+            else:
+                strings = text[j] = [conv % v for v in column.tolist()]
+            slots.append("%s")
+            columns.append(strings)
+    row = template(slots)
+    return [row % r for r in zip(*columns)] if columns else [row] * len(block)
 
 
 def write_series(series: TimeSeries, out: TextIO, fmt: str) -> None:
     """Write the series to the text stream ``out`` in format "csv" or "json",
     4096 rows at a time: the whole text is never held in memory."""
-    row, sep, head, tail, empty = _LAYOUTS[fmt]
+    conv, template, sep, head, tail, empty = _LAYOUTS[fmt]
     n = len(series)
     # (n, 2, 2) complex viewed as (n, 8) floats: re/im of rho00, 01, 10, 11
     parts = np.ascontiguousarray(series.rho).reshape(n, 4).view(float)
     table = np.column_stack([series.t, parts, series.purity, series.c_l1, series.c_frob])
     out.write(head if n else empty)
     for start in range(0, n, 4096):
-        block = [row % tuple(r) for r in table[start:start + 4096].tolist()]
+        block = _format_block(table[start:start + 4096], conv, template)
         out.write((sep if start else "") + sep.join(block))
     out.write(tail if n else "")
 
 
+@contextmanager
+def open_output(path: str | Path, encoding: str = "ascii"):
+    """Open ``path`` for writing text with LF newlines; ConfigInvalid names
+    the file if it cannot be opened or written."""
+    try:
+        with open(path, "w", encoding=encoding, newline="") as f:
+            yield f
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot write output file {path}: {exc}") from exc
+
+
 def write_series_csv(series: TimeSeries, path: str | Path) -> None:
-    with open(path, "w", encoding="ascii", newline="") as f:
+    with open_output(path) as f:
         write_series(series, f, "csv")
 
 
 def write_series_json(series: TimeSeries, path: str | Path) -> None:
-    with open(path, "w", encoding="ascii", newline="") as f:
+    with open_output(path) as f:
         write_series(series, f, "json")
+
+
+# the bytes of a body that np.loadtxt and float() parse alike: digits, signs,
+# points, exponents, the letters of inf, nan and infinity, commas and newlines
+_NUMERIC = b"0123456789+-.eE,\n\r" + b"infatyINFATY"
+
+
+def _loadtxt_body(f: TextIO, ncols: int) -> np.ndarray | None:
+    """The rows of ``f`` from its position on, parsed by np.loadtxt, if the
+    text holds only _NUMERIC characters and loadtxt reads it as an
+    (n, ncols) table; otherwise None, with ``f`` at any position."""
+    start, empty = f.tell(), True
+    for chunk in iter(lambda: f.read(1 << 16), ""):
+        if chunk.encode().translate(None, _NUMERIC):
+            return None
+        empty = empty and not chunk.strip("\n")
+    if empty:  # loadtxt would warn of no data
+        return np.empty((0, ncols))
+    f.seek(start)
+    try:
+        data = np.loadtxt(f, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:  # a bad field or a row of another length
+        return None
+    return data if data.shape[1] == ncols else None
+
+
+def _read_rows(f: TextIO, path: str | Path, ncols: int) -> np.ndarray:
+    """The rows of ``f`` from its position on, field by field; ConfigInvalid
+    names the row and its defect.  Blank lines are skipped and not counted."""
+    values = array("d")
+    lines = filter(None, (ln.rstrip("\n") for ln in f))
+    for row, ln in enumerate(lines, 2):  # the header is row 1
+        parts = ln.split(",")
+        if len(parts) != ncols:
+            raise ConfigInvalid(f"row {row} of {path} has {len(parts)} fields, "
+                                f"expected {ncols}")
+        try:
+            values.extend(map(float, parts))
+        except ValueError as exc:
+            raise ConfigInvalid(f"row {row} of {path}: {exc}") from exc
+    return np.frombuffer(values).reshape(-1, ncols)
 
 
 def _read_table(path: str | Path, headers: tuple[str, ...]) -> np.ndarray:
     """Parse a CSV whose header is one of ``headers`` into an (n, ncols) array
-    of finite floats, streaming the lines into one growing buffer of
-    doubles; blank lines are skipped and not counted.  ConfigInvalid names
-    the file and row of any defect."""
-    values = array("d")
-    with open(path, encoding="ascii") as f:
-        lines = filter(None, (ln.rstrip("\n") for ln in f))
-        header = next(lines, "")
-        if header not in headers:
-            expected = " or ".join(repr(h) for h in headers)
-            got = f", got {header!r}" if len(headers) == 1 else ""
-            raise ConfigInvalid(f"CSV header mismatch in {path}: expected {expected}{got}")
-        ncols = header.count(",") + 1
-        for row, ln in enumerate(lines, 2):  # the header is row 1
-            parts = ln.split(",")
-            if len(parts) != ncols:
-                raise ConfigInvalid(f"row {row} of {path} has {len(parts)} fields, "
-                                    f"expected {ncols}")
-            try:
-                values.extend(map(float, parts))
-            except ValueError as exc:
-                raise ConfigInvalid(f"row {row} of {path}: {exc}") from exc
-    data = np.frombuffer(values).reshape(-1, ncols)
+    of finite floats; blank lines are skipped and not counted.  The body is
+    parsed by np.loadtxt when it holds only characters that loadtxt and
+    float() read alike, and field by field otherwise or when loadtxt rejects
+    it, so ConfigInvalid names the file and row of any defect."""
+    try:
+        with open(path, encoding="ascii") as f:
+            header = ""
+            while not header and (ln := f.readline()):
+                header = ln.rstrip("\n")
+            if header not in headers:
+                expected = " or ".join(repr(h) for h in headers)
+                got = f", got {header!r}" if len(headers) == 1 else ""
+                raise ConfigInvalid(f"CSV header mismatch in {path}: expected {expected}{got}")
+            ncols = header.count(",") + 1
+            body = f.tell()
+            data = _loadtxt_body(f, ncols)
+            if data is None:
+                f.seek(body)
+                data = _read_rows(f, path, ncols)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigInvalid(f"cannot read CSV file {path}: {exc}") from exc
     bad = np.argwhere(~np.isfinite(data))
     if len(bad):
         i, j = bad[0]

@@ -249,8 +249,9 @@ def propagate(drive: DriveHamiltonian, rho0: DensityMatrix, grid: TimeGrid) -> T
     with np.errstate(over="ignore", invalid="ignore"):
         for i0 in range(0, n, _BLOCK):
             maps = _step_maps(drive, held, t0, h, i0, min(i0 + _BLOCK, n))
+            # the ndarray.dot method skips np.dot's __array_function__ dispatch
             for step, r, out in zip(maps, coords[i0:], coords[i0 + 1:]):
-                np.dot(step, r, out)
+                step.dot(r, out)
         (px, qx), (py, qy) = coords[:, 1].T.copy(), coords[:, 2].T.copy()
         rhos[:, 0, 1].real, rhos[:, 0, 1].imag = px - qy, py + qx
         rhos[:, 1, 0].real, rhos[:, 1, 0].imag = px + qy, qx - py

@@ -475,6 +475,49 @@ class TestSweep:
         assert exc.value.code == 2
 
 
+class TestFiles:
+    """A file that cannot be read or written is a one-line config error."""
+
+    @pytest.mark.parametrize("data", [None, CSV_HEADER.encode() + b"\n\xff\n",
+                                      b"\xff" + CSV_HEADER.encode() + b"\n"],
+                             ids=["missing", "non-ascii-row", "non-ascii-header"])
+    def test_unreadable_input_csv(self, data, tmp_path, capsys):
+        src = tmp_path / "states.csv"
+        if data is not None:
+            src.write_bytes(data)
+        assert run(["coherence", "--input", src]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"config error: cannot read CSV file {src}: ")
+        assert err.count("\n") == 1
+
+    def test_input_csv_is_a_directory(self, tmp_path, capsys):
+        assert run(["coherence", "--input", tmp_path]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot read CSV file {tmp_path}: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["rabi", "--steps", 8],
+        ["rabi", "--steps", 8, "--format", "json"],
+        ["pulse", "--steps", 8],
+        ["integrate", "--drive", "DRIVE", "--steps", 8],
+        ["coherence", "--input", "STATES"],
+        ["coherence", "--input", "STATES", "--format", "json"],
+        ["sweep", "--param", "f0", "--values", "1", "--steps", 64],
+    ], ids=["rabi", "rabi-json", "pulse", "integrate", "coherence", "coherence-json", "sweep"])
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_output(self, argv, target, tmp_path, capsys):
+        drive = tmp_path / "drive.json"
+        drive.write_text(json.dumps({"samples": [ZERO_SAMPLE, dict(ZERO_SAMPLE, t=1.0)]}))
+        states = tmp_path / "states.csv"
+        states.write_text(",".join(CSV_HEADER.split(",")[:9]) + "\n0,1,0,0,0,0,0,0,0\n")
+        out = tmp_path / "missing" / "out.csv" if target == "missing-dir" else tmp_path
+        argv = [{"DRIVE": drive, "STATES": states}.get(a, a) for a in argv]
+        assert run([*argv, "--output", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write output file {out}: ")
+        assert err.count("\n") == 1
+
+
 class TestProcess:
     def test_parser_is_built_once_and_reused(self, tmp_path):
         assert build_parser() is build_parser()

@@ -1,8 +1,10 @@
 """Series writers and readers, and the sampled-drive loader.
 
 The block writer gives the same bytes as the one-shot reference writers
-below, CSV and JSON round trips keep any finite double bit for bit, and the
-readers reject non-finite values and rows that are not density matrices.
+below, CSV and JSON round trips keep any finite double bit for bit, the
+table reader gives the same bits and messages as the per-field reference
+reader below, and the readers reject non-finite values and rows that are
+not density matrices.
 The drive loader gives the same bits and messages as the per-record
 reference loop below."""
 import io
@@ -27,6 +29,8 @@ from qdrive.io import (
     CSV_FIELDS,
     CSV_HEADER,
     DRIVE_FIELDS,
+    _read_table,
+    fmt17,
     read_sampled_drive,
     read_series_csv,
     read_states_csv,
@@ -150,6 +154,28 @@ def test_writers_match_reference_across_blocks(n, tmp_path):
     rho = np.ascontiguousarray(cols[:, :8]).view(complex).reshape(n, 2, 2)
     s = TimeSeries(t=np.linspace(-1e300, 1e300, n), rho=rho, purity=cols[:, 8], c_l1=cols[:, 9],
                    c_frob=cols[:, 10])
+    _check_writers(s, tmp_path)
+
+
+@pytest.mark.parametrize("n", [4097, 8193])
+def test_writers_match_reference_on_hermitian_blocks(n, tmp_path):
+    """Blocks where rho10 = conj(rho01) bit for bit and columns that are
+    constant over a block take shortcuts in the writer; the bytes stay the
+    reference's.  Block 0 is Hermitian, with +-0.0 in rho01_im and one -0.0
+    in an otherwise +0.0 rho00_im column; block 1 (when n = 8193) is not,
+    by one sign bit of a zero; the last block is a single row."""
+    rng = np.random.default_rng(n)
+    re01 = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    im01 = rng.choice([0.0, -0.0, 1.0 / 3.0, -0.1, SUBNORMAL, -MAX], n)
+    cols = np.zeros((n, 8))
+    cols[:, 0], cols[:, 6] = rng.random(n), 0.7
+    cols[:, 2], cols[:, 3], cols[:, 4], cols[:, 5] = re01, im01, re01, -im01
+    cols[17, 1] = -0.0
+    if n > 8192:
+        cols[5000, 3], cols[5000, 5] = 0.0, 0.0  # Hermitian in value, not in bits
+    rho = cols.view(complex).reshape(n, 2, 2)
+    s = TimeSeries(t=np.arange(n, dtype=float), rho=rho, purity=np.ones(n),
+                   c_l1=np.abs(re01), c_frob=np.full(n, -0.0))
     _check_writers(s, tmp_path)
 
 
@@ -278,6 +304,89 @@ def test_reader_names_the_row(row, defect, message, tmp_path):
     with pytest.raises(ConfigInvalid) as err:
         read_series_csv(path)
     assert str(err.value) == f"row {row} of {path}" + (" " if "fields" in message else "") + message
+
+
+# reference table reader: one float() per field of every non-blank line
+def reference_table(path: Path, headers: tuple[str, ...]) -> np.ndarray:
+    with open(path, encoding="ascii") as f:
+        lines = [ln for ln in (raw.rstrip("\n") for raw in f) if ln]
+    header = lines[0] if lines else ""
+    if header not in headers:
+        expected = " or ".join(repr(h) for h in headers)
+        got = f", got {header!r}" if len(headers) == 1 else ""
+        raise ConfigInvalid(f"CSV header mismatch in {path}: expected {expected}{got}")
+    ncols = header.count(",") + 1
+    rows = []
+    for row, ln in enumerate(lines[1:], 2):
+        parts = ln.split(",")
+        if len(parts) != ncols:
+            raise ConfigInvalid(f"row {row} of {path} has {len(parts)} fields, expected {ncols}")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise ConfigInvalid(f"row {row} of {path}: {exc}") from exc
+    data = np.array(rows, dtype=float).reshape(-1, ncols)
+    for i, j in np.ndindex(data.shape):
+        if not np.isfinite(v := float(data[i, j])):
+            raise ConfigInvalid(f"row {i + 2} of {path}: {header.split(',')[j]} = {v!r} "
+                                "is not finite")
+    return data
+
+
+STATES_HEADER = ",".join(CSV_FIELDS[:9])
+TABLE_HEADERS = (CSV_HEADER, STATES_HEADER)
+# what float() and np.loadtxt may read differently: underscores, whitespace
+# numpy strips (\x1c-\x1f) or float() strips, comment and quote characters
+ODD = ["_", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "#", '"']
+SPELLINGS = ["inf", "-inf", "+INF", "nan", "-nan", "NaN", "Infinity", "-infinity", "iNfInItY",
+             "infinit", "nana"]
+field = st.one_of(
+    finite.map(repr), finite.map(fmt17), st.sampled_from(SPELLINGS),
+    st.text(st.sampled_from(list("0123456789+-.eE") + ODD), max_size=6),
+    st.builds(lambda a, odd, b: a + odd + b, st.sampled_from(["1", "0.5", "-2e3", ""]),
+              st.sampled_from(ODD), st.sampled_from(["0", "5", ""])))
+
+
+@st.composite
+def csv_texts(draw) -> str:
+    """A header and rows of mostly the header's field count, on LF, CRLF or
+    CR line ends, with blank lines anywhere."""
+    header = draw(st.sampled_from(TABLE_HEADERS + ("t,rho00_re", "")))
+    ncols = header.count(",") + 1
+    plain = draw(st.booleans())  # only numbers of the header's count: the fast path
+    rows = draw(st.lists(st.lists(finite.map(fmt17) if plain else field,
+                                  min_size=ncols if plain else ncols - 1,
+                                  max_size=ncols if plain else ncols + 1), max_size=6))
+    lines = [header, *(",".join(r) for r in rows)]
+    ends = st.sampled_from(["\n", "\n", "\r\n", "\r", "\n\n", "\r\n\r\n"])
+    return "".join(ln + draw(ends) for ln in lines)[:None if draw(st.booleans()) else -1]
+
+
+def _outcome(read, path: Path):
+    try:
+        return read(path, TABLE_HEADERS)
+    except ConfigInvalid as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_texts())
+@example(STATES_HEADER + "\n" + ",".join(["1_0"] * 9) + "\n")
+@example(STATES_HEADER + "\r\n\r\n" + ",".join([" 1\x1c"] * 9) + "\r\n")
+@example(STATES_HEADER + "\n" + ",".join(["\x1f1"] * 9) + "\n")
+@example("\n\n" + STATES_HEADER + "\n\n")
+@example(STATES_HEADER + "\n" + ",".join(["-nan"] * 9))
+@example(STATES_HEADER + "\n" + ",".join(["1e999"] + ["0"] * 8) + "\n")
+def test_table_reader_matches_reference(text):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "table.csv"
+        path.write_bytes(text.encode("ascii"))
+        got, expected = _outcome(_read_table, path), _outcome(reference_table, path)
+    assert type(got) is type(expected)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert _same_bits(np.ascontiguousarray(got), expected)
 
 
 # reference drive loader: one Python check and conversion per record

@@ -30,6 +30,7 @@ from .io import (
     check_states,
     fmt17,
     open_output,
+    probe_output,
     read_states_csv,
     write_series,
     write_series_csv,
@@ -196,6 +197,8 @@ def _print_report(report) -> None:
 def _run_command(args: argparse.Namespace, scenario: str | None, forced_mode: str | None) -> int:
     mode = getattr(args, "mode", None) or forced_mode
     cfg = _assemble_config(args, scenario, mode)
+    if cfg.output_path is not None:  # fail before the compute, not after it
+        probe_output(cfg.output_path)
     series, report = run_scenario(cfg)
     if cfg.output_path is not None:
         _write_series(series, cfg.output_path, cfg.output_format)
@@ -210,7 +213,7 @@ def _run_command(args: argparse.Namespace, scenario: str | None, forced_mode: st
 
 def _coherence_command(args: argparse.Namespace) -> int:
     t, rho = read_states_csv(args.input)
-    _write_series(build_series(t, check_states(rho, args.input)), args.output, args.format)
+    _write_series(build_series(t, rho, check_states(rho, args.input)), args.output, args.format)
     return 0
 
 
@@ -230,6 +233,8 @@ def _sweep_command(args: argparse.Namespace) -> int:
     scenario = args.scenario or ("pulse" if args.param == "f0" else "rabi")
     _reject_cross_scenario_flags(args, scenario)
     cfg = _assemble_config(args, scenario, "analytic")
+    if cfg.output_path is not None:
+        probe_output(cfg.output_path)
     rows = run_sweep(cfg, args.param, _parse_values(args.values))
     _print_sweep(args.param, rows)
     if cfg.output_path is not None:

@@ -22,14 +22,14 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DensityMatrix, TimeSeries, cabs, purities
-from .errors import DiscriminantNegative
+from .core import DensityMatrix, Scan, TimeSeries, scan_rho
 from .pulse import PulseParams, reduced_time
 
 
 def l1_columns(rho: np.ndarray) -> np.ndarray:
-    """|rho01| + |rho10| of each matrix in a (..., 2, 2) array."""
-    return cabs(rho[..., 0, 1]) + cabs(rho[..., 1, 0])
+    """|rho01| + |rho10| of each matrix in a (..., 2, 2) array, each |z| as libm hypot."""
+    r01, r10 = rho[..., 0, 1], rho[..., 1, 0]
+    return np.hypot(r01.real, r01.imag) + np.hypot(r10.real, r10.imag)
 
 
 def l1_coherence(rho: DensityMatrix) -> float:
@@ -37,24 +37,9 @@ def l1_coherence(rho: DensityMatrix) -> float:
     return float(l1_columns(rho.matrix))
 
 
-def frobenius_columns(rho: np.ndarray) -> np.ndarray:
-    """sqrt(1 + 4|rho01|^2 - 4 rho00 rho11) of each matrix in a (..., 2, 2)
-    array, radicand clamped to [0, 1].
-
-    Clamping only absorbs rounding at machine scale; a radicand below -1e-12
-    indicates an invalid state and raises DiscriminantNegative.
-    """
-    radicand = np.asarray(1.0 + 4.0 * np.float_power(cabs(rho[..., 0, 1]), 2.0)
-                          - 4.0 * rho[..., 0, 0].real * rho[..., 1, 1].real)
-    bad = radicand < -1e-12
-    if bad.any():
-        raise DiscriminantNegative(f"coherence radicand {radicand[bad][0]:.3e} below -1e-12")
-    return np.sqrt(np.clip(radicand, 0.0, 1.0))
-
-
 def frobenius_coherence(rho: DensityMatrix) -> float:
-    """Frobenius coherence of one state; see frobenius_columns."""
-    return float(frobenius_columns(rho.matrix))
+    """Frobenius coherence of one state; see Scan.c_frob."""
+    return scan_rho(rho.matrix).c_frob.item()
 
 
 def l1_pulse_closed_form(p: PulseParams, t: np.ndarray | float) -> np.ndarray | float:
@@ -69,12 +54,13 @@ def l1_pulse_closed_form(p: PulseParams, t: np.ndarray | float) -> np.ndarray | 
     return c if np.ndim(t) else float(c)
 
 
-def build_series(t: np.ndarray, rho: np.ndarray) -> TimeSeries:
-    """Assemble a TimeSeries from an (n, 2, 2) array of validated states,
-    attaching purity and both coherence measures as columns."""
+def build_series(t: np.ndarray, rho: np.ndarray, scan: Scan | None = None) -> TimeSeries:
+    """Assemble a TimeSeries from an (n, 2, 2) array of validated states, with
+    the purity and both coherence columns of ``scan`` (scan_rho(rho) if None)."""
     rho = np.asarray(rho, dtype=complex)
-    return TimeSeries(t=np.asarray(t, dtype=float), rho=rho, purity=purities(rho),
-                      c_l1=l1_columns(rho), c_frob=frobenius_columns(rho))
+    scan = scan_rho(rho) if scan is None else scan
+    return TimeSeries(t=np.asarray(t, dtype=float), rho=rho, purity=scan.purity,
+                      c_l1=scan.c_l1, c_frob=scan.c_frob)
 
 
 def _fminbound(f: Callable[[float], float], a: float, b: float, xatol: float) -> float:

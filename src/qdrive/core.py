@@ -1,9 +1,9 @@
 """Scalar/2x2-matrix arithmetic and the validated state types.
 
 Everything downstream works with 2x2 complex matrices (numpy arrays of
-shape ``(2, 2)``, dtype complex128).  This module provides the batch check of
-density-matrix invariants (:func:`validate_rho`, on ``(n, 2, 2)`` arrays)
-and the constructors that apply it at the boundary:
+shape ``(2, 2)``, dtype complex128).  This module provides the one-pass batch
+check of density-matrix invariants and output columns (:func:`scan_rho`, on
+``(n, 2, 2)`` arrays) and the constructors that apply it at the boundary:
 
 * :class:`DensityMatrix` -- Hermitian, unit trace, positive semidefinite;
 * :class:`StateVector`   -- normalized two-component amplitude vector;
@@ -64,11 +64,6 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # (numpy's complex array multiply may fuse them into FMAs).
 
 
-def cabs(z: np.ndarray) -> np.ndarray:
-    """Elementwise |z|, rounded like Python's scalar abs(complex)."""
-    return np.hypot(z.real, z.imag)
-
-
 def cmul(ar, ai, br, bi):
     """(ar + i ai)(br + i bi) as (re, im), rounded like a scalar complex product."""
     return ar * br - ai * bi, ar * bi + ai * br
@@ -83,16 +78,38 @@ def hermitian(r00, r11, re01, im01) -> np.ndarray:
     return m
 
 
-def validate_rho(
-    rho: np.ndarray,
-    tol_herm: float = TOL_HERM,
-    tol_trace: float = TOL_TRACE,
-    tol_psd: float = TOL_PSD,
-    tol_drift: float | None = None,
-) -> tuple[int, QdriveError] | None:
-    """Check each matrix of a (..., 2, 2) array as a density matrix.
+class Scan(NamedTuple):
+    """What scan_rho finds in a batch of states: validate_rho's verdict, and
+    output columns holding one value per matrix of the flattened batch."""
 
-    Returns None if all pass, else ``(i, error)``: the lowest failing index
+    bad: tuple[int, QdriveError] | None
+    purity: np.ndarray
+    c_l1: np.ndarray
+    radicand: np.ndarray  #: 1 + 4|rho01|^2 - 4 rho00 rho11, the squared Frobenius coherence
+
+    @property
+    def c_frob(self) -> np.ndarray:
+        """sqrt(radicand) clamped to [0, 1].  Clamping only absorbs rounding at
+        machine scale; a radicand below -1e-12 raises DiscriminantNegative."""
+        bad = self.radicand < -1e-12
+        if bad.any():
+            raise DiscriminantNegative(f"coherence radicand {self.radicand[bad][0]:.3e} below -1e-12")
+        return np.sqrt(np.clip(self.radicand, 0.0, 1.0))
+
+    def require_valid(self) -> Scan:
+        """This scan if every state passed; else raise the first failure."""
+        if self.bad is not None:
+            raise self.bad[1]
+        return self
+
+
+def scan_rho(rho: np.ndarray, tol_herm: float = TOL_HERM, tol_trace: float = TOL_TRACE,
+             tol_psd: float = TOL_PSD, tol_drift: float | None = None) -> Scan:
+    """Check each matrix of a (..., 2, 2) array as a density matrix and compute
+    its purity tr(rho^2), l1 coherence |rho01| + |rho10| and Frobenius
+    radicand, in one pass that takes |rho01| and |rho01|^2 once.
+
+    ``bad`` is None if all pass, else ``(i, error)``: the lowest failing index
     of the flattened batch and its unraised error for the first violated
     invariant, in the order: trace or Hermiticity drift past ``tol_drift``
     (InvariantDrift; only if given), finite (BadParam), Hermitian
@@ -100,29 +117,32 @@ def validate_rho(
     (NotPositive).
     """
     m = np.asarray(rho, dtype=complex).reshape(-1, 2, 2)
-    r00, r11 = m[:, 0, 0].real, m[:, 1, 1].real
+    r00, i00, re01, im01, re10, im10, r11, i11 = m.reshape(-1, 4).view(float).T
     with np.errstate(invalid="ignore", over="ignore"):
-        herm = np.maximum(cabs(m[:, 1, 0] - np.conj(m[:, 0, 1])),
-                          np.maximum(np.abs(m[:, 0, 0].imag), np.abs(m[:, 1, 1].imag)))
-        tr_err = np.abs(r00 + r11 - 1.0)
-        drift = cabs(m[:, 0, 0] + m[:, 1, 1] - 1.0)
-        # eigenvalues of the Hermitian part; the discriminant is a sum of
-        # squares, so it cannot go negative
-        disc = np.sqrt(np.float_power((r00 - r11) / 2.0, 2.0)
-                       + np.float_power(cabs(m[:, 0, 1]), 2.0))
-        lam_min = (r00 + r11) / 2.0 - disc
-    drifted = (np.zeros(len(m), dtype=bool) if tol_drift is None
-               else (drift > tol_drift) | (herm > tol_drift))
-    finite = np.isfinite(m).all(axis=(1, 2))
-    failing = (drifted | ~finite | (herm > tol_herm) | (tr_err > tol_trace)
-               | (lam_min < -tol_psd))
+        a01 = np.hypot(re01, im01)
+        a01_sq = np.float_power(a01, 2.0)
+        purity = np.float_power(r00, 2.0) + np.float_power(r11, 2.0) + 2.0 * a01_sq
+        c_l1 = a01 + np.hypot(re10, im10)
+        radicand = 1.0 + 4.0 * a01_sq - 4.0 * r00 * r11
+        herm = np.maximum(np.hypot(re10 - re01, im10 + im01), np.maximum(np.abs(i00), np.abs(i11)))
+        tr = r00 + r11
+        tr_err = np.abs(tr - 1.0)
+        # the smallest eigenvalue feeds no output: a product squares it, not float_power
+        d = (r00 - r11) / 2.0
+        lam_min = tr / 2.0 - np.sqrt(d * d + a01_sq)
+        # a non-finite entry makes herm, tr_err or lam_min non-finite: "not within" catches NaN
+        failing = ~(herm <= tol_herm) | ~(tr_err <= tol_trace) | ~(lam_min >= -tol_psd)
+        if tol_drift is not None:
+            drift = np.hypot(tr - 1.0, i00 + i11)
+            drifted = (drift > tol_drift) | (herm > tol_drift)
+            failing |= drifted
     if not failing.any():
-        return None
+        return Scan(None, purity, c_l1, radicand)
     i = int(np.argmax(failing))
-    if drifted[i]:
+    if tol_drift is not None and drifted[i]:
         error: QdriveError = InvariantDrift(
             f"trace drift {drift[i]:.3e}, Hermiticity drift {herm[i]:.3e} (limit {tol_drift:g})")
-    elif not finite[i]:
+    elif not np.isfinite(m[i]).all():
         error = BadParam(f"density-matrix entry must be finite, got {m[i].tolist()!r}")
     elif herm[i] > tol_herm:
         error = NotHermitian(f"Hermiticity violation {herm[i]:.3e} exceeds {tol_herm:.1e}")
@@ -130,12 +150,19 @@ def validate_rho(
         error = TraceNotOne(f"|trace - 1| = {tr_err[i]:.3e} exceeds {tol_trace:.1e}")
     else:
         error = NotPositive(f"smallest eigenvalue {lam_min[i]:.3e} below -{tol_psd:.1e}")
-    return i, error
+    return Scan((i, error), purity, c_l1, radicand)
+
+
+def validate_rho(rho: np.ndarray, tol_herm: float = TOL_HERM, tol_trace: float = TOL_TRACE,
+                 tol_psd: float = TOL_PSD,
+                 tol_drift: float | None = None) -> tuple[int, QdriveError] | None:
+    """scan_rho's verdict alone: None if every matrix passes, else (i, error)."""
+    return scan_rho(rho, tol_herm, tol_trace, tol_psd, tol_drift).bad
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """2x2 density matrix checked at construction by validate_rho.  The
+    """2x2 density matrix checked at construction by scan_rho.  The
     stored matrix is the one supplied -- never renormalized -- and read-only.
     """
 
@@ -148,9 +175,7 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise BadParam(f"density matrix must be 2x2, got shape {m.shape}")
-        bad = validate_rho(m, tol_herm, tol_trace, tol_psd)
-        if bad is not None:
-            raise bad[1]
+        scan_rho(m, tol_herm, tol_trace, tol_psd).require_valid()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -191,15 +216,9 @@ def ground_state_dm() -> DensityMatrix:
     return DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
 
 
-def purities(rho: np.ndarray) -> np.ndarray:
-    """tr(rho^2) of each matrix in a (..., 2, 2) array."""
-    return (np.float_power(rho[..., 0, 0].real, 2.0) + np.float_power(rho[..., 1, 1].real, 2.0)
-            + 2.0 * np.float_power(cabs(rho[..., 0, 1]), 2.0))
-
-
 def dm_purity(rho: DensityMatrix) -> float:
     """tr(rho^2); 1 for pure states, 0.5 for the maximally mixed qubit."""
-    return float(purities(rho.matrix))
+    return scan_rho(rho.matrix).purity.item()
 
 
 def dm_eigenvalues(rho: DensityMatrix) -> tuple[float, float]:

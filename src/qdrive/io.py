@@ -12,6 +12,7 @@ Sampled drives are JSON documents {"samples": [{"t": ..., "h00_re": ...,
 from __future__ import annotations
 
 import json
+import os
 from array import array
 from contextlib import contextmanager, suppress
 from operator import itemgetter
@@ -20,7 +21,7 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from .core import TimeSeries, validate_rho
+from .core import Scan, TimeSeries, scan_rho
 from .errors import BadParam, ConfigInvalid
 from .liouville import Sampled
 
@@ -58,32 +59,32 @@ def _format_block(block: np.ndarray, conv: str,
                   template: Callable[[list[str]], str]) -> list[str]:
     """The rows of an (m, 12) block of the table, each value formatted with
     ``conv``.  A column whose bits are constant over the block is formatted
-    once, into the row template.  When rho10 = conj(rho01) bit for bit, rho01
-    is formatted once: rho10_re reuses its text, and rho10_im is rho01_im's
-    text with its leading minus toggled, which is exact for finite doubles,
-    0 and -0 included."""
+    once, into the row template.  Where rho10 = conj(rho01) bit for bit, a row
+    reuses rho01's text: rho10_re takes it as it is, and rho10_im takes
+    rho01_im's text with its leading minus toggled, which is exact for finite
+    doubles, 0 and -0 included.  A row that breaks the pair formats its own."""
     bits = block.view(np.int64)
     const = (bits == bits[0]).all(axis=0)
     # columns 3 and 4 hold rho01's re and im, 5 and 6 rho10's
-    hermitian = (np.array_equal(bits[:, 5], bits[:, 3])
-                 and np.array_equal(bits[:, 6], bits[:, 4] ^ _SIGN))
+    pair = {5: bits[:, 5] == bits[:, 3], 6: bits[:, 6] == bits[:, 4] ^ _SIGN}
     first = block[0].tolist()
     slots, columns, text = [], [], {}
     for j, column in enumerate(block.T):
         if const[j]:
             slots.append(conv % first[j])
-        elif not hermitian or j not in (3, 4, 5, 6):
+            continue
+        if j in (3, 4) and not const[j + 2] and pair[j + 2].any():
+            strings = text[j] = [conv % v for v in column.tolist()]
+        elif j in (5, 6) and j - 2 in text:
+            strings = text[3][:] if j == 5 else [s[1:] if s[0] == "-" else "-" + s for s in text[4]]
+            for i in np.flatnonzero(~pair[j]).tolist():
+                strings[i] = conv % column[i].item()
+        else:
             slots.append(conv)
             columns.append(column.tolist())
-        else:
-            if j == 5:
-                strings = text[3]
-            elif j == 6:
-                strings = [s[1:] if s[0] == "-" else "-" + s for s in text[4]]
-            else:
-                strings = text[j] = [conv % v for v in column.tolist()]
-            slots.append("%s")
-            columns.append(strings)
+            continue
+        slots.append("%s")
+        columns.append(strings)
     row = template(slots)
     return [row % r for r in zip(*columns)] if columns else [row] * len(block)
 
@@ -104,14 +105,27 @@ def write_series(series: TimeSeries, out: TextIO, fmt: str) -> None:
 
 
 @contextmanager
-def open_output(path: str | Path, encoding: str = "ascii"):
+def open_output(path: str | Path, encoding: str = "ascii", mode: str = "w"):
     """Open ``path`` for writing text with LF newlines; ConfigInvalid names
     the file if it cannot be opened or written."""
     try:
-        with open(path, "w", encoding=encoding, newline="") as f:
+        with open(path, mode, encoding=encoding, newline="") as f:
             yield f
     except OSError as exc:
         raise ConfigInvalid(f"cannot write output file {path}: {exc}") from exc
+
+
+def probe_output(path: str | Path) -> None:
+    """Raise open_output's ConfigInvalid now if ``path`` cannot be opened for
+    writing.  An existing file keeps its bytes, a new one is removed again,
+    and a named pipe is left alone: closing it would end its reader's input."""
+    existed = os.path.lexists(path)
+    if existed and Path(path).is_fifo():
+        return
+    with open_output(path, mode="a"):
+        pass
+    if not existed:
+        os.remove(path)
 
 
 def write_series_csv(series: TimeSeries, path: str | Path) -> None:
@@ -202,14 +216,14 @@ def _rho_from_columns(data: np.ndarray) -> np.ndarray:
     return data[:, 1:9].copy().view(complex).reshape(-1, 2, 2)
 
 
-def check_states(rho: np.ndarray, path: str | Path) -> np.ndarray:
-    """Return the states read from ``path`` if each is a density matrix to
-    within 1e-8, a runtime tolerance loose enough for propagated states;
-    otherwise raise ConfigInvalid naming the first bad row of the file."""
-    bad = validate_rho(rho, tol_herm=1e-8, tol_trace=1e-8, tol_psd=1e-8)
-    if bad is not None:
-        raise ConfigInvalid(f"row {bad[0] + 2} of {path}: {bad[1]}") from bad[1]
-    return rho
+def check_states(rho: np.ndarray, path: str | Path) -> Scan:
+    """Return the scan of the states read from ``path`` if each is a density
+    matrix to within 1e-8, a runtime tolerance loose enough for propagated
+    states; otherwise raise ConfigInvalid naming the first bad row of the file."""
+    scan = scan_rho(rho, tol_herm=1e-8, tol_trace=1e-8, tol_psd=1e-8)
+    if scan.bad is not None:
+        raise ConfigInvalid(f"row {scan.bad[0] + 2} of {path}: {scan.bad[1]}") from scan.bad[1]
+    return scan
 
 
 def read_series_csv(path: str | Path) -> TimeSeries:
@@ -220,8 +234,8 @@ def read_series_csv(path: str | Path) -> TimeSeries:
     the originals bit for bit.
     """
     data = _read_table(path, (CSV_HEADER,))
-    return TimeSeries(t=data[:, 0], rho=check_states(_rho_from_columns(data), path),
-                      purity=data[:, 9], c_l1=data[:, 10], c_frob=data[:, 11])
+    check_states(rho := _rho_from_columns(data), path)
+    return TimeSeries(t=data[:, 0], rho=rho, purity=data[:, 9], c_l1=data[:, 10], c_frob=data[:, 11])
 
 
 def read_states_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

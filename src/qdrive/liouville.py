@@ -37,7 +37,7 @@ from typing import Union
 import numpy as np
 
 from .coherence import build_series
-from .core import DensityMatrix, TimeGrid, TimeSeries, commutator, validate_rho
+from .core import DensityMatrix, Scan, TimeGrid, TimeSeries, commutator, scan_rho, validate_rho
 from .errors import BadParam, OutOfRange
 from .pulse import PulseParams, pulse_hamiltonian, reduced_time
 from .rabi import RabiParams, rabi_hamiltonian
@@ -205,13 +205,18 @@ def _step_maps(drive: DriveHamiltonian, held, t0: float, h: float, i0: int, i1: 
     return maps
 
 
-def _check_states(rhos: np.ndarray, times: np.ndarray) -> None:
-    """Raise, naming k and t_k, for the lowest state k >= 1 that drifted past
-    1e-8 in trace or Hermiticity (InvariantDrift), is not finite or not PSD."""
-    bad = validate_rho(rhos[1:], tol_herm=1e-8, tol_trace=1e-8, tol_psd=1e-8, tol_drift=1e-8)
+def _check_states(rhos: np.ndarray, times: np.ndarray) -> Scan:
+    """Scan the states; raise, naming k and t_k, for the lowest state k >= 1 that drifted
+    past 1e-8 in trace or Hermiticity (InvariantDrift), is not finite or not PSD."""
+    scan = scan_rho(rhos, 1e-8, 1e-8, 1e-8, 1e-8)
+    bad = scan.bad
+    if bad is not None and bad[0] == 0:  # rho0, checked at its own tolerances
+        bad = validate_rho(rhos[1:], 1e-8, 1e-8, 1e-8, 1e-8)
+        bad = None if bad is None else (bad[0] + 1, bad[1])
     if bad is not None:
-        k, error = bad[0] + 1, bad[1]
+        k, error = bad
         raise type(error)(f"step {k}, t = {float(times[k])!r}: {error}") from None
+    return scan
 
 
 def propagate(drive: DriveHamiltonian, rho0: DensityMatrix, grid: TimeGrid) -> TimeSeries:
@@ -255,9 +260,10 @@ def propagate(drive: DriveHamiltonian, rho0: DensityMatrix, grid: TimeGrid) -> T
         (px, qx), (py, qy) = coords[:, 1].T.copy(), coords[:, 2].T.copy()
         rhos[:, 0, 1].real, rhos[:, 0, 1].imag = px - qy, py + qx
         rhos[:, 1, 0].real, rhos[:, 1, 0].imag = px + qy, qx - py
+    del px, qx, py, qy  # free the coordinate copies before _check_states scans rhos
     rhos[0] = m
-    _check_states(rhos[:n + 1], times)
+    scan = _check_states(rhos[:n + 1], times)
     if n < grid.steps:
         raise OutOfRange(f"step {n + 1}, t = {float(times[n + 1])!r}: outside the sampled "
                          f"range [{starts[0]}, {starts[-1]}]")
-    return build_series(times, rhos)
+    return build_series(times, rhos, scan)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .coherence import build_series, l1_columns, l1_pulse_closed_form, refine_max
 from .config import ScenarioConfig
-from .core import TimeSeries, purities, validate_rho
+from .core import TimeSeries, scan_rho
 from .errors import ConfigInvalid, QdriveError
 from .liouville import RwaRabi, SquarePulse, propagate
 from .pulse import pulse_density, pulse_rho
@@ -34,13 +34,6 @@ class VerifyReport:
                 and self.max_trace_drift <= TRACE_THRESHOLD)
 
 
-def _require_valid(rho: np.ndarray) -> np.ndarray:
-    bad = validate_rho(rho)
-    if bad is not None:
-        raise bad[1]
-    return rho
-
-
 def analytic_series(cfg: ScenarioConfig) -> TimeSeries:
     """Sample the scenario's closed-form density matrix over the grid."""
     times = cfg.grid.times()
@@ -50,7 +43,7 @@ def analytic_series(cfg: ScenarioConfig) -> TimeSeries:
         rho = pulse_rho(cfg.pulse, times)
     else:
         raise ConfigInvalid("sampled drives have no closed form")
-    return build_series(times, _require_valid(rho))
+    return build_series(times, rho, scan_rho(rho).require_valid())
 
 
 def numeric_series(cfg: ScenarioConfig) -> TimeSeries:
@@ -106,6 +99,7 @@ def _swept_rabi(base: RabiParams, param: str, value: float) -> RabiParams:
 
 
 def _sweep_row(cfg: ScenarioConfig, param: str, value: float) -> SweepRow:
+    polished: list[np.ndarray] = []  # the states of the rabi polish, checked after it
     if cfg.scenario == "pulse":
         p = replace(cfg.pulse, f0=value)
         period, rho_at, dm_at = p.period, pulse_rho, pulse_density
@@ -115,21 +109,22 @@ def _sweep_row(cfg: ScenarioConfig, param: str, value: float) -> SweepRow:
         period, rho_at, dm_at = p.population_period, rabi_rho, rabi_density
 
         def c_l1_at(t):
-            return l1_columns(_require_valid(rabi_rho(p, t)))
+            polished.append(rabi_rho(p, t))
+            return l1_columns(polished[-1])
 
     times = np.linspace(0.0, period, cfg.grid.steps + 1)
-    rho = _require_valid(rho_at(p, times))
-    purity = purities(rho)
+    scan = scan_rho(rho_at(p, times)).require_valid()
     # rabi scans the states it just validated; pulse scans its closed form,
-    # whose bits differ from l1_columns(rho)
-    scan = None if cfg.scenario == "pulse" else l1_columns(rho)
-    max_l1 = refine_max(c_l1_at, 0.0, period, samples=cfg.grid.steps, scan=scan)
+    # whose bits differ from scan.c_l1
+    max_l1 = refine_max(c_l1_at, 0.0, period, samples=cfg.grid.steps,
+                        scan=None if cfg.scenario == "pulse" else scan.c_l1)
+    scan_rho(np.array(polished)).require_valid()  # the first failing evaluation raises
     ret = float(np.abs(dm_at(p, period).matrix - np.diag([1.0, 0.0])).max())
     return SweepRow(
         value=value,
         max_c_l1=max_l1,
-        min_purity=float(purity.min()),
-        max_purity=float(purity.max()),
+        min_purity=float(scan.purity.min()),
+        max_purity=float(scan.purity.max()),
         period_return_error=ret,
     )
 

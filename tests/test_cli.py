@@ -404,6 +404,29 @@ class TestSweep:
         expected = [0.2 / 1.01, 0.8, 1.0, 1.0, 1.0]
         assert maxima == pytest.approx(expected, abs=1e-6)
 
+    def test_polish_reports_its_first_failing_state(self, monkeypatch):
+        """The rabi polish checks its states in one batch after refine_max;
+        the row still names the first failing evaluation, as when each state
+        was checked as it was made."""
+        from qdrive import runner
+        real, polished = runner.rabi_rho, []
+
+        def failing_polish(p, t):
+            rho = real(p, t)
+            if np.ndim(t) == 0:
+                polished.append(t)
+                if len(polished) == 3:
+                    rho = 1.5 * rho  # |trace - 1| = 0.5
+                elif len(polished) == 5:
+                    rho[0, 1] += 1e-3  # not Hermitian
+            return rho
+
+        monkeypatch.setattr(runner, "rabi_rho", failing_polish)
+        cfg = scenario_config_from_dict({"scenario": "rabi", "grid": {"steps": 256}})
+        [row] = runner.run_sweep(cfg, "omega0", [0.7])
+        assert len(polished) > 5
+        assert row.error == "TraceNotOne: |trace - 1| = 5.000e-01 exceeds 1.0e-12"
+
     def test_empty_sweep(self, capsys):
         assert run(["sweep", "--param", "f0", "--values", ""]) == 0
         out = capsys.readouterr().out.strip().split("\n")
@@ -516,6 +539,36 @@ class TestFiles:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot write output file {out}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["rabi", "--steps", 2_000_000],
+        ["verify", "--scenario", "pulse", "--steps", 2_000_000],
+        ["sweep", "--param", "omega0", "--values", "0.5,1", "--steps", 2_000_000],
+    ], ids=["rabi", "verify", "sweep"])
+    def test_unwritable_output_fails_before_compute(self, argv, monkeypatch, capsys):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("computed before probing the output path")
+        monkeypatch.setattr("qdrive.cli.run_scenario", must_not_run)
+        monkeypatch.setattr("qdrive.cli.run_sweep", must_not_run)
+        out = "/nonexistent/x.csv"
+        assert run([*argv, "--output", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write output file {out}: ")
+        assert err.count("\n") == 1
+
+    def test_failed_run_leaves_outputs_alone(self, tmp_path, capsys):
+        """The probe neither empties an existing output nor leaves a new one
+        behind when the run then fails (here: a grid past the drive's window)."""
+        drive = tmp_path / "drive.json"
+        drive.write_text(json.dumps({"samples": [ZERO_SAMPLE, dict(ZERO_SAMPLE, t=1.0)]}))
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        old.write_text("earlier results\n")
+        for out in (old, new):
+            assert run(["integrate", "--drive", drive, "--t-end", 2, "--steps", 8,
+                        "--output", out]) == 1
+            assert "OutOfRange" in capsys.readouterr().err
+        assert old.read_text() == "earlier results\n"
+        assert not new.exists()
 
 
 class TestProcess:

@@ -26,9 +26,11 @@ from qdrive import ConfigInvalid, Sampled, TimeSeries
 from qdrive.coherence import build_series
 from qdrive.errors import BadParam
 from qdrive.io import (
+    _LAYOUTS,
     CSV_FIELDS,
     CSV_HEADER,
     DRIVE_FIELDS,
+    _format_block,
     _read_table,
     fmt17,
     read_sampled_drive,
@@ -177,6 +179,42 @@ def test_writers_match_reference_on_hermitian_blocks(n, tmp_path):
     s = TimeSeries(t=np.arange(n, dtype=float), rho=rho, purity=np.ones(n),
                    c_l1=np.abs(re01), c_frob=np.full(n, -0.0))
     _check_writers(s, tmp_path)
+
+
+class CountingFormat(str):
+    """A conversion string that counts the values formatted through it alone,
+    outside a row template."""
+    calls = 0
+
+    def __mod__(self, value):
+        CountingFormat.calls += 1
+        return str.__mod__(self, value)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_only_rows_that_break_the_hermitian_pair_format_rho10(fmt, tmp_path):
+    """propagate stores rho0 as given, so |0><0| starts a series with rho10_im
+    = +0.0 where conj(rho01_im) is -0.0.  Only that row formats rho10_im on
+    its own; every other row reuses rho01's text, and row 0 keeps its 0."""
+    n = 64
+    rng = np.random.default_rng(5)
+    cols = np.zeros((n, 8))
+    cols[:, 0] = rng.random(n)
+    cols[:, 6] = 1.0 - cols[:, 0]
+    cols[:, 2], cols[:, 3] = rng.standard_normal(n), rng.standard_normal(n)
+    cols[:, 4], cols[:, 5] = cols[:, 2], -cols[:, 3]
+    cols[0, 2:6] = 0.0
+    rho = cols.view(complex).reshape(n, 2, 2)
+    s = TimeSeries(t=np.arange(n, dtype=float), rho=rho, purity=np.ones(n),
+                   c_l1=rng.random(n), c_frob=np.ones(n))
+    _check_writers(s, tmp_path)
+    table = _table(s)
+    constant = int((table == table[0]).all(axis=0).sum())
+    CountingFormat.calls = 0
+    rows = _format_block(table, CountingFormat(_LAYOUTS[fmt][0]), _LAYOUTS[fmt][1])
+    assert _LAYOUTS[fmt][2].join(rows) in REFERENCES[fmt](s)
+    # the constant columns once each, rho01's re and im per row, row 0's rho10_im
+    assert CountingFormat.calls == constant + 2 * n + 1
 
 
 @pytest.mark.parametrize("fmt, bound_mb", [("csv", 8.0), ("json", 16.0)])

@@ -20,7 +20,6 @@ from .core import (
     SIGMA_Y,
     SIGMA_Z,
     DensityMatrix,
-    Sample,
     StateVector,
     TimeGrid,
     TimeSeries,
@@ -30,7 +29,6 @@ from .core import (
     dm_purity,
     ground_state_dm,
     mat2,
-    validate_rho,
 )
 from .errors import (
     BadParam,
@@ -44,7 +42,6 @@ from .errors import (
     OutOfRange,
     QdriveError,
     TraceNotOne,
-    ZeroCoupling,
 )
 from .lewis import (
     InvariantCoefficients,
@@ -59,8 +56,6 @@ from .liouville import (
     RwaRabi,
     Sampled,
     SquarePulse,
-    hamiltonian_at,
-    liouville_rhs,
     propagate,
 )
 from .pulse import (
@@ -69,7 +64,6 @@ from .pulse import (
     pulse_density,
     pulse_f,
     pulse_hamiltonian,
-    pulse_lewis_phase,
     pulse_rho,
     pulse_state,
 )

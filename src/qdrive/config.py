@@ -40,7 +40,7 @@ import numpy as np
 from .core import DensityMatrix, TimeGrid, dm_new, ground_state_dm
 from .errors import BadParam, ConfigInvalid, DegenerateDrive, QdriveError
 from .io import json_number, read_sampled_drive, sampled_from_records
-from .liouville import Sampled
+from .liouville import DriveHamiltonian, RwaRabi, Sampled, SquarePulse
 from .pulse import PulseParams
 from .rabi import RabiParams
 
@@ -62,9 +62,7 @@ PULSE_DEFAULTS = {"e0": 1.0, "f0": 1.0, "n_period": 1}
 @dataclass(frozen=True)
 class ScenarioConfig:
     scenario: str
-    rabi: RabiParams | None
-    pulse: PulseParams | None
-    sampled: Sampled | None
+    drive: DriveHamiltonian
     rho0: DensityMatrix
     grid: TimeGrid
     mode: str
@@ -192,28 +190,22 @@ def scenario_config_from_dict(raw: dict[str, Any]) -> ScenarioConfig:
     if not isinstance(params_block, dict):
         raise ConfigInvalid("params must be an object")
 
-    rabi = pulse = sampled = None
+    # default time span: one drive period (sampled: the sample window)
     rho0 = ground_state_dm()
     if scenario == "rabi":
-        rabi = _rabi_params(params_block)
+        drive = RwaRabi(_rabi_params(params_block))
         try:
-            period = rabi.population_period
+            span = (0.0, drive.params.population_period)
         except DegenerateDrive as exc:
             raise ConfigInvalid(f"params: degenerate drive: {exc}") from exc
     elif scenario == "pulse":
-        pulse = _pulse_params(params_block)
+        drive = SquarePulse(_pulse_params(params_block))
+        span = (0.0, drive.params.period)
     else:
-        sampled, rho0 = _sampled_params(params_block)
+        drive, rho0 = _sampled_params(params_block)
         if mode != "numeric":
             raise ConfigInvalid("sampled drives have no closed form; mode must be numeric")
-
-    # default time span: one drive period (sampled: the sample window)
-    if scenario == "rabi":
-        span = (0.0, period)
-    elif scenario == "pulse":
-        span = (0.0, pulse.period)
-    else:
-        span = (float(sampled.times[0]), float(sampled.times[-1]))
+        span = (float(drive.times[0]), float(drive.times[-1]))
         if span[1] <= span[0]:
             raise ConfigInvalid("sampled drive needs at least two sample times to "
                                 "define a default grid; set grid.t_end explicitly")
@@ -246,9 +238,7 @@ def scenario_config_from_dict(raw: dict[str, Any]) -> ScenarioConfig:
 
     return ScenarioConfig(
         scenario=scenario,
-        rabi=rabi,
-        pulse=pulse,
-        sampled=sampled,
+        drive=drive,
         rho0=rho0,
         grid=grid,
         mode=mode,

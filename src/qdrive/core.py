@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +58,15 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
+def finite_times(t) -> np.ndarray:
+    """Times t (any shape) as a float array; BadParam if one is not finite,
+    where a closed form would give NaN or a math domain error."""
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise BadParam(f"t must be finite, got {float(t[~np.isfinite(t)][0])!r}")
+    return t
+
+
 # Array code mirrors the scalar formulas bit for bit: |z| is libm hypot
 # (np.abs on complex arrays may round differently), x ** 2 is libm pow via
 # np.float_power (not always x * x), and complex products go through cmul
@@ -79,8 +88,8 @@ def hermitian(r00, r11, re01, im01) -> np.ndarray:
 
 
 class Scan(NamedTuple):
-    """What scan_rho finds in a batch of states: validate_rho's verdict, and
-    output columns holding one value per matrix of the flattened batch."""
+    """What scan_rho finds in a batch of states: the density-matrix verdict,
+    and output columns holding one value per matrix of the flattened batch."""
 
     bad: tuple[int, QdriveError] | None
     purity: np.ndarray
@@ -153,13 +162,6 @@ def scan_rho(rho: np.ndarray, tol_herm: float = TOL_HERM, tol_trace: float = TOL
     return Scan((i, error), purity, c_l1, radicand)
 
 
-def validate_rho(rho: np.ndarray, tol_herm: float = TOL_HERM, tol_trace: float = TOL_TRACE,
-                 tol_psd: float = TOL_PSD,
-                 tol_drift: float | None = None) -> tuple[int, QdriveError] | None:
-    """scan_rho's verdict alone: None if every matrix passes, else (i, error)."""
-    return scan_rho(rho, tol_herm, tol_trace, tol_psd, tol_drift).bad
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """2x2 density matrix checked at construction by scan_rho.  The
@@ -227,8 +229,7 @@ def dm_eigenvalues(rho: DensityMatrix) -> tuple[float, float]:
     A radicand below -1e-12 signals an invalid state and raises
     DiscriminantNegative; small negatives from rounding are clamped to 0.
     """
-    m = rho.matrix
-    radicand = 0.25 + abs(m[0, 1]) ** 2 - m[0, 0].real * m[1, 1].real
+    radicand = scan_rho(rho.matrix).radicand.item() / 4.0
     if radicand < -1e-12:
         raise DiscriminantNegative(f"eigenvalue radicand {radicand:.3e} below -1e-12")
     s = math.sqrt(max(radicand, 0.0))
@@ -298,14 +299,6 @@ class TimeGrid:
         return self.t_start + np.arange(self.steps + 1) * self.h
 
 
-class Sample(NamedTuple):
-    t: float
-    rho: np.ndarray
-    purity: float
-    c_l1: float
-    c_frob: float
-
-
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
     """Ordered record of (t, rho, purity, l1 coherence, Frobenius coherence).
@@ -335,13 +328,3 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def __iter__(self) -> Iterator[Sample]:
-        for i in range(len(self.t)):
-            yield Sample(
-                float(self.t[i]),
-                self.rho[i],
-                float(self.purity[i]),
-                float(self.c_l1[i]),
-                float(self.c_frob[i]),
-            )

@@ -35,10 +35,6 @@ class DegenerateDrive(QdriveError):
     1/(4 Omega^2) overflows; closed forms divide by it."""
 
 
-class ZeroCoupling(QdriveError):
-    """Operation divides by the drive coupling, which is zero."""
-
-
 class BadParam(QdriveError):
     """Parameter outside its documented domain (non-positive, non-finite, ...)."""
 

@@ -19,7 +19,9 @@ and the off-diagonal coefficient on the |g><e| slot is
 
 At C = 1 the (rescaled, unit-eigenvalue) invariant coincides entrywise with
 the closed-form density matrix, and the accompanying phase is linear in t
-with slope equal to the Floquet quasi-energy.
+with slope zeta = (w0 - E_e - E_g)/2, the paper's quasi-energy; |phi(t)> is
+not 2 pi/w0-periodic unless Omega and w0 are commensurate (see qdrive.rabi).
+Every function takes times t of any shape, as rabi_rho does.
 
 Note: the Ermakov-Pinney form consistent with the solution above is, in
 u = xi^2 terms,  u'' + 4 Omega^2 u = Theta^2 + 2 C |g|^2,  equivalently
@@ -27,45 +29,47 @@ xidd/xi + xid^2/xi^2 + 2 Omega^2 = (Theta^2/2 + C|g|^2)/xi^2.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import commutator
-from .errors import BadParam, DegenerateDrive, ZeroCoupling
-from .rabi import RabiParams, floquet_quasienergy, rabi_hamiltonian
+from .core import cmul, commutator, finite_times, hermitian
+from .errors import BadParam
+from .rabi import RabiParams, _nonzero_omega, floquet_quasienergy, rabi_hamiltonian
 
 
 @dataclass(frozen=True)
 class InvariantCoefficients:
-    """Coefficients of the invariant I = [[delta1, gamma1], [gamma2, delta2]].
+    """Coefficients of the invariant I = [[delta1, gamma1], [gamma2, delta2]]:
+    floats and complex numbers for a scalar t, else arrays of t's shape.
 
     Hermiticity fixes gamma2 = conj(gamma1); the trace delta1 + delta2 equals
     the Ermakov constant C.
     """
 
-    delta1: float
-    delta2: float
-    gamma1: complex
-    gamma2: complex
+    delta1: float | np.ndarray
+    delta2: float | np.ndarray
+    gamma1: complex | np.ndarray
+    gamma2: complex | np.ndarray
     c_const: float
 
 
-def xi_squared(p: RabiParams, t: float, c_const: float) -> float:
-    """Squared auxiliary amplitude xi^2(t) with xi^2(0) = 1, d(xi^2)/dt(0) = 0."""
-    om = p.omega_rabi
-    if om == 0.0:
-        raise DegenerateDrive("Omega = 0 (zero coupling and zero detuning)")
+def xi_squared(p: RabiParams, t: np.ndarray | float, c_const: float) -> np.ndarray | float:
+    """Squared auxiliary amplitude xi^2(t) with xi^2(0) = 1, d(xi^2)/dt(0) = 0:
+    a float for scalar t, else an array of t's shape."""
+    t = finite_times(t)
+    om = _nonzero_omega(p)
     g2 = abs(p.coupling) ** 2
-    return (2.0 - c_const) * g2 / (2.0 * om * om) * math.cos(2.0 * om * t) + (
+    x2 = (2.0 - c_const) * g2 / (2.0 * om * om) * np.cos(2.0 * om * t) + (
         p.theta**2 + 2.0 * c_const * g2
     ) / (4.0 * om * om)
+    return x2 if t.ndim else float(x2)
 
 
-def invariant_coefficients(p: RabiParams, t: float, c_const: float = 1.0) -> InvariantCoefficients:
-    """Coefficient record of the rescaled invariant at time t.
+def invariant_operator(p: RabiParams, t: np.ndarray | float, c_const: float = 1.0) -> np.ndarray:
+    """The invariant [[xi^2, gamma1], [conj(gamma1), C - xi^2]] at times t
+    (shape S), as an S + (2, 2) array; at C = 1 it is rabi_rho.
 
     xi^2 - 1 = (2 - C)(|g|^2 / 2 Omega^2)(cos 2 Omega t - 1) and xi xidot =
     -(2 - C)(|g|^2 / 2 Omega) sin 2 Omega t share the factor |g|^2 = g conj(g),
@@ -75,49 +79,59 @@ def invariant_coefficients(p: RabiParams, t: float, c_const: float = 1.0) -> Inv
                                     + 2i Omega sin 2 Omega t) / 4 Omega^2,
 
     without dividing by g: the quotient form loses about eps Theta/|g| to
-    cancellation, and gives NaN once Theta/2g overflows.
+    cancellation, and gives NaN once Theta/2g overflows.  At g = 0 the
+    invariant is diag(1, 0) at C = 1.  Complex arithmetic is spelled out as
+    the scalar expression evaluates it.
     """
-    if p.coupling == 0:
-        raise ZeroCoupling("gamma1 divides by the coupling, which is zero")
-    x2 = xi_squared(p, t, c_const)
+    x2 = xi_squared(p, t, c_const)  # checks t and Omega
+    t = np.asarray(t, dtype=float)
     om = p.omega_rabi
-    phase = cmath.exp(1j * p.omega0 * t)
-    g1 = ((2.0 - c_const) * p.coupling.conjugate() * phase / (4.0 * om * om)
-          * (p.theta * (math.cos(2.0 * om * t) - 1.0) + 2j * om * math.sin(2.0 * om * t)))
-    return InvariantCoefficients(
-        delta1=x2,
-        delta2=c_const - x2,
-        gamma1=g1,
-        gamma2=g1.conjugate(),
-        c_const=c_const,
-    )
+    z = 1j * p.omega0  # e^{i w0 t} = e^{i Im(z t)}
+    arg = z.real * 0.0 + z.imag * t
+    a = (2.0 - c_const) * p.coupling.conjugate()
+    a_re, a_im = cmul(a.real, a.imag, np.cos(arg), np.sin(arg))
+    # a complex divided by a real d > 0 is (re + im * 0, im - re * 0) / d
+    d = 4.0 * om * om
+    a_re, a_im = (a_re + a_im * 0.0) / d, (a_im - a_re * 0.0) / d
+    w = 2j * om
+    w_re, w_im = cmul(w.real, w.imag, np.sin(2.0 * om * t), 0.0)
+    b_re, b_im = p.theta * (np.cos(2.0 * om * t) - 1.0) + w_re, 0.0 + w_im
+    return hermitian(x2, c_const - x2, *cmul(a_re, a_im, b_re, b_im))
 
 
-def invariant_operator(p: RabiParams, t: float, c_const: float = 1.0) -> np.ndarray:
-    """The invariant as a 2x2 matrix [[xi^2, gamma1], [conj(gamma1), C - xi^2]]."""
-    co = invariant_coefficients(p, t, c_const)
-    return np.array([[co.delta1, co.gamma1], [co.gamma2, co.delta2]], dtype=complex)
+def invariant_coefficients(p: RabiParams, t: np.ndarray | float,
+                           c_const: float = 1.0) -> InvariantCoefficients:
+    """Coefficient record of the rescaled invariant at times t (see invariant_operator)."""
+    m = invariant_operator(p, t, c_const)
+    co = m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1], m[..., 1, 0]
+    if m.ndim == 2:
+        co = float(co[0]), float(co[1]), complex(co[2]), complex(co[3])
+    return InvariantCoefficients(*co, c_const=c_const)
 
 
-def invariance_residual(p: RabiParams, t: float, h: float, c_const: float = 1.0) -> float:
-    """Max-entry magnitude of dI/dt + (1/i)[I, H] with a central-difference dI/dt.
+def invariance_residual(p: RabiParams, t: np.ndarray | float, h: float,
+                        c_const: float = 1.0) -> np.ndarray | float:
+    """Max-entry magnitude of dI/dt + (1/i)[I, H] with a central-difference
+    dI/dt, at times t: a float for scalar t, else an array of t's shape.
 
-    Exact invariants give a residual of order h^2; h must be positive.
+    Exact invariants give a residual of order h^2; h must be positive and finite.
     """
-    if not h > 0:
-        raise BadParam(f"finite-difference step must be positive, got {h}")
+    if not 0.0 < h < math.inf:
+        raise BadParam(f"finite-difference step must be positive and finite, got {h}")
+    t = finite_times(t)
     di = (invariant_operator(p, t + h, c_const) - invariant_operator(p, t - h, c_const)) / (
         2.0 * h
     )
     residual = di + (1.0 / 1j) * commutator(
         invariant_operator(p, t, c_const), rabi_hamiltonian(p, t)
     )
-    return float(np.abs(residual).max())
+    r = np.abs(residual).max(axis=(-2, -1))
+    return r if t.ndim else float(r)
 
 
-def lewis_phase(p: RabiParams, t: float) -> float:
+def lewis_phase(p: RabiParams, t: np.ndarray | float) -> np.ndarray | float:
     """Accumulated invariant-eigenstate phase theta(t) = zeta * t.
 
     Linear in time: theta(t) = (t/2)(w0 - E_e - E_g).
     """
-    return floquet_quasienergy(p) * t
+    return floquet_quasienergy(p) * finite_times(t)

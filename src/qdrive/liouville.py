@@ -37,7 +37,7 @@ from typing import Union
 import numpy as np
 
 from .coherence import build_series
-from .core import DensityMatrix, Scan, TimeGrid, TimeSeries, commutator, scan_rho, validate_rho
+from .core import DensityMatrix, Scan, TimeGrid, TimeSeries, scan_rho
 from .errors import BadParam, OutOfRange
 from .pulse import PulseParams, pulse_hamiltonian, reduced_time
 from .rabi import RabiParams, rabi_hamiltonian
@@ -91,30 +91,6 @@ def _held(starts: np.ndarray, t):
     slack = 1e-12 * max(1.0, abs(starts[0]), abs(starts[-1]))
     held = np.maximum(np.searchsorted(starts, t, side="right") - 1, 0)
     return np.where((t < starts[0] - slack) | (t > starts[-1] + slack), -1, held)
-
-
-def hamiltonian_at(drive: DriveHamiltonian, t: float) -> np.ndarray:
-    """Drive Hamiltonian matrix at time t.
-
-    For the square pulse the value at an exact switching time is the right
-    limit (the "-f0" branch at tau = T/2).  Sampled drives raise OutOfRange
-    outside their sample window.
-    """
-    if isinstance(drive, RwaRabi):
-        return rabi_hamiltonian(drive.params, t)
-    if isinstance(drive, SquarePulse):
-        return pulse_hamiltonian(drive.params, t)
-    if isinstance(drive, Sampled):
-        k = int(_held(drive.times, t))
-        if k < 0:
-            raise OutOfRange(f"t = {t} outside sampled range [{drive.times[0]}, {drive.times[-1]}]")
-        return drive.matrices[k]
-    raise BadParam(f"unknown drive type {type(drive).__name__}")
-
-
-def liouville_rhs(drive: DriveHamiltonian, t: float, rho: np.ndarray) -> np.ndarray:
-    """Right-hand side -i [H(t), rho] acting on a raw 2x2 matrix."""
-    return -1j * commutator(hamiltonian_at(drive, t), rho)
 
 
 def _pieces(drive: DriveHamiltonian, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray] | None:
@@ -211,7 +187,7 @@ def _check_states(rhos: np.ndarray, times: np.ndarray) -> Scan:
     scan = scan_rho(rhos, 1e-8, 1e-8, 1e-8, 1e-8)
     bad = scan.bad
     if bad is not None and bad[0] == 0:  # rho0, checked at its own tolerances
-        bad = validate_rho(rhos[1:], 1e-8, 1e-8, 1e-8, 1e-8)
+        bad = scan_rho(rhos[1:], 1e-8, 1e-8, 1e-8, 1e-8).bad
         bad = None if bad is None else (bad[0] + 1, bad[1])
     if bad is not None:
         k, error = bad

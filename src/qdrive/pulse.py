@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SIGMA_X, SIGMA_Z, DensityMatrix, StateVector, cmul, dm_new, hermitian
+from .core import (SIGMA_X, SIGMA_Z, DensityMatrix, StateVector, cmul, dm_new, finite_times,
+                   hermitian)
 from .errors import BadParam
 
 
@@ -71,7 +72,7 @@ def reduced_time(p: PulseParams, t: np.ndarray | float) -> tuple[np.ndarray, np.
     """Map t (any shape) to (tau, s): tau = t mod T in [0, T) and the pulse
     sign s on that branch (+1 before T/2, -1 from T/2 on)."""
     T = p.period
-    tau = np.fmod(t, T)
+    tau = np.fmod(finite_times(t), T)
     tau = np.where(tau < 0.0, tau + T, tau)
     return tau, np.where(tau < T / 2.0, 1.0, -1.0)
 
@@ -131,11 +132,3 @@ def pulse_state(p: PulseParams, t: float) -> StateVector:
     c1 = s * 1j * p.f0 / root * math.sin(arg)
     return StateVector(c0, c1)
 
-
-def pulse_lewis_phase(p: PulseParams, t: float) -> float:
-    """Invariant-eigenstate phase for the square-pulse drive: identically 0.
-
-    The phase rate <phi| i d/dt - H |phi> vanishes in both branches, so the
-    accumulated phase is a constant, set to zero by the initial condition.
-    """
-    return 0.0

@@ -13,8 +13,12 @@ matrix element).  Two derived constants control the dynamics:
     Omega = sqrt(Theta^2/4 + |g|^2) (Rabi frequency)
 
 Starting from the ground state diag(1, 0), the density matrix stays pure and
-oscillates with population period pi/Omega.  The system also admits Floquet
-solutions e^{i zeta t} |phi(t)> with quasi-energy zeta = (w0 - E_e - E_g)/2.
+oscillates with population period pi/Omega.  Following the paper, the
+solution is written e^{i zeta t} |phi(t)> with zeta = (w0 - E_e - E_g)/2.
+|phi(t)> mixes e^{+i Omega t} and e^{-i Omega t} over a 2 pi/w0-periodic
+part, so it is not 2 pi/w0-periodic unless Omega and w0 are commensurate:
+the solution is a sum of two Floquet states with quasi-energies
+-zeta -+ Omega (mod w0) (e^{-i eps t} convention), whose mean is -zeta.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, StateVector, cmul, dm_new, hermitian
+from .core import DensityMatrix, StateVector, cmul, dm_new, finite_times, hermitian
 from .errors import BadParam, DegenerateDrive
 
 
@@ -88,7 +92,7 @@ def rabi_hamiltonian(p: RabiParams, t: np.ndarray | float) -> np.ndarray:
     Complex arithmetic is spelled out as the scalar expression
     g * cmath.exp(-1j * w0 * t) evaluates it.
     """
-    t = np.asarray(t, dtype=float)
+    t = finite_times(t)
     z = -1j * p.omega0  # e^{-i w0 t} = e^{i Im(z t)}
     arg = z.real * 0.0 + z.imag * t
     g = p.coupling
@@ -107,7 +111,7 @@ def rabi_rho(p: RabiParams, t: np.ndarray | float) -> np.ndarray:
 
     Complex arithmetic is spelled out as the scalar expression evaluates it.
     """
-    t = np.asarray(t, dtype=float)
+    t = finite_times(t)
     om = _nonzero_omega(p)
     th = p.theta
     g = p.coupling
@@ -137,6 +141,7 @@ def rabi_state(p: RabiParams, t: float) -> StateVector:
     c0 = cos(Omega t) + (i Theta / 2 Omega) sin(Omega t)
     c1 = -(i g / Omega) e^{-i w0 t} sin(Omega t)
     """
+    finite_times(t)  # BadParam, where math.sin would raise ValueError
     om = _nonzero_omega(p)
     s = math.sin(om * t)
     c0 = math.cos(om * t) + 1j * p.theta / (2.0 * om) * s
@@ -150,7 +155,9 @@ def floquet_quasienergy(p: RabiParams) -> float:
 
 
 def floquet_solution(p: RabiParams, t: float) -> StateVector:
-    """Full solution |psi(t)> = e^{i zeta t} |phi(t)> of the Schroedinger equation."""
-    phase = cmath.exp(1j * floquet_quasienergy(p) * t)
+    """Full solution |psi(t)> = e^{i zeta t} |phi(t)> of the Schroedinger
+    equation, in the paper's form; |phi(t)> is not 2 pi/w0-periodic unless
+    Omega and w0 are commensurate (see the module docstring)."""
     phi = rabi_state(p, t)
+    phase = cmath.exp(1j * floquet_quasienergy(p) * t)
     return StateVector(phase * phi.c0, phase * phi.c1)

@@ -11,7 +11,7 @@ from .coherence import build_series, l1_columns, l1_pulse_closed_form, refine_ma
 from .config import ScenarioConfig
 from .core import TimeSeries, scan_rho
 from .errors import ConfigInvalid, QdriveError
-from .liouville import RwaRabi, SquarePulse, propagate
+from .liouville import propagate
 from .pulse import pulse_density, pulse_rho
 from .rabi import RabiParams, rabi_density, rabi_rho
 
@@ -38,9 +38,9 @@ def analytic_series(cfg: ScenarioConfig) -> TimeSeries:
     """Sample the scenario's closed-form density matrix over the grid."""
     times = cfg.grid.times()
     if cfg.scenario == "rabi":
-        rho = rabi_rho(cfg.rabi, times)
+        rho = rabi_rho(cfg.drive.params, times)
     elif cfg.scenario == "pulse":
-        rho = pulse_rho(cfg.pulse, times)
+        rho = pulse_rho(cfg.drive.params, times)
     else:
         raise ConfigInvalid("sampled drives have no closed form")
     return build_series(times, rho, scan_rho(rho).require_valid())
@@ -48,13 +48,7 @@ def analytic_series(cfg: ScenarioConfig) -> TimeSeries:
 
 def numeric_series(cfg: ScenarioConfig) -> TimeSeries:
     """Propagate the scenario's drive numerically over the grid."""
-    if cfg.scenario == "rabi":
-        drive = RwaRabi(cfg.rabi)
-    elif cfg.scenario == "pulse":
-        drive = SquarePulse(cfg.pulse)
-    else:
-        drive = cfg.sampled
-    return propagate(drive, cfg.rho0, cfg.grid)
+    return propagate(cfg.drive, cfg.rho0, cfg.grid)
 
 
 def verify_series(cfg: ScenarioConfig) -> tuple[TimeSeries, VerifyReport]:
@@ -101,11 +95,11 @@ def _swept_rabi(base: RabiParams, param: str, value: float) -> RabiParams:
 def _sweep_row(cfg: ScenarioConfig, param: str, value: float) -> SweepRow:
     polished: list[np.ndarray] = []  # the states of the rabi polish, checked after it
     if cfg.scenario == "pulse":
-        p = replace(cfg.pulse, f0=value)
+        p = replace(cfg.drive.params, f0=value)
         period, rho_at, dm_at = p.period, pulse_rho, pulse_density
         c_l1_at = partial(l1_pulse_closed_form, p)
     else:
-        p = _swept_rabi(cfg.rabi, param, value)
+        p = _swept_rabi(cfg.drive.params, param, value)
         period, rho_at, dm_at = p.population_period, rabi_rho, rabi_density
 
         def c_l1_at(t):

@@ -1,5 +1,5 @@
-"""The array closed forms, the RWA Hamiltonian and the measure columns
-against per-sample scalar reference loops: equal bit for bit, signed zeros
+"""The array closed forms, the RWA Hamiltonian, the Lewis invariant and the
+measure columns against per-sample scalar reference loops: equal bit for bit, signed zeros
 included, over random parameters and times."""
 import cmath
 import math
@@ -8,8 +8,9 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qdrive import (PulseParams, RabiParams, build_series, l1_pulse_closed_form, pulse_rho,
-                    rabi_hamiltonian, rabi_rho)
+from qdrive import (PulseParams, RabiParams, build_series, commutator, invariance_residual,
+                    invariant_coefficients, invariant_operator, l1_pulse_closed_form, pulse_rho,
+                    rabi_hamiltonian, rabi_rho, xi_squared)
 
 
 def moderate(bound):
@@ -33,6 +34,33 @@ def rabi_reference(p, t):
 def hamiltonian_reference(p, t):
     ph = cmath.exp(-1j * p.omega0 * t)
     return np.array([[p.e_g, np.conj(p.coupling * ph)], [p.coupling * ph, p.e_e]], dtype=complex)
+
+
+def xi_squared_reference(p, t, c_const):
+    om = p.omega_rabi
+    g2 = abs(p.coupling) ** 2
+    return (2.0 - c_const) * g2 / (2.0 * om * om) * math.cos(2.0 * om * t) + (
+        p.theta**2 + 2.0 * c_const * g2
+    ) / (4.0 * om * om)
+
+
+def invariant_reference(p, t, c_const):
+    x2 = xi_squared_reference(p, t, c_const)
+    om = p.omega_rabi
+    phase = cmath.exp(1j * p.omega0 * t)
+    g1 = ((2.0 - c_const) * p.coupling.conjugate() * phase / (4.0 * om * om)
+          * (p.theta * (math.cos(2.0 * om * t) - 1.0) + 2j * om * math.sin(2.0 * om * t)))
+    return np.array([[x2, g1], [g1.conjugate(), c_const - x2]], dtype=complex)
+
+
+def residual_reference(p, t, h, c_const):
+    di = (invariant_reference(p, t + h, c_const) - invariant_reference(p, t - h, c_const)) / (
+        2.0 * h
+    )
+    residual = di + (1.0 / 1j) * commutator(
+        invariant_reference(p, t, c_const), hamiltonian_reference(p, t)
+    )
+    return float(np.abs(residual).max())
 
 
 def pulse_reduce(p, t):
@@ -105,3 +133,25 @@ def test_rabi_hamiltonian_matches_scalar_loop(e_g, e_e, omega0, g_re, g_im, t):
                      [[hamiltonian_reference(p, ti)] for ti in t])
     assert all(same_bits(rabi_hamiltonian(p, float(ti)), hamiltonian_reference(p, float(ti)))
                for ti in t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(moderate(50), moderate(50), moderate(50), moderate(10), moderate(10), times,
+       st.floats(0.0, 3.0), st.floats(1e-6, 1e-2))
+def test_lewis_forms_match_scalar_loop(e_g, e_e, omega0, g_re, g_im, t, c_const, h):
+    # the scalar code the array forms replaced, g = 0 included
+    p = RabiParams(e_g=e_g, e_e=e_e, omega0=omega0, coupling=complex(g_re, g_im))
+    assume(p.omega_rabi > 1e-6)
+    ts = [float(ti) for ti in t]
+    refs = np.array([invariant_reference(p, ti, c_const) for ti in ts])
+    assert same_bits(invariant_operator(p, t, c_const), refs)
+    assert same_bits(xi_squared(p, t, c_const), [xi_squared_reference(p, ti, c_const) for ti in ts])
+    co = invariant_coefficients(p, t, c_const)
+    assert same_bits(np.stack([co.delta1, co.delta2]), [refs[:, 0, 0].real, refs[:, 1, 1].real])
+    assert same_bits(np.stack([co.gamma1, co.gamma2]), [refs[:, 0, 1], refs[:, 1, 0]])
+    assert same_bits(invariance_residual(p, t, h, c_const),
+                     [residual_reference(p, ti, h, c_const) for ti in ts])
+    ti = ts[0]
+    assert same_bits(invariant_operator(p, ti, c_const), refs[0])
+    assert xi_squared(p, ti, c_const) == xi_squared_reference(p, ti, c_const)
+    assert invariance_residual(p, ti, h, c_const) == residual_reference(p, ti, h, c_const)

@@ -1,4 +1,5 @@
 """Core types: validated density matrices, 2x2 helpers, grids and series."""
+import math
 import warnings
 
 import numpy as np
@@ -10,6 +11,8 @@ from qdrive import (
     NotHermitian,
     NotNormalized,
     NotPositive,
+    PulseParams,
+    RabiParams,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -21,8 +24,21 @@ from qdrive import (
     dm_eigenvalues,
     dm_new,
     dm_purity,
+    floquet_solution,
     ground_state_dm,
+    invariance_residual,
+    invariant_coefficients,
+    invariant_operator,
+    l1_pulse_closed_form,
+    lewis_phase,
     mat2,
+    pulse_hamiltonian,
+    pulse_rho,
+    pulse_state,
+    rabi_hamiltonian,
+    rabi_rho,
+    rabi_state,
+    xi_squared,
 )
 from conftest import random_density_matrix
 
@@ -108,6 +124,14 @@ class TestPurityAndEigenvalues:
         lam = dm_eigenvalues(dm_new(mat2(0.5, 0.5, 0.5, 0.5)))
         assert lam[0] == pytest.approx(1.0, abs=1e-15)
         assert lam[1] == pytest.approx(0.0, abs=1e-15)
+
+    def test_eigenvalues_match_direct_radicand(self, rng):
+        # scan_rho's radicand / 4 against the formula dm_eigenvalues used before
+        for _ in range(2000):
+            m = random_density_matrix(rng).matrix
+            radicand = 0.25 + abs(m[0, 1]) ** 2 - m[0, 0].real * m[1, 1].real
+            s = math.sqrt(max(radicand, 0.0))
+            assert dm_eigenvalues(dm_new(m)) == (0.5 + s, 0.5 - s)
 
     def test_discriminant_negative(self):
         # only reachable with a deliberately relaxed trace tolerance:
@@ -201,16 +225,32 @@ class TestTimeSeries:
         with pytest.raises(BadParam, match=rf"^{name} holds a non-finite value$"):
             TimeSeries(**cols)
 
-    def test_iteration_yields_samples(self):
-        rho = np.stack([np.diag([1.0, 0.0]).astype(complex)] * 2)
-        series = TimeSeries(
-            t=np.array([0.0, 1.0]),
-            rho=rho,
-            purity=np.ones(2),
-            c_l1=np.zeros(2),
-            c_frob=np.ones(2),
-        )
-        samples = list(series)
-        assert len(series) == 2
-        assert samples[1].t == 1.0
-        assert samples[0].purity == 1.0
+
+RABI = RabiParams(e_g=0.0, e_e=2.0, omega0=1.0, coupling=0.7)
+PULSE = PulseParams(e0=1.0, f0=1.0, n_period=1)
+CLOSED_FORMS = {
+    "rabi_rho": lambda t: rabi_rho(RABI, t),
+    "rabi_state": lambda t: rabi_state(RABI, t),
+    "rabi_hamiltonian": lambda t: rabi_hamiltonian(RABI, t),
+    "floquet_solution": lambda t: floquet_solution(RABI, t),
+    "xi_squared": lambda t: xi_squared(RABI, t, 1.0),
+    "invariant_operator": lambda t: invariant_operator(RABI, t),
+    "invariant_coefficients": lambda t: invariant_coefficients(RABI, t),
+    "invariance_residual": lambda t: invariance_residual(RABI, t, 1e-5),
+    "invariance_residual-h": lambda h: invariance_residual(RABI, 0.5, h),
+    "lewis_phase": lambda t: lewis_phase(RABI, t),
+    "pulse_rho": lambda t: pulse_rho(PULSE, t),
+    "pulse_state": lambda t: pulse_state(PULSE, t),
+    "pulse_hamiltonian": lambda t: pulse_hamiltonian(PULSE, t),
+    "l1_pulse_closed_form": lambda t: l1_pulse_closed_form(PULSE, t),
+}
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_closed_forms_reject_non_finite_times(name, value):
+    # BadParam, not math's ValueError or a NaN matrix; for arrays too
+    args = (value,) if name.endswith("-h") else (value, np.array([0.0, value]))  # h is a scalar
+    for arg in args:
+        with pytest.raises(BadParam, match="must be .*finite, got"):
+            CLOSED_FORMS[name](arg)

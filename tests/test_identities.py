@@ -19,9 +19,9 @@ EPS = np.finfo(float).eps
 
 
 @st.composite
-def rabi_params(draw):
-    p = RabiParams(*[draw(moderate(50)) for _ in range(3)],
-                   complex(draw(moderate(10)), draw(moderate(10))))
+def rabi_params(draw, zero_coupling=st.just(False)):
+    coupling = 0.0 if draw(zero_coupling) else complex(draw(moderate(10)), draw(moderate(10)))
+    p = RabiParams(*[draw(moderate(50)) for _ in range(3)], coupling)
     try:
         p.population_period
     except DegenerateDrive:  # Omega zero, or too small for the closed form
@@ -36,9 +36,17 @@ def rabi_tol(p, t):
 @settings(max_examples=500, deadline=None)
 @given(rabi_params(), moderate(1e3))
 def test_lewis_invariant_at_unit_constant_is_rabi_rho(p, t):
-    assume(p.coupling != 0)  # ZeroCoupling otherwise
     err = np.abs(invariant_operator(p, t, 1.0) - rabi_rho(p, t)).max()
     assert err <= rabi_tol(p, t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rabi_params(zero_coupling=st.booleans()), st.integers(1, 4096))
+def test_lewis_invariant_is_rabi_rho_over_a_grid_in_one_call(p, steps):
+    # over a population period Omega t <= pi, and both routes take e^{i w0 t}
+    # from the same argument, so their difference is a few ulps of O(1) terms
+    grid = np.linspace(0.0, p.population_period, steps + 1)
+    assert np.abs(invariant_operator(p, grid, 1.0) - rabi_rho(p, grid)).max() <= 1e-12
 
 
 @settings(max_examples=500, deadline=None)

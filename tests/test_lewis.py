@@ -5,13 +5,13 @@ import pytest
 from qdrive import (
     DegenerateDrive,
     RabiParams,
-    ZeroCoupling,
     floquet_quasienergy,
     invariance_residual,
     invariant_coefficients,
     invariant_operator,
     lewis_phase,
     rabi_density,
+    rabi_rho,
     xi_squared,
 )
 
@@ -66,10 +66,13 @@ class TestInvariantOperator:
         assert co.gamma2 == co.gamma1.conjugate()
         assert co.delta1 + co.delta2 == pytest.approx(co.c_const, abs=1e-15)
 
-    def test_zero_coupling_rejected(self):
+    def test_zero_coupling_gives_ground_projector(self):
+        # nothing divides by g: with no coupling the state stays in |g>
         p = RabiParams(e_g=0.0, e_e=3.0, omega0=1.0, coupling=0.0)
-        with pytest.raises(ZeroCoupling):
-            invariant_operator(p, 0.5, 1.0)
+        t = np.linspace(0.0, 10.0, 11)
+        op = invariant_operator(p, t, 1.0)
+        assert np.abs(op - np.diag([1.0, 0.0])).max() <= 1e-15
+        assert np.abs(op - rabi_rho(p, t)).max() <= 1e-15
 
 
 class TestInvarianceResidual:

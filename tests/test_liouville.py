@@ -20,8 +20,6 @@ from qdrive import (
     TimeGrid,
     dm_new,
     ground_state_dm,
-    hamiltonian_at,
-    liouville_rhs,
     mat2,
     propagate,
     pulse_density,
@@ -29,10 +27,12 @@ from qdrive import (
     pulse_rho,
     rabi_density,
     rabi_hamiltonian,
+    rabi_rho,
 )
 from qdrive.core import commutator
-from qdrive.liouville import _BLOCK, _held, _pieces, _step_maps
+from qdrive.liouville import _BLOCK, _generator, _held, _pieces, _step_maps
 from test_array_core import moderate
+from test_identities import rabi_params
 
 RES = RabiParams(e_g=0.0, e_e=1.0, omega0=1.0, coupling=0.5)
 
@@ -49,38 +49,37 @@ class TestSampled:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             drive = Sampled(times=np.array([-1e308, 1e308]), matrices=mats)
-            assert np.array_equal(hamiltonian_at(drive, 0.0), mats[0])
+            assert _held(drive.times, 0.0) == 0
             with pytest.raises(BadParam, match="^sample times must be strictly increasing$"):
                 Sampled(times=np.array([1e308, -1e308]), matrices=mats)
 
 
 class TestHamiltonianAt:
+    """H(t) of each drive: rabi_hamiltonian, pulse_hamiltonian, and the
+    sample that _held picks for a Sampled drive."""
+
     def test_rwa_at_zero(self):
         p = RabiParams(e_g=0.2, e_e=1.3, omega0=0.9, coupling=0.3 + 0.4j)
-        h = hamiltonian_at(RwaRabi(p), 0.0)
+        h = rabi_hamiltonian(p, 0.0)
         expected = mat2(0.2, 0.3 - 0.4j, 0.3 + 0.4j, 1.3)
         assert np.abs(h - expected).max() <= 1e-15
 
     def test_square_pulse_branches(self):
         p = PulseParams(e0=1.0, f0=1.0, n_period=1)
-        assert np.abs(hamiltonian_at(SquarePulse(p), 0.0)
-                      - mat2(-1, -1, -1, 1)).max() == 0.0
+        assert np.abs(pulse_hamiltonian(p, 0.0) - mat2(-1, -1, -1, 1)).max() == 0.0
         # right-limit branch at the switch: -E0 sigma_z + f0 E0 sigma_x
-        assert np.abs(hamiltonian_at(SquarePulse(p), p.period / 2)
-                      - mat2(-1, 1, 1, 1)).max() == 0.0
+        assert np.abs(pulse_hamiltonian(p, p.period / 2) - mat2(-1, 1, 1, 1)).max() == 0.0
 
     def test_sampled_piecewise_left(self):
         drive = Sampled(
             times=np.array([0.0, 1.0, 2.0]),
             matrices=np.stack([k * np.eye(2, dtype=complex) for k in (1.0, 2.0, 3.0)]),
         )
-        assert hamiltonian_at(drive, 0.5)[0, 0] == 1.0
-        assert hamiltonian_at(drive, 1.0)[0, 0] == 2.0
-        assert hamiltonian_at(drive, 2.0)[0, 0] == 3.0
-        with pytest.raises(OutOfRange):
-            hamiltonian_at(drive, 2.5)
-        with pytest.raises(OutOfRange):
-            hamiltonian_at(drive, -0.1)
+        held = _held(drive.times, np.array([0.5, 1.0, 2.0, 2.5, -0.1]))
+        assert held.tolist() == [0, 1, 2, -1, -1]  # -1: outside the samples
+        grid = TimeGrid(-0.1, 2.0, 4)
+        with pytest.raises(OutOfRange, match=r"^step 1, t = 0\.425"):
+            propagate(drive, ground_state_dm(), grid)
 
     def test_sampled_validation(self):
         with pytest.raises(BadParam):
@@ -91,23 +90,29 @@ class TestHamiltonianAt:
             Sampled(times=np.array([0.0]), matrices=nonherm)
 
 
+def rhs(ham, rho):
+    """-i [H, rho] for a Hermitian rho, through propagate's real generator
+    on the coordinates (rho00, Re rho01, Im rho01, rho11)."""
+    r = _generator(ham, 1.0) @ np.array([rho[0, 0].real, rho[0, 1].real, rho[0, 1].imag,
+                                         rho[1, 1].real])
+    return mat2(r[0], complex(r[1], r[2]), complex(r[1], -r[2]), r[3])
+
+
 class TestRhs:
     def test_zero_hamiltonian(self):
         rho = ground_state_dm().matrix
-        assert np.abs(liouville_rhs(zero_drive(), 1.0, rho)).max() == 0.0
+        assert np.abs(rhs(np.zeros((2, 2), dtype=complex), rho)).max() == 0.0
 
     def test_resonant_initial_slope(self):
         # -i[H, diag(1,0)] has off-diagonal entries +i conj(g), -i g
         p = RabiParams(e_g=0.0, e_e=1.0, omega0=1.0, coupling=0.3 + 0.4j)
-        out = liouville_rhs(RwaRabi(p), 0.0, ground_state_dm().matrix)
+        out = rhs(rabi_hamiltonian(p, 0.0), ground_state_dm().matrix)
         expected = mat2(0.0, 1j * np.conj(p.coupling), -1j * p.coupling, 0.0)
         assert np.abs(out - expected).max() <= 1e-15
 
     def test_commuting_matrices_give_zero(self):
-        drive = Sampled(times=np.array([0.0, 1.0]),
-                        matrices=np.stack([np.diag([1.0, 2.0]).astype(complex)] * 2))
         rho = np.diag([0.3, 0.7]).astype(complex)
-        assert np.abs(liouville_rhs(drive, 0.5, rho)).max() == 0.0
+        assert np.abs(rhs(np.diag([1.0, 2.0]).astype(complex), rho)).max() == 0.0
 
 
 class TestPropagate:
@@ -315,8 +320,7 @@ def reference_propagate(drive, rho0, grid):
     for i in range(grid.steps):
         a, rho = t0 + i * h, rhos[-1]
         if pieces is None:
-            rho = rk4_step(rho, h, hamiltonian_at(drive, a), hamiltonian_at(drive, a + 0.5 * h),
-                           hamiltonian_at(drive, a + h))
+            rho = rk4_step(rho, h, *rabi_hamiltonian(drive.params, [a, a + 0.5 * h, a + h]))
         else:
             k0, k1 = first[i], last[i]
             hs = [h] if k0 == k1 else np.diff([a, *starts[k0 + 1:k1 + 1], a + h])
@@ -450,3 +454,44 @@ class TestInPlaceApply:
         rhos = propagate(drive, MIXED, grid).rho
         expected = chained_propagate(drive, MIXED, grid)
         assert rhos.dtype == expected.dtype and rhos.tobytes() == expected.tobytes()
+
+
+EPS = np.finfo(float).eps
+
+
+def closed_form_tol(steps, courant, n_periods=0):
+    """Bound on |propagate - closed form| from the ground state at t = 0.
+
+    RK4's local error on a step of h is about (r h)^5 / 120 for a generator
+    of rate r (its gap plus the drive frequency), so the global error stays
+    below steps (r h)^5 = (r t_end) (r h)^4, the 1/120 left as margin for
+    H's own time dependence.  Rounding adds about 16 eps per step, and the
+    closed form loses 16 eps per unit of its phase arguments (w0 t and
+    Omega t, at most r t_end <= steps; for the pulse 2 eps0 tau < 4 pi N).
+    """
+    return steps * courant**5 + 16 * EPS * (2 * steps + 1 + 4 * math.pi * n_periods)
+
+
+class TestMatchesClosedForms:
+    """propagate against rabi_rho and pulse_rho over the random parameters
+    of tests/test_identities.py; grids of at most 300 steps, with r h
+    between 1e-3 and 0.1."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rabi_params(), steps_, st.floats(1e-3, 0.1))
+    def test_rwa(self, p, steps, courant):
+        rate = gap(rabi_hamiltonian(p, 0.0)) + abs(p.omega0)
+        grid = TimeGrid(0.0, steps * courant / rate, steps)
+        series = propagate(RwaRabi(p), ground_state_dm(), grid)
+        err = np.abs(series.rho - rabi_rho(p, series.t)).max()
+        assert err <= closed_form_tol(steps, courant)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-3, 1e3), st.floats(1e-6, 1e3), st.integers(1, 4), steps_,
+           st.floats(1e-3, 0.1))
+    def test_square_pulse(self, e0, f0, n, steps, courant):
+        p = PulseParams(e0=e0, f0=f0, n_period=n)
+        grid = TimeGrid(0.0, steps * courant / (2 * p.eps0), steps)
+        series = propagate(SquarePulse(p), ground_state_dm(), grid)
+        err = np.abs(series.rho - pulse_rho(p, series.t)).max()
+        assert err <= closed_form_tol(steps, courant, n)

@@ -1,6 +1,10 @@
 """Square-pulse drive: period, piecewise closed forms, state, phase."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdrive import (
     BadParam,
@@ -13,7 +17,7 @@ from qdrive import (
     pulse_density,
     pulse_f,
     pulse_hamiltonian,
-    pulse_lewis_phase,
+    pulse_rho,
     pulse_state,
 )
 
@@ -140,11 +144,28 @@ class TestPulseState:
             assert np.abs(resid).max() <= 1e-6
 
 
-class TestPulseLewisPhase:
-    def test_always_zero(self):
-        for t in (0.0, 0.3 * P11.period, 7.7):
-            assert pulse_lewis_phase(P11, t) == 0.0
+EPS = np.finfo(float).eps
 
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(1e-3, 1e3), st.floats(1e-6, 1e3), st.integers(1, 20),
+       st.integers(-10**6, 10**6))
+def test_returns_to_ground_at_every_half_period(e0, f0, n, k):
+    """pulse_rho(k T/2) is |0><0| for every integer k.
+
+    x = 2 eps0 tau should be 2 pi N m, m = 0, 1 or 2.  eps0 and T divide
+    the same rounded denominator, so eps0 T = 2 pi N to 3 roundings (unit
+    u = eps/2) and x to 4 m; t = k (T/2) rounds once, moving x by at most
+    u |k| 2 pi N.  So |dx| <= pi N eps (8 + |k|).  rho01 moves by at most
+    |dx| / 2 (sin x has the coefficient f0 / 2 sqrt(1 + f0^2) < 1/2), the
+    diagonal by a few roundings of terms below 1.
+    """
+    p = PulseParams(e0=e0, f0=f0, n_period=n)
+    err = np.abs(pulse_rho(p, k * (p.period / 2)) - np.diag([1.0, 0.0])).max()
+    assert err <= math.pi * n * EPS * (8 + abs(k)) / 2 + 4 * EPS
+
+
+class TestPulseLewisPhase:
     @pytest.mark.parametrize("frac", [0.3, 0.7])
     def test_phase_rate_vanishes(self, frac):
         # <phi| i d/dt - H |phi> = 0 in both branches

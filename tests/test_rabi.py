@@ -124,6 +124,16 @@ class TestFloquet:
             a, b = floquet_solution(RESONANT, t), rabi_state(RESONANT, t)
             assert a.c0 == b.c0 and a.c1 == b.c1
 
+    def test_phi_is_not_drive_periodic(self):
+        # |phi(t)> mixes e^{+-i Omega t} over a 2 pi/w0-periodic part, so it
+        # returns after one drive period only when Omega is a multiple of w0
+        period = 2 * np.pi
+        p = RabiParams(e_g=0.3, e_e=1.7, omega0=1.0, coupling=0.4 - 0.3j)  # Omega = 0.539
+        q = RabiParams(e_g=0.0, e_e=1.0, omega0=1.0, coupling=1.0)  # Theta = 0, Omega = w0
+        moved = [np.abs(rabi_state(r, period).as_array() - rabi_state(r, 0.0).as_array()).max()
+                 for r in (p, q)]
+        assert moved[0] > 1.0 and moved[1] <= 1e-15
+
     def test_schroedinger_residual(self):
         # i d|psi>/dt = H|psi> for the phase-dressed solution
         p = RabiParams(e_g=0.0, e_e=2.0, omega0=1.0, coupling=0.5)  # Theta = 1

@@ -1,5 +1,5 @@
 """The one-pass batch check scan_rho against the four passes it replaced:
-validate_rho's verdict (same index, error type and message) and the purity,
+the validation verdict (same index, error type and message) and the purity,
 l1 and Frobenius columns (equal bit for bit, signed zeros and NaN included),
 over random batches of valid, broken and non-finite states."""
 import math
@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdrive import (BadParam, DiscriminantNegative, InvariantDrift, NotHermitian, NotPositive,
-                    QdriveError, TraceNotOne, build_series, validate_rho)
+                    QdriveError, TraceNotOne, build_series)
 from qdrive.core import TOL_HERM, TOL_PSD, TOL_TRACE, scan_rho
 
 
-# ---- the reference: validate_rho, purities, l1_columns and frobenius_columns
+# ---- the reference: the validation pass, purities, l1_columns and frobenius_columns
 # as they were before scan_rho fused them
 
 def cabs(z):
@@ -148,7 +148,6 @@ def outcome(f):
 def test_scan_matches_the_four_passes(tols, rho):
     scan = scan_rho(rho, *tols)
     assert verdict(scan.bad) == verdict(reference_validate(rho, *tols))
-    assert verdict(validate_rho(rho, *tols)) == verdict(scan.bad)
     with np.errstate(all="ignore"):
         assert same_bits(scan.purity, reference_purities(rho))
         assert same_bits(scan.c_l1, reference_l1(rho))

@@ -150,7 +150,7 @@ def rabi_state(p: RabiParams, t: float) -> StateVector:
 
 
 def floquet_quasienergy(p: RabiParams) -> float:
-    """Quasi-energy zeta = (w0 - E_e - E_g) / 2 of the periodic solution."""
+    """The paper's quasi-energy zeta = (w0 - E_e - E_g) / 2 (see the module docstring)."""
     return (p.omega0 - p.e_e - p.e_g) / 2.0
 
 

@@ -13,7 +13,11 @@ seed --seed) for the per-module metrics.
 BENCH_<label>.json holds, per workload, every run's end-to-end metrics
 with their median and quartiles, the fail ratio, the traced per-module
 metrics, the commit and host facts that run.py records, and how many of
-the per-op output digests shared with the other checkouts differ.
+the per-op output digests shared with the other checkouts differ.  For
+every label but the first it also holds, per end-to-end metric, in how
+many of the interleaved pairs the label beat the first label: strictly
+better in the direction BENCHMARK.json gives the metric.  The summary
+printed at the end shows the same counts.
 """
 from __future__ import annotations
 
@@ -50,6 +54,18 @@ def summary(values: list[float]) -> dict:
     return {"runs": values, "median": median, "q1": q1, "q3": q3}
 
 
+def directions() -> dict[str, str]:
+    """Each end-to-end metric's better direction, "lower" or "higher"."""
+    doc = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in doc["end_to_end"]}
+
+
+def pairs_better(mine: list[float], theirs: list[float], better: str) -> int:
+    """In how many runs r mine[r] is strictly better than theirs[r]."""
+    sign = 1 if better == "lower" else -1
+    return sum(sign * (a - b) < 0 for a, b in zip(mine, theirs))
+
+
 def worktree_clean(checkout: Path) -> bool | None:
     """Whether src/ and perfbench/ match the recorded commit (None outside git)."""
     proc = subprocess.run(["git", "status", "--porcelain", "--", "src", "perfbench"],
@@ -73,6 +89,7 @@ def main(argv: list[str] | None = None) -> int:
             ap.error(f"expected distinct LABEL=CHECKOUT items, got {item!r}")
         trees[label] = Path(path).resolve()
 
+    better = directions()
     runs = {label: {w: [] for w in args.workloads} for label in trees}
     for r in range(args.runs):
         order = list(trees) if r % 2 == 0 else list(reversed(trees))
@@ -87,6 +104,11 @@ def main(argv: list[str] | None = None) -> int:
 
     for untraced in (run for label in runs.values() for w in label.values() for run in w):
         untraced["record"] = json.loads(untraced["record"].read_text())
+
+    def values(label, w, name):
+        return [run["result"]["metrics"][name]["value"] for run in runs[label][w]]
+
+    base = next(iter(trees))
     for label, tree in trees.items():
         workloads = {}
         for w in args.workloads:
@@ -105,15 +127,19 @@ def main(argv: list[str] | None = None) -> int:
                 compared[other] = {"common_ops": len(common),
                                    "differing_ops": sum(digests[k] != theirs[k] for k in common)}
             workloads[w] = {
-                "end_to_end": {name: {"unit": m["unit"],
-                                      **summary([run["result"]["metrics"][name]["value"]
-                                                 for run in untraced])}
+                "end_to_end": {name: {"unit": m["unit"], **summary(values(label, w, name))}
                                for name, m in names.items()},
                 "fail_ratio": [run["record"]["diagnostics"]["fail_ratio"] for run in untraced],
                 "seeds": [run["record"]["environment"]["seed"] for run in untraced],
                 "per_module": traced[label][w]["metrics"],
                 "digests": compared,
             }
+            if label != base:
+                workloads[w]["pairs_better"] = {
+                    "than": base, "pairs": len(untraced),
+                    "counts": {name: pairs_better(values(label, w, name), values(base, w, name),
+                                                  better[name])
+                               for name in names if name in better}}
         env = dict(runs[label][args.workloads[0]][0]["record"]["environment"])
         env.pop("seed")
         doc = {"label": label, "commit": env.pop("commit"), "src_sha256": env.pop("src_sha256"),
@@ -126,12 +152,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {path}")
 
     for w in args.workloads:
-        for name in runs[next(iter(trees))][w][0]["result"]["metrics"]:
+        for name in runs[base][w][0]["result"]["metrics"]:
             cells = []
             for label in trees:
-                values = [run["result"]["metrics"][name]["value"] for run in runs[label][w]]
-                s = summary(values)
-                cells.append(f"{label} {s['median']:.4g} [{s['q1']:.4g}, {s['q3']:.4g}]")
+                s = summary(values(label, w, name))
+                cell = f"{label} {s['median']:.4g} [{s['q1']:.4g}, {s['q3']:.4g}]"
+                if label != base and name in better:
+                    k = pairs_better(values(label, w, name), values(base, w, name), better[name])
+                    cell += f" better in {k} of {args.runs}"
+                cells.append(cell)
             print(f"{w:13s} {name:12s} " + "  ".join(cells))
     return 0
 

@@ -16,12 +16,14 @@ The equation is linear in rho and keeps Hermitian matrices Hermitian, so
 one RK4 step is a fixed real 4x4 transfer map on the coordinates (rho00,
 Re rho01, Im rho01, rho11) of a Hermitian matrix, built from the
 generators h G(H) of rho -> -i h [H, rho] at the stage times.  A raw rho
-is split as P + iQ with P and Q Hermitian, and the map acts on both.  The
-maps of a block of steps are built in one numpy batch and then applied in
-order: one map per piece for a piecewise-constant drive, and for a split
-step the product of its sub-step maps.  Each product is written straight
-into the next node of the trajectory.  A Hermitian start stays exactly
-Hermitian, as under the stage-by-stage RK4 loop.
+is split as P + iQ with P and Q Hermitian, and the map acts on both, so a
+Hermitian start stays exactly Hermitian.  A piecewise-constant drive has
+one map per piece and one per split step (the product of its sub-step
+maps).  The RWA drive has one: H(a + s) = R(s) H(a) R(s)^H with R(s) =
+diag(1, e^{-i w0 s}), so with rho01 turned back by w0 (t - t_start) every
+step takes the first step's map turned back by w0 h, and rho01 is turned
+forward at the end: the same RK4 scheme, not a rotating-frame integrator.
+One applier, _apply, serves every drive.
 
 Integration acts on the raw matrix; the finished (n, 2, 2) trajectory is
 validated as density matrices in one batch (relaxed 1e-8 tolerances)
@@ -109,9 +111,8 @@ def _pieces(drive: DriveHamiltonian, grid: TimeGrid) -> tuple[np.ndarray, np.nda
     return ks * half, branches[(sign < 0).astype(int)]
 
 
-#: Steps whose transfer maps are built and applied together: the block's
-#: temporaries stay near 1 MB, and larger blocks run no faster.
-_BLOCK = 512
+#: Steps per block (its maps and their chunk products: 0.25 MB each) and per chunk
+_BLOCK, _CHUNK = 2048, 64
 _I4 = np.eye(4)
 
 
@@ -155,7 +156,7 @@ def _split_maps(starts, mats, a, h, k0, k1) -> np.ndarray:
     of one RK4 sub-step map per piece, applied right to left."""
     counts = k1 - k0 + 1
     maps = np.tile(_I4, (len(a), 1, 1))
-    for j in range(int(counts.max())):
+    for j in range(int(counts.max(initial=0))):
         s = counts > j  # steps with a j-th sub-step
         k = k0[s] + j
         left = a[s] if j == 0 else starts[k]
@@ -164,21 +165,35 @@ def _split_maps(starts, mats, a, h, k0, k1) -> np.ndarray:
     return maps
 
 
-def _step_maps(drive: DriveHamiltonian, held, t0: float, h: float, i0: int, i1: int) -> np.ndarray:
-    """(i1 - i0, 4, 4) RK4 maps of steps i0..i1-1; held is None for the RWA
-    drive, else (starts, mats, first, last) of the pieces."""
-    a = t0 + np.arange(i0, i1) * h
-    if held is None:
-        hams = rabi_hamiltonian(drive.params, np.stack([a, a + 0.5 * h, a + h]))
-        return _rk4_map(*_generator(hams, h))
-    starts, mats, first, last = held
-    k0, k1 = first[i0:i1], last[i0:i1]
-    # one map per piece in force in the block, gathered per unsplit step
-    maps = _piece_map(mats[k0[0]:k1[-1] + 1], h)[k0 - k0[0]]
-    split = k0 != k1
-    if split.any():
-        maps[split] = _split_maps(starts, mats, a[split], h, k0[split], k1[split])
-    return maps
+def _apply(maps: np.ndarray, nodes: np.ndarray) -> None:
+    """nodes[k + 1] = maps[k] nodes[k] for each map, in place, in about two
+    numpy calls per _CHUNK steps: all chunks' maps multiplied out together,
+    each chunk's start carried in order with one dot, and every interior
+    filled by one matmul.  A last partial chunk is applied step by step."""
+    q = len(maps) // _CHUNK
+    full = q * _CHUNK
+    if q:
+        chunks = maps[:full].reshape(q, _CHUNK, 4, 4)
+        prods = np.empty(chunks.shape)  # prods[:, j] = chunks[:, j] ... chunks[:, 0]
+        prods[:, 0] = chunks[:, 0]
+        for j in range(1, _CHUNK):
+            np.matmul(chunks[:, j], prods[:, j - 1], out=prods[:, j])
+        starts = nodes[:full + 1:_CHUNK]
+        for c in range(q):  # ndarray.dot skips np.dot's __array_function__ dispatch
+            prods[c, -1].dot(starts[c], starts[c + 1])
+        np.matmul(prods[:, :-1], starts[:q, None],
+                  out=nodes[1:full + 1].reshape(q, _CHUNK, 4, 2)[:, :-1])
+    for step, r, out in zip(maps[full:], nodes[full:], nodes[full + 1:]):
+        step.dot(r, out)
+
+
+def _corotating_map(p: RabiParams, t0: float, h: float) -> np.ndarray:
+    """The RK4 map of every RWA step with rho01 turned back by w0 (t - t0):
+    M_0, from H at t0, t0 + h/2 and t0 + h, its (x, y) rows turned back by w0 h."""
+    m = _rk4_map(*_generator(rabi_hamiltonian(p, t0 + np.array([0.0, 0.5, 1.0]) * h), h))
+    w = p.omega0 * h
+    m[1:3] = np.array([[math.cos(w), math.sin(w)], [-math.sin(w), math.cos(w)]]) @ m[1:3]
+    return m
 
 
 def _check_states(rhos: np.ndarray, times: np.ndarray) -> Scan:
@@ -204,7 +219,7 @@ def propagate(drive: DriveHamiltonian, rho0: DensityMatrix, grid: TimeGrid) -> T
     states before it), and the errors of _check_states.
     """
     h, t0, times, n = grid.h, grid.t_start, grid.times(), grid.steps
-    held = pieces = _pieces(drive, grid)
+    pieces = _pieces(drive, grid)
     if pieces is not None:
         starts, mats = pieces
         # step i holds pieces first[i]..last[i] (-1: outside the window); a
@@ -213,8 +228,15 @@ def propagate(drive: DriveHamiltonian, rho0: DensityMatrix, grid: TimeGrid) -> T
         first, last = _held(starts, times[:-1] + tol), _held(starts, times[1:] - tol)
         outside = (first < 0) | (last < 0)
         n = int(np.argmax(outside)) if outside.any() else n
-        held = (starts, mats, first, last)
-    elif not isinstance(drive, RwaRabi):
+        # step i's map is table[index[i]]: each piece's map, then the split steps'
+        split = np.flatnonzero(first[:n] != last[:n])
+        table = np.concatenate([_piece_map(mats, h), _split_maps(
+            starts, mats, times[split], h, first[split], last[split])])
+        index = first[:n].copy()
+        index[split] = len(mats) + np.arange(len(split))
+    elif isinstance(drive, RwaRabi):
+        table, index = _corotating_map(drive.params, t0, h)[None], np.zeros(n, dtype=int)
+    else:
         raise BadParam(f"unknown drive type {type(drive).__name__}")
     # rho = P + iQ with P = (rho + rho^H)/2 and Q = (rho - rho^H)/2i
     # Hermitian; the columns of r hold the coordinates of P and Q.  Each
@@ -229,13 +251,15 @@ def propagate(drive: DriveHamiltonian, rho0: DensityMatrix, grid: TimeGrid) -> T
     # an unstable step size may overflow; _check_states reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for i0 in range(0, n, _BLOCK):
-            maps = _step_maps(drive, held, t0, h, i0, min(i0 + _BLOCK, n))
-            # the ndarray.dot method skips np.dot's __array_function__ dispatch
-            for step, r, out in zip(maps, coords[i0:], coords[i0 + 1:]):
-                step.dot(r, out)
+            _apply(table[index[i0:i0 + _BLOCK]], coords[i0:i0 + _BLOCK + 1])
         (px, qx), (py, qy) = coords[:, 1].T.copy(), coords[:, 2].T.copy()
         rhos[:, 0, 1].real, rhos[:, 0, 1].imag = px - qy, py + qx
         rhos[:, 1, 0].real, rhos[:, 1, 0].imag = px + qy, qx - py
+        if pieces is None:  # turn rho01 forward by w0 k h, rho10 back
+            turn = np.exp(1j * drive.params.omega0 * (np.arange(grid.steps + 1) * h))
+            rhos[:, 0, 1] *= turn
+            rhos[:, 1, 0] *= turn.conj()
+            del turn
     del px, qx, py, qy  # free the coordinate copies before _check_states scans rhos
     rhos[0] = m
     scan = _check_states(rhos[:n + 1], times)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .coherence import build_series, l1_columns, l1_pulse_closed_form, refine_max
 from .config import ScenarioConfig
-from .core import TimeSeries, scan_rho
+from .core import TimeSeries, dm_new, scan_rho
 from .errors import ConfigInvalid, QdriveError
 from .liouville import propagate
 from .pulse import pulse_density, pulse_rho
@@ -34,21 +34,27 @@ class VerifyReport:
                 and self.max_trace_drift <= TRACE_THRESHOLD)
 
 
+#: The closed forms, each of the state started in |0> at t = 0.
+CLOSED_FORMS = {"rabi": rabi_rho, "pulse": pulse_rho}
+
+
 def analytic_series(cfg: ScenarioConfig) -> TimeSeries:
     """Sample the scenario's closed-form density matrix over the grid."""
-    times = cfg.grid.times()
-    if cfg.scenario == "rabi":
-        rho = rabi_rho(cfg.drive.params, times)
-    elif cfg.scenario == "pulse":
-        rho = pulse_rho(cfg.drive.params, times)
-    else:
+    if cfg.scenario not in CLOSED_FORMS:
         raise ConfigInvalid("sampled drives have no closed form")
+    times = cfg.grid.times()
+    rho = CLOSED_FORMS[cfg.scenario](cfg.drive.params, times)
     return build_series(times, rho, scan_rho(rho).require_valid())
 
 
 def numeric_series(cfg: ScenarioConfig) -> TimeSeries:
-    """Propagate the scenario's drive numerically over the grid."""
-    return propagate(cfg.drive, cfg.rho0, cfg.grid)
+    """Propagate the scenario's drive over the grid: a sampled drive from
+    cfg.rho0, rabi and pulse from their closed form at t_start (+ 0.0 clears
+    its -0.0 entries), so both routes follow one trajectory."""
+    rho0 = cfg.rho0
+    if cfg.scenario in CLOSED_FORMS:
+        rho0 = dm_new(CLOSED_FORMS[cfg.scenario](cfg.drive.params, cfg.grid.t_start) + 0.0)
+    return propagate(cfg.drive, rho0, cfg.grid)
 
 
 def verify_series(cfg: ScenarioConfig) -> tuple[TimeSeries, VerifyReport]:

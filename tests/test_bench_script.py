@@ -1,11 +1,29 @@
 """scripts/bench.py: one short interleaved run of the sweep workload on two
-labels of this checkout, written to BENCH files."""
+labels of this checkout, written to BENCH files, and its count of the pairs
+a label beat the first label in."""
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_bench():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pairs_better_follows_the_metric_direction():
+    bench = load_bench()
+    assert bench.directions() == {"setup_s": "lower", "ops_per_s": "higher",
+                                  "cycle_p50_s": "lower", "peak_rss_mb": "lower"}
+    mine, theirs = [1.0, 2.0, 3.0, 4.0], [2.0, 2.0, 1.0, 5.0]
+    assert bench.pairs_better(mine, theirs, "lower") == 2  # a tie is no win
+    assert bench.pairs_better(mine, theirs, "higher") == 1
 
 
 def test_bench_writes_one_file_per_label(tmp_path):
@@ -25,3 +43,12 @@ def test_bench_writes_one_file_per_label(tmp_path):
         assert sweep["per_module"]["coherence.refine_max_evals"]["value"] > 0
         digests = sweep["digests"][other]
         assert digests["common_ops"] > 0 and digests["differing_ops"] == 0
+        if label == "a":  # the first label is what the others are counted against
+            assert "pairs_better" not in sweep
+        else:
+            better = sweep["pairs_better"]
+            assert better["than"] == "a" and better["pairs"] == 1
+            assert set(better["counts"]) == set(sweep["end_to_end"])
+            assert all(k in (0, 1) for k in better["counts"].values())
+    summary = [line for line in proc.stdout.splitlines() if line.startswith("sweep ")]
+    assert len(summary) == 4 and all(line.endswith(" of 1") for line in summary)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qdrive import PulseParams, RabiParams, pulse_rho, rabi_rho
 from qdrive.cli import _write_sweep_csv, build_parser, main
 from qdrive.config import MAX_STEPS, scenario_config_from_dict
 from qdrive.io import CSV_HEADER, read_series_csv
@@ -78,6 +79,31 @@ class TestVerify:
     def test_coarse_grid_fails_with_exit_1(self, capsys):
         assert run(["verify", "--scenario", "rabi", "--steps", 10]) == 1
         assert "verdict: FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["--scenario", "rabi", "--e-g", 0.2, "--e-e", 1.3, "--omega0", 0.8,
+         "--coupling", "0.7-0.2j", "--t-start", 1000, "--t-end", 1003.9],
+        ["--scenario", "pulse", "--e0", 1.4, "--f0", 2.2, "--n", 4, "--t-start", 0.5,
+         "--t-end", 8],
+    ], ids=["rabi", "pulse"])
+    def test_late_start_follows_the_closed_form(self, argv, capsys):
+        # the closed forms start in |0> at t = 0: RK4 starts from their state
+        # at t_start, not from |0> there (entrywise error 0.93 and 0.90 then)
+        assert run(["verify", *argv, "--steps", 16384]) == 0
+        text = capsys.readouterr().out
+        assert float(text.split("max entrywise error:")[1].split()[0]) <= 1e-10
+
+    @pytest.mark.parametrize("scenario, flags, rho_at", [
+        ("rabi", ["--e-g", 0.2, "--e-e", 1.3, "--omega0", 0.8, "--coupling", "0.7-0.2j"],
+         lambda t: rabi_rho(RabiParams(e_g=0.2, e_e=1.3, omega0=0.8, coupling=0.7 - 0.2j), t)),
+        ("pulse", ["--e0", 1.4, "--f0", 2.2, "--n", 4],
+         lambda t: pulse_rho(PulseParams(e0=1.4, f0=2.2, n_period=4), t)),
+    ], ids=["rabi", "pulse"])
+    def test_numeric_mode_starts_from_the_closed_form(self, scenario, flags, rho_at, tmp_path):
+        out = tmp_path / "numeric.csv"
+        assert run([scenario, *flags, "--mode", "numeric", "--t-start", 2.5, "--t-end", 4,
+                    "--steps", 64, "--output", out]) == 0
+        assert np.array_equal(read_series_csv(out).rho[0], rho_at(2.5) + 0.0)
 
     def test_verify_needs_scenario(self):
         assert run(["verify", "--steps", 100]) == 2

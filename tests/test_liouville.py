@@ -30,11 +30,13 @@ from qdrive import (
     rabi_rho,
 )
 from qdrive.core import commutator
-from qdrive.liouville import _BLOCK, _generator, _held, _pieces, _step_maps
+from qdrive.liouville import (_BLOCK, _CHUNK, _corotating_map, _generator, _held, _piece_map,
+                              _pieces, _rk4_map, _split_maps)
 from test_array_core import moderate
 from test_identities import rabi_params
 
 RES = RabiParams(e_g=0.0, e_e=1.0, omega0=1.0, coupling=0.5)
+EPS = np.finfo(float).eps
 
 
 def zero_drive(t_end: float = 10.0) -> Sampled:
@@ -402,28 +404,40 @@ class TestMatchesStageByStageReference:
         assert_matches_reference(drive, TimeGrid(inset * span / 2, span * (1 - inset / 2), steps))
 
 
+def lab_step_maps(drive, grid):
+    """(steps, 4, 4) RK4 maps of every step of the grid in the lab frame:
+    the RWA map of each step from H at its own stage times, a piece's map
+    for an unsplit step and the product of the sub-step maps for a split
+    one; the grid must lie inside a sampled drive's window."""
+    h, times = grid.h, grid.times()
+    a = times[:-1]
+    pieces = _pieces(drive, grid)
+    if pieces is None:
+        hams = rabi_hamiltonian(drive.params, np.stack([a, a + 0.5 * h, a + h]))
+        return _rk4_map(*_generator(hams, h))
+    starts, mats = pieces
+    tol = 1e-9 * h
+    first, last = _held(starts, times[:-1] + tol), _held(starts, times[1:] - tol)
+    assert (first >= 0).all() and (last >= 0).all()
+    maps, split = _piece_map(mats[first], h), first != last
+    if split.any():
+        maps[split] = _split_maps(starts, mats, a[split], h, first[split], last[split])
+    return maps
+
+
 def chained_propagate(drive, rho0, grid):
-    """Raw (steps + 1, 2, 2) trajectory of propagate's maps, built block by
-    block with _step_maps and applied as r = maps[i] @ r, one new array per
-    step; the grid must lie inside a sampled drive's window."""
-    h, t0, times, n = grid.h, grid.t_start, grid.times(), grid.steps
-    held = pieces = _pieces(drive, grid)
-    if pieces is not None:
-        starts, mats = pieces
-        tol = 1e-9 * h
-        held = (starts, mats, _held(starts, times[:-1] + tol), _held(starts, times[1:] - tol))
+    """Raw (steps + 1, 2, 2) trajectory of the lab-frame maps of
+    lab_step_maps applied as r = maps[i] @ r, one new array per step."""
     m = np.array(rho0.matrix, dtype=complex)
     s, d = 0.5 * (m[0, 1] + np.conj(m[1, 0])), 0.5 * (m[0, 1] - np.conj(m[1, 0]))
     r = np.array([[m[0, 0].real, m[0, 0].imag], [s.real, d.imag], [s.imag, -d.real],
                   [m[1, 1].real, m[1, 1].imag]])
-    rhos = np.empty((n + 1, 2, 2), dtype=complex)
+    rhos = np.empty((grid.steps + 1, 2, 2), dtype=complex)
     coords = rhos.view(float).reshape(-1, 4, 2)
     coords[0] = r
-    for i0 in range(0, n, _BLOCK):
-        maps = _step_maps(drive, held, t0, h, i0, min(i0 + _BLOCK, n))
-        for i in range(len(maps)):
-            r = maps[i] @ r
-            coords[i0 + i + 1] = r
+    for i, step in enumerate(lab_step_maps(drive, grid)):
+        r = step @ r
+        coords[i + 1] = r
     # rho01 = P01 + i Q01 and rho10 = conj(P01) + i conj(Q01)
     (px, qx), (py, qy) = coords[:, 1].T.copy(), coords[:, 2].T.copy()
     rhos[:, 0, 1].real, rhos[:, 0, 1].imag = px - qy, py + qx
@@ -433,30 +447,97 @@ def chained_propagate(drive, rho0, grid):
 
 
 P_SPLIT = PulseParams(e0=0.7, f0=1.3, n_period=2)
+RWA_DETUNED = RabiParams(e_g=-0.2, e_e=1.1, omega0=0.9, coupling=0.3 - 0.4j)
+# 1201 samples of the RWA Hamiltonian, none on a node of TimeGrid(0, 120, n)
+SAMPLED_RWA = Sampled(times=np.linspace(-0.01, 120.02, 1201),
+                      matrices=rabi_hamiltonian(RES, np.linspace(-0.01, 120.02, 1201)))
 
 
-class TestInPlaceApply:
-    """propagate writes each map's product into the trajectory in place; it
-    must give the bits of the plain chain, over several 512-step blocks."""
+class TestChunkedApply:
+    """propagate multiplies out the maps of each 64-step chunk, carries the
+    chunk starts and fills the chunk interiors in batch, and applies the RWA
+    drive as one co-rotating map; it must give the plain chain of the
+    lab-frame maps up to rounding (assert_matches_reference's bound)."""
 
     @pytest.mark.parametrize("drive, grid", [
-        (RwaRabi(RabiParams(e_g=-0.2, e_e=1.1, omega0=0.9, coupling=0.3 - 0.4j)),
-         TimeGrid(0.3, 40.0, 1500)),
-        # switches inside steps: 1537 steps over 3.3 half periods
-        (SquarePulse(P_SPLIT), TimeGrid(0.1 * P_SPLIT.period, 1.75 * P_SPLIT.period, 1537)),
-        # 301 samples of the RWA Hamiltonian, none on a node
-        (Sampled(times=np.linspace(-0.01, 30.02, 301),
-                 matrices=rabi_hamiltonian(RES, np.linspace(-0.01, 30.02, 301))),
-         TimeGrid(0.0, 30.0, 1499)),
+        (RwaRabi(RWA_DETUNED), TimeGrid(0.3, 240.0, 9001)),
+        # switches inside steps: 9001 steps over 19.3 half periods
+        (SquarePulse(P_SPLIT), TimeGrid(0.1 * P_SPLIT.period, 9.75 * P_SPLIT.period, 9001)),
+        (SAMPLED_RWA, TimeGrid(0.0, 120.0, 9001)),
     ], ids=["rwa", "square-pulse", "sampled"])
-    def test_matches_chained_maps_bit_for_bit(self, drive, grid):
-        assert _BLOCK < grid.steps // 2
+    def test_matches_chained_maps(self, drive, grid):
+        # two or more full blocks, then one that ends in a partial chunk
+        assert 2 * _BLOCK < grid.steps and grid.steps % _BLOCK % _CHUNK
+        rhos = propagate(drive, MIXED, grid).rho
+        expected = chained_propagate(drive, MIXED, grid)
+        assert np.abs(rhos - expected).max() <= 1e-12 * grid.steps
+
+    @pytest.mark.parametrize("drive, grid", [
+        (SquarePulse(P_SPLIT), TimeGrid(0.1 * P_SPLIT.period, 0.75 * P_SPLIT.period, 63)),
+        (SAMPLED_RWA, TimeGrid(0.0, 6.0, 63)),
+    ], ids=["square-pulse", "sampled"])
+    def test_shorter_than_a_chunk_is_the_plain_chain(self, drive, grid):
+        # fewer steps than a chunk: the step-by-step remainder, bit for bit
+        assert grid.steps < _CHUNK
         rhos = propagate(drive, MIXED, grid).rho
         expected = chained_propagate(drive, MIXED, grid)
         assert rhos.dtype == expected.dtype and rhos.tobytes() == expected.tobytes()
 
+    def test_out_of_range_inside_a_later_chunk(self):
+        # the window ends at 4200.5, inside a chunk of a later block: steps
+        # 0..4199 are propagated, checked, then step 4201 is named
+        assert _BLOCK < 4100 and 4200 % _BLOCK % _CHUNK
+        sx = mat2(0, 1, 1, 0)
+        grid = TimeGrid(0.0, 5000.0, 5000)
+        calm = Sampled(times=np.array([0.0, 4100.0, 4200.5]),
+                       matrices=np.stack([0 * sx, 1e-3 * sx, 1e-3 * sx]))
+        with pytest.raises(OutOfRange, match=r"^step 4201, t = 4201\.0: outside the sampled "
+                                             r"range \[0\.0, 4200\.5\]$"):
+            propagate(calm, ground_state_dm(), grid)
+        # at 2 sigma_x from t = 4100 the step h = 1 is RK4-unstable: the state
+        # after step 4101, inside a chunk, fails before the window's end
+        wild = Sampled(times=calm.times, matrices=np.stack([0 * sx, 2 * sx, 2 * sx]))
+        with pytest.raises(NotPositive, match=r"^step 4101, t = 4101\.0: smallest eigenvalue"):
+            propagate(wild, ground_state_dm(), grid)
 
-EPS = np.finfo(float).eps
+
+def turn(phi):
+    """D(phi): rho01 -> e^{i phi} rho01 on the coordinates (rho00, x, y, rho11)."""
+    d = np.eye(4)
+    d[1:3, 1:3] = [[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]]
+    return d
+
+
+class TestCorotatingMap:
+    @settings(max_examples=200, deadline=None)
+    @given(moderate(5), moderate(5), moderate(5), moderate(2), moderate(2), moderate(100),
+           st.integers(0, 16384), courants)
+    def test_turned_into_the_lab_frame_is_the_step_map(self, e_g, e_e, omega0, g_re, g_im,
+                                                         t_start, k, courant):
+        """D(w0 (k + 1) h) M' D(-w0 k h), M' the co-rotating map, is the RK4
+        map of step k built from H at its own stage times t_k = t_start + k h.
+
+        The two differ by rounding only.  The map entries are O(1) (r h <= 1),
+        and each of the four products (three here, the turn inside M') adds
+        about 4 eps.  The phase of H at t_k + s is w0 (t_start + k h + s) in
+        the lab map, and w0 (t_start + s) plus the angles w0 k h and
+        w0 (k + 1) h of the turns here.  Rounding t and w0 t costs each about
+        2 eps |w0| (|t_start| + (k + 1) h), and a phase error moves an entry of
+        size at most about 3 by that times its size.  Hence
+        16 eps (1 + |w0| (|t_start| + (k + 1) h)); 20000 random draws peaked
+        at 0.9 eps (1 + ...).
+        """
+        p = RabiParams(e_g=e_g, e_e=e_e, omega0=omega0, coupling=complex(g_re, g_im))
+        rate = gap(rabi_hamiltonian(p, 0.0)) + abs(omega0)
+        assume(rate > 1e-3)
+        h = courant / rate
+        a = t_start + k * h
+        hams = rabi_hamiltonian(p, np.array([a, a + 0.5 * h, a + h]))
+        lab = _rk4_map(*_generator(hams, h))
+        w = omega0 * h
+        lab_from_corotating = turn((k + 1) * w) @ _corotating_map(p, t_start, h) @ turn(-k * w)
+        tol = 16 * EPS * (1 + abs(omega0) * (abs(t_start) + (k + 1) * h))
+        assert np.abs(lab_from_corotating - lab).max() <= tol
 
 
 def closed_form_tol(steps, courant, n_periods=0):

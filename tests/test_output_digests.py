@@ -75,9 +75,14 @@ EXPECTED = {
     "coherence_json": "80de0965b7669ec40fa0dac531dcd259c76a0955f25cbbe0aad21e86e41be5fe",
     # the same bytes as coherence_json, written to stdout
     "coherence_json_stdout": "80de0965b7669ec40fa0dac531dcd259c76a0955f25cbbe0aad21e86e41be5fe",
-    # integrate_csv and the two verify cases run RK4; recorded with each step
-    # applied as one real 4x4 transfer map, sampled drives as pieces
-    "integrate_csv": "79fdd913ddaecf3d7f005cd177c69ae807ac3395e8f2f139b571679993016a0a",
+    # integrate_csv and the two verify cases run RK4; recorded with the maps
+    # applied in 64-step chunks and the RWA drive as one co-rotating map.
+    # Against the one-dot-per-step loop before it, the largest |delta rho| was
+    # 1.0e-15 (integrate_csv), 1.1e-14 (pulse, 2048 steps) and 4.4e-16 (rabi,
+    # 32 steps); verify_pulse_stdout's trace drift went 7.327472e-15 ->
+    # 2.153833e-14 and its entrywise error 1.159175e-09 -> 1.159174e-09, and
+    # verify_rabi_stdout's trace drift 1.887379e-15 -> 1.554312e-15
+    "integrate_csv": "a197e11c1150629f25fb8c90f0ba970230bf09a6a0295623e574741b9712c631",
     "pulse_default_csv": "050c866ff7dd2797697daac78cff9ab3120dcee267040d223f893181a7e96a57",
     "pulse_json": "eaf6fef4367b6fb56368b0f8fe3b710d6e2c0e2f8e4c779436e0393431235fd9",
     "rabi_default_csv": "488f0c9147ca810f401a14bb1a2de726af400ef711b92c6528dfcab91aaf43da",
@@ -86,8 +91,8 @@ EXPECTED = {
     "sweep_coupling_stdout": "110e0caf4f27e8b410e3cdf114889b7f1623c3a94f26c7afccb1e298afabb4d8",
     "sweep_f0_csv": "01888c9d6eef97f81dd79947d135e390180cfc7fccc50f396d5e0af8394568c3",
     "sweep_omega0_csv": "0e0c87cd0f19ceba0bf1bde6dee1acc3ca6a5e1bade3e2c3f0b57eee4251cab8",
-    "verify_pulse_stdout": "abbed92ab3de78841709b018cd78aa776cf83e181283cbb5b94f46f789d41170",
-    "verify_rabi_stdout": "ea0864c5731dfafeddce782e19bbd3b8dcb7990ceec838878862147d05a9bdf1",
+    "verify_pulse_stdout": "3b8e6ca4e974d50cc64159d3f90a48aec7c32afed4ade14b74a636df14179257",
+    "verify_rabi_stdout": "870fb35d12a97d3c277a698af3832ab8ade3e19bfc8a026358ce7389649232a8",
 }
 
 

@@ -21,7 +21,6 @@ import numpy as np
 
 from qdrive import (
     PulseParams,
-    SquarePulse,
     TimeGrid,
     build_series,
     ground_state_dm,
@@ -54,9 +53,10 @@ for f0 in (0.1, 4.5):
     print()
 
 # The closed form is backed by the RK4 propagator.  Any grid works (a switch
-# inside a step is sub-stepped); this one puts nodes on the switches.
+# inside a step is sub-stepped); this one puts nodes on the switches.  The
+# PulseParams are the drive.
 p = PulseParams(e0=1.0, f0=4.5, n_period=1)
-series = propagate(SquarePulse(p), ground_state_dm(), TimeGrid(0.0, p.period, 8192))
+series = propagate(p, ground_state_dm(), TimeGrid(0.0, p.period, 8192))
 worst = np.abs(series.rho - pulse_rho(p, series.t)).max()
 print(f"strong drive, RK4 vs closed form: max entrywise error = {worst:.3e}")
 print(f"state returns to |0><0| at T: rho00(T) = {series.rho[-1][0, 0].real:.12f}")

@@ -13,11 +13,12 @@ seed --seed) for the per-module metrics.
 BENCH_<label>.json holds, per workload, every run's end-to-end metrics
 with their median and quartiles, the fail ratio, the traced per-module
 metrics, the commit and host facts that run.py records, and how many of
-the per-op output digests shared with the other checkouts differ.  For
+the per-op output digests shared with the other checkouts differ, and
+src_lines, the line count of the checkout's src/qdrive/*.py.  For
 every label but the first it also holds, per end-to-end metric, in how
 many of the interleaved pairs the label beat the first label: strictly
 better in the direction BENCHMARK.json gives the metric.  The summary
-printed at the end shows the same counts.
+printed at the end shows the same counts and each label's src_lines.
 """
 from __future__ import annotations
 
@@ -64,6 +65,11 @@ def pairs_better(mine: list[float], theirs: list[float], better: str) -> int:
     """In how many runs r mine[r] is strictly better than theirs[r]."""
     sign = 1 if better == "lower" else -1
     return sum(sign * (a - b) < 0 for a, b in zip(mine, theirs))
+
+
+def src_lines(checkout: Path) -> int:
+    """Newlines in CHECKOUT/src/qdrive/*.py, the total of `wc -l`."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "qdrive").glob("*.py"))
 
 
 def worktree_clean(checkout: Path) -> bool | None:
@@ -143,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
         env = dict(runs[label][args.workloads[0]][0]["record"]["environment"])
         env.pop("seed")
         doc = {"label": label, "commit": env.pop("commit"), "src_sha256": env.pop("src_sha256"),
-               "worktree_clean": worktree_clean(tree), "host": env,
+               "worktree_clean": worktree_clean(tree), "src_lines": src_lines(tree), "host": env,
                "settings": {"seconds": args.seconds, "runs": args.runs, "seed": args.seed,
                             "labels_in_order": list(trees)},
                "workloads": workloads}
@@ -162,6 +168,8 @@ def main(argv: list[str] | None = None) -> int:
                     cell += f" better in {k} of {args.runs}"
                 cells.append(cell)
             print(f"{w:13s} {name:12s} " + "  ".join(cells))
+    print(f"{'src_lines':26s} " + "  ".join(f"{label} {src_lines(tree)}"
+                                           for label, tree in trees.items()))
     return 0
 
 

@@ -53,9 +53,7 @@ from .lewis import (
 )
 from .liouville import (
     DriveHamiltonian,
-    RwaRabi,
     Sampled,
-    SquarePulse,
     propagate,
 )
 from .pulse import (

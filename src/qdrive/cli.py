@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from .coherence import build_series
-from .config import merge_config, scenario_config_from_dict
+from .config import FORMATS, MODES, merge_config, scenario_config_from_dict, sweep_config_from_dict
 from .errors import ConfigInvalid, QdriveError
 from .io import (
     check_states,
@@ -38,6 +38,7 @@ from .io import (
 )
 from .runner import (
     ENTRYWISE_THRESHOLD,
+    SWEEP_PARAMS,
     TRACE_THRESHOLD,
     SweepRow,
     run_scenario,
@@ -54,16 +55,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_flags(p: argparse.ArgumentParser, modes: bool = True) -> None:
-        p.add_argument("--t-start", type=float, default=None, help="grid start time")
-        p.add_argument("--t-end", type=float, default=None, help="grid end time")
+    def add_run_flags(p: argparse.ArgumentParser, modes: bool = True, series: bool = True) -> None:
+        """series: the grid span and format flags of a run that writes a time series."""
+        if series:
+            p.add_argument("--t-start", type=float, default=None, help="grid start time")
+            p.add_argument("--t-end", type=float, default=None, help="grid end time")
         p.add_argument("--steps", type=int, default=None,
                        help="grid steps (default: $QDRIVE_STEPS_DEFAULT or 4096)")
         if modes:
-            p.add_argument("--mode", choices=("analytic", "numeric", "verify"), default=None)
+            p.add_argument("--mode", choices=MODES, default=None)
         p.add_argument("--output", default=None, help="output file path")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="output format (default csv)")
+        if series:
+            p.add_argument("--format", choices=FORMATS, default=None,
+                           help="output format (default csv)")
         p.add_argument("--config", default=None,
                        help="JSON config file; its values override flags")
 
@@ -94,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_coh = sub.add_parser("coherence", help="recompute measures for a CSV of states")
     p_coh.add_argument("--input", required=True, help="input CSV of states")
     p_coh.add_argument("--output", default=None, help="output path (default: stdout)")
-    p_coh.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_coh.add_argument("--format", choices=FORMATS, default="csv")
 
     p_ver = sub.add_parser("verify", help="compare closed form against the propagator")
     p_ver.add_argument("--scenario", choices=("rabi", "pulse"), default=None)
@@ -104,13 +108,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sw = sub.add_parser("sweep", help="summary table over one swept parameter")
     p_sw.add_argument("--scenario", choices=("rabi", "pulse"), default=None)
-    p_sw.add_argument("--param", required=True,
-                      choices=("f0", "coupling-magnitude", "omega0"))
+    p_sw.add_argument("--param", required=True, choices=SWEEP_PARAMS)
     p_sw.add_argument("--values", required=True,
                       help="comma-separated numbers (empty for an empty sweep)")
     add_rabi_flags(p_sw)
     add_pulse_flags(p_sw)
-    add_run_flags(p_sw, modes=False)
+    add_run_flags(p_sw, modes=False, series=False)
 
     return parser
 
@@ -133,11 +136,10 @@ _FLAG_KEYS = {
 }
 
 
-def _flags_to_raw(args: argparse.Namespace, scenario: str | None, mode: str | None) -> dict:
-    """Assemble the raw config mapping from explicitly given flags.
-
-    scenario=None contributes no scenario/params keys (the config file must
-    then provide them)."""
+def _raw_config(args: argparse.Namespace, scenario: str | None, mode: str | None) -> dict:
+    """The raw config mapping: the flags given, with the --config file's
+    values laid over them.  scenario=None contributes no scenario/params keys
+    (the config file must then provide them)."""
     def block(name: str | None) -> dict:
         given = ((key, getattr(args, attr, None)) for key, attr in _FLAG_KEYS.get(name, ()))
         return {key: v for key, v in given if v is not None}
@@ -147,7 +149,10 @@ def _flags_to_raw(args: argparse.Namespace, scenario: str | None, mode: str | No
         params["coupling"] = _parse_coupling(params["coupling"])
     raw = {"scenario": scenario, "params": params, "grid": block("grid"), "mode": mode,
            "output": block("output")}
-    return {key: v for key, v in raw.items() if v}
+    raw = {key: v for key, v in raw.items() if v}
+    if getattr(args, "config", None) is not None:
+        raw = merge_config(raw, _load_config_file(args.config))
+    return raw
 
 
 def _load_config_file(path: str) -> dict:
@@ -158,13 +163,6 @@ def _load_config_file(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigInvalid("config file must contain a JSON object")
     return doc
-
-
-def _assemble_config(args: argparse.Namespace, scenario: str | None, mode: str | None):
-    raw = _flags_to_raw(args, scenario, mode)
-    if getattr(args, "config", None) is not None:
-        raw = merge_config(raw, _load_config_file(args.config))
-    return scenario_config_from_dict(raw)
 
 
 def _reject_cross_scenario_flags(args: argparse.Namespace, scenario: str) -> None:
@@ -196,7 +194,7 @@ def _print_report(report) -> None:
 
 def _run_command(args: argparse.Namespace, scenario: str | None, forced_mode: str | None) -> int:
     mode = getattr(args, "mode", None) or forced_mode
-    cfg = _assemble_config(args, scenario, mode)
+    cfg = scenario_config_from_dict(_raw_config(args, scenario, mode))
     if cfg.output_path is not None:  # fail before the compute, not after it
         probe_output(cfg.output_path)
     series, report = run_scenario(cfg)
@@ -232,13 +230,13 @@ def _format_cell(v: float | None) -> str:
 def _sweep_command(args: argparse.Namespace) -> int:
     scenario = args.scenario or ("pulse" if args.param == "f0" else "rabi")
     _reject_cross_scenario_flags(args, scenario)
-    cfg = _assemble_config(args, scenario, "analytic")
-    if cfg.output_path is not None:
-        probe_output(cfg.output_path)
-    rows = run_sweep(cfg, args.param, _parse_values(args.values))
+    drive, steps, output_path = sweep_config_from_dict(_raw_config(args, scenario, None))
+    if output_path is not None:
+        probe_output(output_path)
+    rows = run_sweep(drive, steps, args.param, _parse_values(args.values))
     _print_sweep(args.param, rows)
-    if cfg.output_path is not None:
-        _write_sweep_csv(cfg.output_path, args.param, rows)
+    if output_path is not None:
+        _write_sweep_csv(output_path, args.param, rows)
     return 0
 
 
@@ -282,10 +280,8 @@ def _attach_values(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     try:
-        if args.command == "rabi":
-            return _run_command(args, "rabi", None)
-        if args.command == "pulse":
-            return _run_command(args, "pulse", None)
+        if args.command in ("rabi", "pulse"):
+            return _run_command(args, args.command, None)
         if args.command == "integrate":
             return _run_command(args, "sampled", "numeric")
         if args.command == "coherence":

@@ -12,6 +12,8 @@ A scenario is described by a single JSON-style document::
 
 Unknown keys anywhere are errors: silent typos in physics parameters are the
 costliest failure mode, so validation is strict and messages name the field.
+A sweep's document may hold only scenario ("rabi" or "pulse"), params,
+grid.steps and output.path.
 
 Parameter blocks and defaults:
 
@@ -40,7 +42,7 @@ import numpy as np
 from .core import DensityMatrix, TimeGrid, dm_new, ground_state_dm
 from .errors import BadParam, ConfigInvalid, DegenerateDrive, QdriveError
 from .io import json_number, read_sampled_drive, sampled_from_records
-from .liouville import DriveHamiltonian, RwaRabi, Sampled, SquarePulse
+from .liouville import DriveHamiltonian, Sampled
 from .pulse import PulseParams
 from .rabi import RabiParams
 
@@ -101,38 +103,24 @@ def _complex(block: dict, key: str, where: str, default: complex) -> complex:
     return complex(*(json_number(x, f"{where}.{key}") for x in parts))
 
 
-def _rabi_params(block: dict) -> RabiParams:
-    _check_keys(block, ("e_g", "e_e", "omega0", "coupling"), "params (rabi)")
+def _drive_params(scenario: str, block: dict) -> RabiParams | PulseParams:
+    """The rabi or pulse params block, each value read by its default's type."""
+    cls, defaults = ((RabiParams, RABI_DEFAULTS) if scenario == "rabi"
+                     else (PulseParams, PULSE_DEFAULTS))
+    _check_keys(block, tuple(defaults), f"params ({scenario})")
+    read = {float: _number, int: _integer, complex: _complex}
     try:
-        return RabiParams(
-            e_g=_number(block, "e_g", "params", RABI_DEFAULTS["e_g"]),
-            e_e=_number(block, "e_e", "params", RABI_DEFAULTS["e_e"]),
-            omega0=_number(block, "omega0", "params", RABI_DEFAULTS["omega0"]),
-            coupling=_complex(block, "coupling", "params", RABI_DEFAULTS["coupling"]),
-        )
-    except BadParam as exc:
-        raise ConfigInvalid(f"params: {exc}") from exc
-
-
-def _pulse_params(block: dict) -> PulseParams:
-    _check_keys(block, ("e0", "f0", "n_period"), "params (pulse)")
-    try:
-        return PulseParams(
-            e0=_number(block, "e0", "params", PULSE_DEFAULTS["e0"]),
-            f0=_number(block, "f0", "params", PULSE_DEFAULTS["f0"]),
-            n_period=_integer(block, "n_period", "params", PULSE_DEFAULTS["n_period"]),
-        )
+        return cls(**{key: read[type(default)](block, key, "params", default)
+                      for key, default in defaults.items()})
     except BadParam as exc:
         raise ConfigInvalid(f"params: {exc}") from exc
 
 
 def _sampled_params(block: dict) -> tuple[Sampled, DensityMatrix]:
     _check_keys(block, ("drive_file", "samples", "rho0"), "params (sampled)")
-    has_file = "drive_file" in block
-    has_inline = "samples" in block
-    if has_file == has_inline:
+    if ("drive_file" in block) == ("samples" in block):
         raise ConfigInvalid('params (sampled) needs exactly one of "drive_file" or "samples"')
-    if has_file:
+    if "drive_file" in block:
         if not isinstance(block["drive_file"], str):
             raise ConfigInvalid("params.drive_file must be a string path")
         drive = read_sampled_drive(block["drive_file"])
@@ -172,36 +160,45 @@ def _default_steps() -> int:
     return steps
 
 
+def _choice(value: Any, name: str, choices: tuple[str, ...]) -> str:
+    if value not in choices:
+        raise ConfigInvalid(f"{name} must be one of {list(choices)}, got {value!r}")
+    return value
+
+
+def _block(raw: dict, name: str) -> dict:
+    block = raw.get(name, {})
+    if not isinstance(block, dict):
+        raise ConfigInvalid(f"{name} must be an object")
+    return block
+
+
+def _steps(grid_block: dict) -> int:
+    steps = _integer(grid_block, "steps", "grid", _default_steps())
+    if steps > MAX_STEPS:
+        raise ConfigInvalid(f"grid.steps must be at most {MAX_STEPS}, got {steps}")
+    return steps
+
+
+def _output_path(output_block: dict) -> str | None:
+    path = output_block.get("path")
+    if path is not None and not isinstance(path, str):
+        raise ConfigInvalid(f"output.path must be a string, got {path!r}")
+    return path
+
+
 def scenario_config_from_dict(raw: dict[str, Any]) -> ScenarioConfig:
     """Validate a raw configuration mapping into a ScenarioConfig."""
     if not isinstance(raw, dict):
         raise ConfigInvalid(f"configuration must be an object, got {type(raw).__name__}")
     _check_keys(raw, ("scenario", "params", "grid", "mode", "output"), "configuration")
-
-    scenario = raw.get("scenario")
-    if scenario not in SCENARIOS:
-        raise ConfigInvalid(f"scenario must be one of {list(SCENARIOS)}, got {scenario!r}")
-
-    mode = raw.get("mode", "analytic")
-    if mode not in MODES:
-        raise ConfigInvalid(f"mode must be one of {list(MODES)}, got {mode!r}")
-
-    params_block = raw.get("params", {})
-    if not isinstance(params_block, dict):
-        raise ConfigInvalid("params must be an object")
+    scenario = _choice(raw.get("scenario"), "scenario", SCENARIOS)
+    mode = _choice(raw.get("mode", "analytic"), "mode", MODES)
+    params_block = _block(raw, "params")
 
     # default time span: one drive period (sampled: the sample window)
     rho0 = ground_state_dm()
-    if scenario == "rabi":
-        drive = RwaRabi(_rabi_params(params_block))
-        try:
-            span = (0.0, drive.params.population_period)
-        except DegenerateDrive as exc:
-            raise ConfigInvalid(f"params: degenerate drive: {exc}") from exc
-    elif scenario == "pulse":
-        drive = SquarePulse(_pulse_params(params_block))
-        span = (0.0, drive.params.period)
-    else:
+    if scenario == "sampled":
         drive, rho0 = _sampled_params(params_block)
         if mode != "numeric":
             raise ConfigInvalid("sampled drives have no closed form; mode must be numeric")
@@ -209,32 +206,27 @@ def scenario_config_from_dict(raw: dict[str, Any]) -> ScenarioConfig:
         if span[1] <= span[0]:
             raise ConfigInvalid("sampled drive needs at least two sample times to "
                                 "define a default grid; set grid.t_end explicitly")
+    else:
+        drive = _drive_params(scenario, params_block)
+        try:
+            span = (0.0, drive.population_period if scenario == "rabi" else drive.period)
+        except DegenerateDrive as exc:
+            raise ConfigInvalid(f"params: degenerate drive: {exc}") from exc
 
-    grid_block = raw.get("grid", {})
-    if not isinstance(grid_block, dict):
-        raise ConfigInvalid("grid must be an object")
+    grid_block = _block(raw, "grid")
     _check_keys(grid_block, ("t_start", "t_end", "steps"), "grid")
     t_start = _number(grid_block, "t_start", "grid", span[0])
     t_end = _number(grid_block, "t_end", "grid", span[1])
-    steps = _integer(grid_block, "steps", "grid", _default_steps())
-    if steps > MAX_STEPS:
-        raise ConfigInvalid(f"grid.steps must be at most {MAX_STEPS}, got {steps}")
+    steps = _steps(grid_block)
     try:
         grid = TimeGrid(t_start=t_start, t_end=t_end, steps=steps)
     except BadParam as exc:
         raise ConfigInvalid(f"grid: {exc}") from exc
 
-    output_block = raw.get("output", {})
-    if not isinstance(output_block, dict):
-        raise ConfigInvalid("output must be an object")
+    output_block = _block(raw, "output")
     _check_keys(output_block, ("path", "format"), "output")
-    output_path = output_block.get("path")
-    if output_path is not None and not isinstance(output_path, str):
-        raise ConfigInvalid(f"output.path must be a string, got {output_path!r}")
-    output_format = output_block.get("format", "csv")
-    if output_format not in FORMATS:
-        raise ConfigInvalid(f"output.format must be one of {list(FORMATS)}, "
-                            f"got {output_format!r}")
+    output_path = _output_path(output_block)
+    output_format = _choice(output_block.get("format", "csv"), "output.format", FORMATS)
 
     return ScenarioConfig(
         scenario=scenario,
@@ -247,6 +239,23 @@ def scenario_config_from_dict(raw: dict[str, Any]) -> ScenarioConfig:
     )
 
 
+def sweep_config_from_dict(raw: dict) -> tuple[RabiParams | PulseParams, int, str | None]:
+    """Validate a raw sweep document into (drive, grid.steps, output.path)."""
+    if not isinstance(raw, dict):
+        raise ConfigInvalid(f"configuration must be an object, got {type(raw).__name__}")
+    _check_keys(raw, ("scenario", "params", "grid", "output"), "configuration")
+    scenario = _choice(raw.get("scenario"), "scenario", ("rabi", "pulse"))
+    drive = _drive_params(scenario, _block(raw, "params"))
+    grid_block = _block(raw, "grid")
+    _check_keys(grid_block, ("steps",), "grid")
+    steps = _steps(grid_block)
+    if steps < 1:  # a scenario's TimeGrid checks this after its span
+        raise ConfigInvalid(f"grid: steps must be a positive integer, got {steps}")
+    output_block = _block(raw, "output")
+    _check_keys(output_block, ("path",), "output")
+    return drive, steps, _output_path(output_block)
+
+
 def merge_config(flags: dict[str, Any], overrides: dict[str, Any]) -> dict[str, Any]:
     """Overlay a config-file document on top of flag-derived values.
 
@@ -256,9 +265,6 @@ def merge_config(flags: dict[str, Any], overrides: dict[str, Any]) -> dict[str, 
     merged = dict(flags)
     for key, value in overrides.items():
         if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            sub = dict(merged[key])
-            sub.update(value)
-            merged[key] = sub
-        else:
-            merged[key] = value
+            value = {**merged[key], **value}
+        merged[key] = value
     return merged

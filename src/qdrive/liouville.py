@@ -5,12 +5,12 @@
 with a fixed-step classical 4th-order Runge-Kutta integrator.  This is the
 independent cross-check for every closed-form solution in the package.
 
-Drives are a tagged union: the RWA harmonic drive (H at a, a + h/2 and
-a + h), and two that are piecewise constant: the square pulse (a piece from
-each switch k*T/2 on) and a sampled Hamiltonian (held from each sample on).
-A step takes the piece in force at its midpoint; a piece starting more than
-1e-9*h inside a step splits it into one RK4 sub-step per piece, so every
-drive integrates at 4th order on any grid.
+A drive is its parameters: RabiParams, the RWA harmonic drive (H at a,
+a + h/2 and a + h), or a piecewise-constant one: PulseParams, the square
+pulse (a piece from each switch k*T/2 on), or Sampled, a Hamiltonian held
+from each sample on.  A step takes the piece in force at its midpoint; a
+piece starting more than 1e-9*h inside a step splits it into one RK4
+sub-step per piece, so every drive integrates at 4th order on any grid.
 
 The equation is linear in rho and keeps Hermitian matrices Hermitian, so
 one RK4 step is a fixed real 4x4 transfer map on the coordinates (rho00,
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -43,16 +42,6 @@ from .core import DensityMatrix, Scan, TimeGrid, TimeSeries, scan_rho
 from .errors import BadParam, OutOfRange
 from .pulse import PulseParams, pulse_hamiltonian, reduced_time
 from .rabi import RabiParams, rabi_hamiltonian
-
-
-@dataclass(frozen=True)
-class RwaRabi:
-    params: RabiParams
-
-
-@dataclass(frozen=True)
-class SquarePulse:
-    params: PulseParams
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +72,7 @@ class Sampled:
         object.__setattr__(self, "matrices", mats)
 
 
-DriveHamiltonian = Union[RwaRabi, SquarePulse, Sampled]
+DriveHamiltonian = RabiParams | PulseParams | Sampled
 
 
 def _held(starts: np.ndarray, t):
@@ -99,15 +88,15 @@ def _pieces(drive: DriveHamiltonian, grid: TimeGrid) -> tuple[np.ndarray, np.nda
     """(start times, matrices) of a piecewise-constant drive; None otherwise."""
     if isinstance(drive, Sampled):
         return drive.times, drive.matrices
-    if not isinstance(drive, SquarePulse):
+    if not isinstance(drive, PulseParams):
         return None
-    p, half = drive.params, drive.params.period / 2.0
+    half = drive.period / 2.0
     if grid.h > half:  # RK4-unstable anyway, and a step could span any number of switches
         raise BadParam(f"step {grid.h!r} exceeds the half period T/2 = {half!r}")
     # piece k runs from k*T/2 on and holds the branch of its midpoint
     ks = np.arange(math.floor(grid.t_start / half), math.ceil(grid.t_end / half) + 1.0)
-    _, sign = reduced_time(p, (ks + 0.5) * half)
-    branches = np.stack([pulse_hamiltonian(p, 0.0), pulse_hamiltonian(p, half)])
+    _, sign = reduced_time(drive, (ks + 0.5) * half)
+    branches = np.stack([pulse_hamiltonian(drive, 0.0), pulse_hamiltonian(drive, half)])
     return ks * half, branches[(sign < 0).astype(int)]
 
 
@@ -234,8 +223,8 @@ def propagate(drive: DriveHamiltonian, rho0: DensityMatrix, grid: TimeGrid) -> T
             starts, mats, times[split], h, first[split], last[split])])
         index = first[:n].copy()
         index[split] = len(mats) + np.arange(len(split))
-    elif isinstance(drive, RwaRabi):
-        table, index = _corotating_map(drive.params, t0, h)[None], np.zeros(n, dtype=int)
+    elif isinstance(drive, RabiParams):
+        table, index = _corotating_map(drive, t0, h)[None], np.zeros(n, dtype=int)
     else:
         raise BadParam(f"unknown drive type {type(drive).__name__}")
     # rho = P + iQ with P = (rho + rho^H)/2 and Q = (rho - rho^H)/2i
@@ -256,7 +245,7 @@ def propagate(drive: DriveHamiltonian, rho0: DensityMatrix, grid: TimeGrid) -> T
         rhos[:, 0, 1].real, rhos[:, 0, 1].imag = px - qy, py + qx
         rhos[:, 1, 0].real, rhos[:, 1, 0].imag = px + qy, qx - py
         if pieces is None:  # turn rho01 forward by w0 k h, rho10 back
-            turn = np.exp(1j * drive.params.omega0 * (np.arange(grid.steps + 1) * h))
+            turn = np.exp(1j * drive.omega0 * (np.arange(grid.steps + 1) * h))
             rhos[:, 0, 1] *= turn
             rhos[:, 1, 0] *= turn.conj()
             del turn

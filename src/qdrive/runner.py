@@ -10,9 +10,9 @@ import numpy as np
 from .coherence import build_series, l1_columns, l1_pulse_closed_form, refine_max
 from .config import ScenarioConfig
 from .core import TimeSeries, dm_new, scan_rho
-from .errors import ConfigInvalid, QdriveError
+from .errors import BadParam, ConfigInvalid, QdriveError
 from .liouville import propagate
-from .pulse import pulse_density, pulse_rho
+from .pulse import PulseParams, pulse_density, pulse_rho
 from .rabi import RabiParams, rabi_density, rabi_rho
 
 #: Verification thresholds: numeric-vs-analytic entrywise error and trace drift.
@@ -43,7 +43,7 @@ def analytic_series(cfg: ScenarioConfig) -> TimeSeries:
     if cfg.scenario not in CLOSED_FORMS:
         raise ConfigInvalid("sampled drives have no closed form")
     times = cfg.grid.times()
-    rho = CLOSED_FORMS[cfg.scenario](cfg.drive.params, times)
+    rho = CLOSED_FORMS[cfg.scenario](cfg.drive, times)
     return build_series(times, rho, scan_rho(rho).require_valid())
 
 
@@ -53,7 +53,7 @@ def numeric_series(cfg: ScenarioConfig) -> TimeSeries:
     its -0.0 entries), so both routes follow one trajectory."""
     rho0 = cfg.rho0
     if cfg.scenario in CLOSED_FORMS:
-        rho0 = dm_new(CLOSED_FORMS[cfg.scenario](cfg.drive.params, cfg.grid.t_start) + 0.0)
+        rho0 = dm_new(CLOSED_FORMS[cfg.scenario](cfg.drive, cfg.grid.t_start) + 0.0)
     return propagate(cfg.drive, rho0, cfg.grid)
 
 
@@ -89,35 +89,36 @@ class SweepRow:
     error: str | None = None
 
 
-def _swept_rabi(base: RabiParams, param: str, value: float) -> RabiParams:
-    if param == "omega0":
-        return replace(base, omega0=value)
+def _swept(drive: RabiParams | PulseParams, param: str, value: float) -> RabiParams | PulseParams:
+    if param != "coupling-magnitude":  # f0 or omega0, the name of its field
+        return replace(drive, **{param: value})
     # coupling-magnitude: rescale the magnitude, keep the phase
-    c = base.coupling
+    if not 0.0 <= value < np.inf:  # nan fails both comparisons
+        raise BadParam(f"coupling-magnitude must be finite and non-negative, got {value!r}")
+    c = drive.coupling
     phase = c / abs(c) if c != 0 else 1.0
-    return replace(base, coupling=value * phase)
+    return replace(drive, coupling=value * phase)
 
 
-def _sweep_row(cfg: ScenarioConfig, param: str, value: float) -> SweepRow:
+def _sweep_row(drive: RabiParams | PulseParams, steps: int, param: str, value: float) -> SweepRow:
     polished: list[np.ndarray] = []  # the states of the rabi polish, checked after it
-    if cfg.scenario == "pulse":
-        p = replace(cfg.drive.params, f0=value)
+    p = _swept(drive, param, value)
+    pulse = isinstance(p, PulseParams)
+    if pulse:
         period, rho_at, dm_at = p.period, pulse_rho, pulse_density
         c_l1_at = partial(l1_pulse_closed_form, p)
     else:
-        p = _swept_rabi(cfg.drive.params, param, value)
         period, rho_at, dm_at = p.population_period, rabi_rho, rabi_density
 
         def c_l1_at(t):
             polished.append(rabi_rho(p, t))
             return l1_columns(polished[-1])
 
-    times = np.linspace(0.0, period, cfg.grid.steps + 1)
+    times = np.linspace(0.0, period, steps + 1)
     scan = scan_rho(rho_at(p, times)).require_valid()
     # rabi scans the states it just validated; pulse scans its closed form,
     # whose bits differ from scan.c_l1
-    max_l1 = refine_max(c_l1_at, 0.0, period, samples=cfg.grid.steps,
-                        scan=None if cfg.scenario == "pulse" else scan.c_l1)
+    max_l1 = refine_max(c_l1_at, 0.0, period, samples=steps, scan=None if pulse else scan.c_l1)
     scan_rho(np.array(polished)).require_valid()  # the first failing evaluation raises
     ret = float(np.abs(dm_at(p, period).matrix - np.diag([1.0, 0.0])).max())
     return SweepRow(
@@ -129,20 +130,20 @@ def _sweep_row(cfg: ScenarioConfig, param: str, value: float) -> SweepRow:
     )
 
 
-def run_sweep(cfg: ScenarioConfig, param: str, values: list[float]) -> list[SweepRow]:
-    """One analytic summary row per value; per-row errors are recorded, not
-    raised, so the sweep always completes."""
+def run_sweep(drive: RabiParams | PulseParams, steps: int, param: str,
+              values: list[float]) -> list[SweepRow]:
+    """One analytic summary row per value over steps samples of its period;
+    per-row errors are recorded, not raised, so the sweep always completes."""
     if param not in SWEEP_PARAMS:
         raise ConfigInvalid(f"sweep param must be one of {list(SWEEP_PARAMS)}, got {param!r}")
-    if param == "f0" and cfg.scenario != "pulse":
-        raise ConfigInvalid("param f0 applies to the pulse scenario only")
-    if param in ("coupling-magnitude", "omega0") and cfg.scenario != "rabi":
-        raise ConfigInvalid(f"param {param} applies to the rabi scenario only")
+    scenario, params = ("pulse", PulseParams) if param == "f0" else ("rabi", RabiParams)
+    if not isinstance(drive, params):
+        raise ConfigInvalid(f"param {param} applies to the {scenario} scenario only")
 
     rows = []
     for value in values:
         try:
-            rows.append(_sweep_row(cfg, param, value))
+            rows.append(_sweep_row(drive, steps, param, value))
         except QdriveError as exc:
             rows.append(SweepRow(value=value, error=f"{type(exc).__name__}: {exc}"))
     return rows

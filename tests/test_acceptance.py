@@ -11,8 +11,6 @@ import pytest
 from qdrive import (
     PulseParams,
     RabiParams,
-    RwaRabi,
-    SquarePulse,
     TimeGrid,
     dm_eigenvalues,
     dm_new,
@@ -46,7 +44,7 @@ def _report(num: int, name: str, detail: str) -> None:
 
 def _max_series_error(params: RabiParams, steps: int) -> float:
     grid = TimeGrid(0.0, params.population_period, steps)
-    series = propagate(RwaRabi(params), ground_state_dm(), grid)
+    series = propagate(params, ground_state_dm(), grid)
     return max(
         np.abs(series.rho[i] - rabi_density(params, t).matrix).max()
         for i, t in enumerate(series.t)
@@ -122,7 +120,7 @@ def test_criterion_6_pulse_periodicity():
             err = np.abs(pulse_density(p, k * p.period).matrix - np.diag([1.0, 0.0])).max()
             worst_return = max(worst_return, err)
         grid = TimeGrid(0.0, p.period, 8192)
-        series = propagate(SquarePulse(p), ground_state_dm(), grid)
+        series = propagate(p, ground_state_dm(), grid)
         err = max(
             np.abs(series.rho[i] - pulse_density(p, t).matrix).max()
             for i, t in enumerate(series.t)

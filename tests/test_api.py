@@ -6,7 +6,7 @@ PUBLIC_NAMES = (
     "BadParam", "ConfigInvalid", "DegenerateDrive", "DensityMatrix", "DiscriminantNegative",
     "DriveHamiltonian", "IDENTITY", "InvariantCoefficients", "InvariantDrift", "NotHermitian",
     "NotNormalized", "NotPositive", "OutOfRange", "PulseParams", "QdriveError", "RabiParams",
-    "RwaRabi", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "Sampled", "SquarePulse", "StateVector",
+    "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "Sampled", "StateVector",
     "TimeGrid", "TimeSeries", "TraceNotOne", "build_series", "commutator", "dm_eigenvalues",
     "dm_new", "dm_purity", "floquet_quasienergy", "floquet_solution", "frobenius_coherence",
     "ground_state_dm", "invariance_residual", "invariant_coefficients", "invariant_operator",

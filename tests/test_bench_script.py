@@ -1,6 +1,6 @@
 """scripts/bench.py: one short interleaved run of the sweep workload on two
 labels of this checkout, written to BENCH files, and its count of the pairs
-a label beat the first label in."""
+a label beat the first label in, and the line count of the sources."""
 import importlib.util
 import json
 import subprocess
@@ -32,9 +32,11 @@ def test_bench_writes_one_file_per_label(tmp_path):
          "--workloads", "sweep", "--out", str(tmp_path), f"a={ROOT}", f"b={ROOT}"],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    lines = sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "qdrive").glob("*.py"))
     for label, other in (("a", "b"), ("b", "a")):
         doc = json.loads((tmp_path / f"BENCH_{label}.json").read_text())
         assert doc["label"] == label and set(doc["host"]) == {"python", "numpy", "scipy", "nproc"}
+        assert doc["src_lines"] == lines
         sweep = doc["workloads"]["sweep"]
         assert set(sweep["end_to_end"]) == {"setup_s", "ops_per_s", "cycle_p50_s", "peak_rss_mb"}
         cycle = sweep["end_to_end"]["cycle_p50_s"]
@@ -52,3 +54,4 @@ def test_bench_writes_one_file_per_label(tmp_path):
             assert all(k in (0, 1) for k in better["counts"].values())
     summary = [line for line in proc.stdout.splitlines() if line.startswith("sweep ")]
     assert len(summary) == 4 and all(line.endswith(" of 1") for line in summary)
+    assert f"\nsrc_lines{' ' * 18}a {lines}  b {lines}\n" in proc.stdout

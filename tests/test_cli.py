@@ -12,7 +12,7 @@ import pytest
 
 from qdrive import PulseParams, RabiParams, pulse_rho, rabi_rho
 from qdrive.cli import _write_sweep_csv, build_parser, main
-from qdrive.config import MAX_STEPS, scenario_config_from_dict
+from qdrive.config import MAX_STEPS, scenario_config_from_dict, sweep_config_from_dict
 from qdrive.io import CSV_HEADER, read_series_csv
 from qdrive.runner import SweepRow
 from test_output_digests import EXPECTED, run_case
@@ -448,8 +448,8 @@ class TestSweep:
             return rho
 
         monkeypatch.setattr(runner, "rabi_rho", failing_polish)
-        cfg = scenario_config_from_dict({"scenario": "rabi", "grid": {"steps": 256}})
-        [row] = runner.run_sweep(cfg, "omega0", [0.7])
+        drive, steps, _ = sweep_config_from_dict({"scenario": "rabi", "grid": {"steps": 256}})
+        [row] = runner.run_sweep(drive, steps, "omega0", [0.7])
         assert len(polished) > 5
         assert row.error == "TraceNotOne: |trace - 1| = 5.000e-01 exceeds 1.0e-12"
 
@@ -466,6 +466,58 @@ class TestSweep:
         assert len(lines) == 3
         assert "DegenerateDrive" in lines[1]
         assert "DegenerateDrive" not in lines[2]
+
+    @pytest.mark.parametrize("flag", [["--format", "json"], ["--t-start", "0"], ["--t-end", "5"]],
+                             ids=["format", "t-start", "t-end"])
+    def test_series_flags_are_no_sweep_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["sweep", "--param", "f0", "--values", "1", *flag])
+        assert exc.value.code == 2
+        assert f"error: unrecognized arguments: {' '.join(flag)}\n" in capsys.readouterr().err
+
+    def test_help_lists_the_flags_it_reads(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["sweep", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(flag in out for flag in ("--steps", "--output", "--config", "--coupling"))
+        assert not re.search("--t-start|--t-end|--format|--mode", out)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"mode": "analytic"}, "unknown key(s) ['mode'] in configuration; "
+         "allowed: ['grid', 'output', 'params', 'scenario']"),
+        ({"grid": {"t_start": 0.0}}, "unknown key(s) ['t_start'] in grid; allowed: ['steps']"),
+        ({"grid": {"t_end": -1.0}}, "unknown key(s) ['t_end'] in grid; allowed: ['steps']"),
+        ({"output": {"format": "json"}}, "unknown key(s) ['format'] in output; allowed: ['path']"),
+        ({"scenario": "sampled"}, "scenario must be one of ['rabi', 'pulse'], got 'sampled'"),
+        ({"grid": {"steps": 0}}, "grid: steps must be a positive integer, got 0"),
+    ], ids=["mode", "t_start", "t_end", "format", "sampled", "zero-steps"])
+    def test_config_holds_only_what_it_reads(self, doc, message, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run(["sweep", "--param", "f0", "--values", "1", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    DEGENERATE = ["--coupling", "0", "--e-g", "0", "--e-e", "1", "--omega0", "1",
+                  "--values", "0.5,1", "--steps", 64]
+
+    def test_degenerate_base_drive_runs(self, capsys):
+        assert run(["sweep", "--param", "coupling-magnitude", *self.DEGENERATE]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert [len(row.split()) for row in rows] == [5, 5]  # no error cell
+        assert run(["sweep", "--param", "omega0", *self.DEGENERATE]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert len(rows) == 2 and len(rows[0].split()) == 5
+        assert rows[1].split()[:2] == ["1", "-"] and "DegenerateDrive: " in rows[1]
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-0.5"])
+    def test_coupling_magnitude_must_be_finite_and_non_negative(self, value, capsys):
+        assert run(["sweep", "--param", "coupling-magnitude", f"--values={value},1",
+                    "--steps", 64]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert rows[0].endswith(
+            f"  BadParam: coupling-magnitude must be finite and non-negative, got {value}")
+        assert len(rows[1].split()) == 5
 
     def test_sweep_csv_output(self, tmp_path):
         out = tmp_path / "sweep.csv"

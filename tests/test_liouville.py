@@ -14,9 +14,7 @@ from qdrive import (
     OutOfRange,
     PulseParams,
     RabiParams,
-    RwaRabi,
     Sampled,
-    SquarePulse,
     TimeGrid,
     dm_new,
     ground_state_dm,
@@ -130,21 +128,36 @@ class TestPropagate:
         series = propagate(zero_drive(), rho0, TimeGrid(0.0, 5.0, 64))
         assert np.abs(series.rho - rho0.matrix).max() == 0.0
 
+    @pytest.mark.parametrize("drive, closed_form", [
+        (RES, rabi_rho),
+        (PulseParams(e0=1.0, f0=1.5, n_period=1), pulse_rho),
+        (zero_drive(), lambda drive, t: np.broadcast_to(np.diag([1.0, 0.0]), (len(t), 2, 2))),
+    ], ids=["RabiParams", "PulseParams", "Sampled"])
+    def test_each_drive_is_accepted_as_it_is(self, drive, closed_form):
+        grid = TimeGrid(0.0, 2.0, 2048)
+        series = propagate(drive, ground_state_dm(), grid)
+        assert np.abs(series.rho - closed_form(drive, grid.times())).max() <= 1e-10
+
+    def test_rejects_what_is_not_a_drive(self):
+        grid = TimeGrid(0.0, 1.0, 8)
+        with pytest.raises(BadParam, match="^unknown drive type TimeGrid$"):
+            propagate(grid, ground_state_dm(), grid)
+
     def test_rabi_example_against_closed_form(self):
         # one population period 2 pi / (2 Omega) at Omega = 1/2
         grid = TimeGrid(0.0, 2 * np.pi, 5000)
-        series = propagate(RwaRabi(RES), ground_state_dm(), grid)
+        series = propagate(RES, ground_state_dm(), grid)
         err = np.abs(series.rho[-1] - rabi_density(RES, grid.t_end).matrix).max()
         assert err <= 1e-8
 
     def test_pulse_returns_to_ground(self):
         p = PulseParams(e0=1.0, f0=1.0, n_period=1)
-        series = propagate(SquarePulse(p), ground_state_dm(), TimeGrid(0.0, p.period, 8192))
+        series = propagate(p, ground_state_dm(), TimeGrid(0.0, p.period, 8192))
         assert np.abs(series.rho[-1] - np.diag([1.0, 0.0])).max() <= 1e-8
 
     def test_series_has_measure_columns(self):
         p = PulseParams(e0=1.0, f0=0.5, n_period=1)
-        series = propagate(SquarePulse(p), ground_state_dm(), TimeGrid(0.0, p.period, 128))
+        series = propagate(p, ground_state_dm(), TimeGrid(0.0, p.period, 128))
         assert len(series) == 129
         assert np.all(series.purity > 0.999999)
         assert np.abs(series.c_frob - 1.0).max() <= 1e-6
@@ -155,8 +168,8 @@ class TestPropagate:
 
     def test_conservation_properties(self):
         runs = [
-            (RwaRabi(RES), TimeGrid(0.0, RES.population_period, 5000)),
-            (SquarePulse(PulseParams(e0=1.0, f0=1.0, n_period=1)),
+            (RES, TimeGrid(0.0, RES.population_period, 5000)),
+            (PulseParams(e0=1.0, f0=1.0, n_period=1),
              TimeGrid(0.0, PulseParams(e0=1.0, f0=1.0, n_period=1).period, 8192)),
         ]
         for drive, grid in runs:
@@ -174,7 +187,7 @@ class TestPropagate:
         errs = {}
         for steps in (2500, 5000):
             grid = TimeGrid(0.0, RES.population_period, steps)
-            series = propagate(RwaRabi(RES), ground_state_dm(), grid)
+            series = propagate(RES, ground_state_dm(), grid)
             errs[steps] = max(
                 np.abs(series.rho[i] - rabi_density(RES, t).matrix).max()
                 for i, t in enumerate(series.t)
@@ -184,7 +197,7 @@ class TestPropagate:
 
     def test_aligned_multiperiod_grid_accepted(self):
         p = PulseParams(e0=1.0, f0=1.0, n_period=1)
-        series = propagate(SquarePulse(p), ground_state_dm(),
+        series = propagate(p, ground_state_dm(),
                            TimeGrid(0.0, 2 * p.period, 1024))
         assert np.abs(series.rho[-1] - np.diag([1.0, 0.0])).max() <= 1e-8
 
@@ -263,7 +276,7 @@ class TestPiecewiseConstantOrder:
 
     @pytest.mark.parametrize("drive, t_end, steps", [
         (SAMPLED_PULSE, P15.period, 64),   # switches on nodes
-        (SquarePulse(P15), P15.period, 101),  # switches inside steps
+        (P15, P15.period, 101),  # switches inside steps
         (SMOOTH, 3.0, 64),                 # samples on nodes
         (SMOOTH, 3.0, 200),                # samples inside steps
     ], ids=["sampled-pulse-aligned", "square-pulse-unaligned", "smooth-aligned",
@@ -280,7 +293,7 @@ class TestPiecewiseConstantOrder:
         # both hold the branch in force at each step midpoint, bit for bit
         grid = TimeGrid(0.0, P15.period, 256)
         a = propagate(SAMPLED_PULSE, ground_state_dm(), grid)
-        b = propagate(SquarePulse(P15), ground_state_dm(), grid)
+        b = propagate(P15, ground_state_dm(), grid)
         assert np.array_equal(a.rho, b.rho)
 
     def test_switch_within_tolerance_of_node_does_not_split(self):
@@ -294,7 +307,7 @@ class TestPiecewiseConstantOrder:
 
     def test_step_longer_than_half_period_rejected(self):
         with pytest.raises(BadParam, match="exceeds the half period"):
-            propagate(SquarePulse(P15), ground_state_dm(), TimeGrid(0.0, 3 * P15.period, 5))
+            propagate(P15, ground_state_dm(), TimeGrid(0.0, 3 * P15.period, 5))
 
 
 def rk4_step(rho, h, h_a, h_mid, h_b):
@@ -322,7 +335,7 @@ def reference_propagate(drive, rho0, grid):
     for i in range(grid.steps):
         a, rho = t0 + i * h, rhos[-1]
         if pieces is None:
-            rho = rk4_step(rho, h, *rabi_hamiltonian(drive.params, [a, a + 0.5 * h, a + h]))
+            rho = rk4_step(rho, h, *rabi_hamiltonian(drive, [a, a + 0.5 * h, a + h]))
         else:
             k0, k1 = first[i], last[i]
             hs = [h] if k0 == k1 else np.diff([a, *starts[k0 + 1:k1 + 1], a + h])
@@ -369,7 +382,7 @@ class TestMatchesStageByStageReference:
         p = RabiParams(e_g=e_g, e_e=e_e, omega0=omega0, coupling=complex(g_re, g_im))
         rate = gap(rabi_hamiltonian(p, 0.0)) + abs(omega0)  # H also turns at omega0
         assume(rate > 1e-3)
-        assert_matches_reference(RwaRabi(p),
+        assert_matches_reference(p,
                                  TimeGrid(t_start, t_start + steps * courant / rate, steps))
 
     @settings(max_examples=40, deadline=None)
@@ -378,7 +391,7 @@ class TestMatchesStageByStageReference:
     def test_square_pulse_aligned_and_split(self, e0, f0, n, k, halves, per_half, steps,
                                             shift, courant):
         p = PulseParams(e0=e0, f0=f0, n_period=n)
-        drive, half = SquarePulse(p), p.period / 2
+        drive, half = p, p.period / 2
         # switches on nodes: h 2 eps0 = 2 n pi / per_half, the pulse's gap
         # being 2 eps0, so at least 2 n pi steps per half period
         per_half = max(per_half, math.ceil(2 * n * math.pi))
@@ -413,7 +426,7 @@ def lab_step_maps(drive, grid):
     a = times[:-1]
     pieces = _pieces(drive, grid)
     if pieces is None:
-        hams = rabi_hamiltonian(drive.params, np.stack([a, a + 0.5 * h, a + h]))
+        hams = rabi_hamiltonian(drive, np.stack([a, a + 0.5 * h, a + h]))
         return _rk4_map(*_generator(hams, h))
     starts, mats = pieces
     tol = 1e-9 * h
@@ -460,9 +473,9 @@ class TestChunkedApply:
     lab-frame maps up to rounding (assert_matches_reference's bound)."""
 
     @pytest.mark.parametrize("drive, grid", [
-        (RwaRabi(RWA_DETUNED), TimeGrid(0.3, 240.0, 9001)),
+        (RWA_DETUNED, TimeGrid(0.3, 240.0, 9001)),
         # switches inside steps: 9001 steps over 19.3 half periods
-        (SquarePulse(P_SPLIT), TimeGrid(0.1 * P_SPLIT.period, 9.75 * P_SPLIT.period, 9001)),
+        (P_SPLIT, TimeGrid(0.1 * P_SPLIT.period, 9.75 * P_SPLIT.period, 9001)),
         (SAMPLED_RWA, TimeGrid(0.0, 120.0, 9001)),
     ], ids=["rwa", "square-pulse", "sampled"])
     def test_matches_chained_maps(self, drive, grid):
@@ -473,7 +486,7 @@ class TestChunkedApply:
         assert np.abs(rhos - expected).max() <= 1e-12 * grid.steps
 
     @pytest.mark.parametrize("drive, grid", [
-        (SquarePulse(P_SPLIT), TimeGrid(0.1 * P_SPLIT.period, 0.75 * P_SPLIT.period, 63)),
+        (P_SPLIT, TimeGrid(0.1 * P_SPLIT.period, 0.75 * P_SPLIT.period, 63)),
         (SAMPLED_RWA, TimeGrid(0.0, 6.0, 63)),
     ], ids=["square-pulse", "sampled"])
     def test_shorter_than_a_chunk_is_the_plain_chain(self, drive, grid):
@@ -563,7 +576,7 @@ class TestMatchesClosedForms:
     def test_rwa(self, p, steps, courant):
         rate = gap(rabi_hamiltonian(p, 0.0)) + abs(p.omega0)
         grid = TimeGrid(0.0, steps * courant / rate, steps)
-        series = propagate(RwaRabi(p), ground_state_dm(), grid)
+        series = propagate(p, ground_state_dm(), grid)
         err = np.abs(series.rho - rabi_rho(p, series.t)).max()
         assert err <= closed_form_tol(steps, courant)
 
@@ -573,6 +586,6 @@ class TestMatchesClosedForms:
     def test_square_pulse(self, e0, f0, n, steps, courant):
         p = PulseParams(e0=e0, f0=f0, n_period=n)
         grid = TimeGrid(0.0, steps * courant / (2 * p.eps0), steps)
-        series = propagate(SquarePulse(p), ground_state_dm(), grid)
+        series = propagate(p, ground_state_dm(), grid)
         err = np.abs(series.rho - pulse_rho(p, series.t)).max()
         assert err <= closed_form_tol(steps, courant, n)

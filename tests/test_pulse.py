@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from qdrive import (
     BadParam,
     PulseParams,
-    SquarePulse,
     TimeGrid,
     ground_state_dm,
     periodicity_T,
@@ -181,7 +180,7 @@ class TestPulseLewisPhase:
 def test_density_matches_propagator(f0, n):
     p = PulseParams(e0=1.0, f0=f0, n_period=n)
     grid = TimeGrid(0.0, p.period, 8192)
-    series = propagate(SquarePulse(p), ground_state_dm(), grid)
+    series = propagate(p, ground_state_dm(), grid)
     worst = max(
         np.abs(series.rho[i] - pulse_density(p, t).matrix).max()
         for i, t in enumerate(series.t)

@@ -6,7 +6,6 @@ from qdrive import (
     BadParam,
     DegenerateDrive,
     RabiParams,
-    RwaRabi,
     TimeGrid,
     floquet_quasienergy,
     floquet_solution,
@@ -159,7 +158,7 @@ def test_density_matches_propagator():
     # independent numerical oracle over one population period
     for p in (RESONANT, DETUNED):
         grid = TimeGrid(0.0, p.population_period, 5000)
-        series = propagate(RwaRabi(p), ground_state_dm(), grid)
+        series = propagate(p, ground_state_dm(), grid)
         worst = max(
             np.abs(series.rho[i] - rabi_density(p, t).matrix).max()
             for i, t in enumerate(series.t)

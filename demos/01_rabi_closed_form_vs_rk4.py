@@ -34,9 +34,9 @@ print()
 period = params.population_period
 print(" t/T      rho_gg    rho_ee    |rho_ge|")
 for frac in np.linspace(0.0, 1.0, 9):
-    rho = rabi_density(params, frac * period)
-    print(f"{frac:5.3f}   {rho.rho00.real:8.5f}  {rho.rho11.real:8.5f}"
-          f"  {abs(rho.rho01):8.5f}")
+    rho = rabi_density(params, frac * period).matrix
+    print(f"{frac:5.3f}   {rho[0, 0].real:8.5f}  {rho[1, 1].real:8.5f}"
+          f"  {abs(rho[0, 1]):8.5f}")
 print()
 
 # The peak excited-state population is |g|^2 / Omega^2 < 1 off resonance.

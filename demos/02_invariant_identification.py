@@ -47,7 +47,7 @@ print(" t/T      xi^2(C=1)  rho_gg     xi^2(C=2)")
 for frac in (0.0, 0.2, 0.45, 0.7):
     t = frac * period
     print(f"{frac:5.2f}    {xi_squared(params, t, 1.0):9.6f}  "
-          f"{rabi_density(params, t).rho00.real:9.6f}  {xi_squared(params, t, 2.0):9.6f}")
+          f"{rabi_density(params, t).matrix[0, 0].real:9.6f}  {xi_squared(params, t, 2.0):9.6f}")
 print()
 
 # 4. The accumulated phase is zeta * t: drive-period bookkeeping reduces to

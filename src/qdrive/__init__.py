@@ -44,9 +44,7 @@ from .errors import (
     TraceNotOne,
 )
 from .lewis import (
-    InvariantCoefficients,
     invariance_residual,
-    invariant_coefficients,
     invariant_operator,
     lewis_phase,
     xi_squared,

@@ -261,13 +261,13 @@ def _write_sweep_csv(path: str, param: str, rows: list[SweepRow]) -> None:
                              r.error or ""])
 
 
-_NEGATIVE = re.compile(r"-[0-9.]")
+_NEGATIVE = re.compile(r"-([0-9.]|inf|nan)", re.IGNORECASE)
 
 
 def _attach_values(argv: list[str]) -> list[str]:
     """Rewrite ``--flag -1e308`` as ``--flag=-1e308`` for every long option
     (each takes a value): argparse counts only '-1'-like tokens as numbers
-    and would read '-1e308', '-1e-3' or '-0.5,1' as an option."""
+    and would read '-1e308', '-1e-3', '-0.5,1', '-inf' or '-NaN' as an option."""
     out: list[str] = []
     for tok in argv:
         if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE.match(tok):

@@ -15,7 +15,7 @@ All types are immutable values; all functions are pure.  hbar = 1 throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -36,12 +36,11 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-#: Construction tolerances for density-matrix invariants.  Fixed defaults;
-#: the numerical propagator and the coherence subcommand pass relaxed
-#: values (1e-8) when checking integrated or re-read samples.
-TOL_HERM = 1e-12
-TOL_TRACE = 1e-12
-TOL_PSD = 1e-12
+#: Tolerance of every density-matrix invariant of a state the library builds.
+TOL = 1e-12
+#: Tolerance of a propagated state (trace and Hermiticity drift included) and
+#: of a state re-read from a file.
+TOL_RUNTIME = 1e-8
 
 
 def mat2(a00: complex, a01: complex, a10: complex, a11: complex) -> np.ndarray:
@@ -112,17 +111,16 @@ class Scan(NamedTuple):
         return self
 
 
-def scan_rho(rho: np.ndarray, tol_herm: float = TOL_HERM, tol_trace: float = TOL_TRACE,
-             tol_psd: float = TOL_PSD, tol_drift: float | None = None) -> Scan:
+def scan_rho(rho: np.ndarray, tol: float = TOL, drift: bool = False) -> Scan:
     """Check each matrix of a (..., 2, 2) array as a density matrix and compute
     its purity tr(rho^2), l1 coherence |rho01| + |rho10| and Frobenius
     radicand, in one pass that takes |rho01| and |rho01|^2 once.
 
     ``bad`` is None if all pass, else ``(i, error)``: the lowest failing index
     of the flattened batch and its unraised error for the first violated
-    invariant, in the order: trace or Hermiticity drift past ``tol_drift``
-    (InvariantDrift; only if given), finite (BadParam), Hermitian
-    (NotHermitian), unit trace (TraceNotOne), positive semidefinite
+    invariant, each checked to within ``tol``, in the order: trace or
+    Hermiticity drift (InvariantDrift; only if ``drift``), finite (BadParam),
+    Hermitian (NotHermitian), unit trace (TraceNotOne), positive semidefinite
     (NotPositive).
     """
     m = np.asarray(rho, dtype=complex).reshape(-1, 2, 2)
@@ -140,77 +138,52 @@ def scan_rho(rho: np.ndarray, tol_herm: float = TOL_HERM, tol_trace: float = TOL
         d = (r00 - r11) / 2.0
         lam_min = tr / 2.0 - np.sqrt(d * d + a01_sq)
         # a non-finite entry makes herm, tr_err or lam_min non-finite: "not within" catches NaN
-        failing = ~(herm <= tol_herm) | ~(tr_err <= tol_trace) | ~(lam_min >= -tol_psd)
-        if tol_drift is not None:
-            drift = np.hypot(tr - 1.0, i00 + i11)
-            drifted = (drift > tol_drift) | (herm > tol_drift)
+        failing = ~(herm <= tol) | ~(tr_err <= tol) | ~(lam_min >= -tol)
+        if drift:
+            tr_drift = np.hypot(tr - 1.0, i00 + i11)
+            drifted = (tr_drift > tol) | (herm > tol)
             failing |= drifted
     if not failing.any():
         return Scan(None, purity, c_l1, radicand)
     i = int(np.argmax(failing))
-    if tol_drift is not None and drifted[i]:
+    if drift and drifted[i]:
         error: QdriveError = InvariantDrift(
-            f"trace drift {drift[i]:.3e}, Hermiticity drift {herm[i]:.3e} (limit {tol_drift:g})")
+            f"trace drift {tr_drift[i]:.3e}, Hermiticity drift {herm[i]:.3e} (limit {tol:g})")
     elif not np.isfinite(m[i]).all():
         error = BadParam(f"density-matrix entry must be finite, got {m[i].tolist()!r}")
-    elif herm[i] > tol_herm:
-        error = NotHermitian(f"Hermiticity violation {herm[i]:.3e} exceeds {tol_herm:.1e}")
-    elif tr_err[i] > tol_trace:
-        error = TraceNotOne(f"|trace - 1| = {tr_err[i]:.3e} exceeds {tol_trace:.1e}")
+    elif herm[i] > tol:
+        error = NotHermitian(f"Hermiticity violation {herm[i]:.3e} exceeds {tol:.1e}")
+    elif tr_err[i] > tol:
+        error = TraceNotOne(f"|trace - 1| = {tr_err[i]:.3e} exceeds {tol:.1e}")
     else:
-        error = NotPositive(f"smallest eigenvalue {lam_min[i]:.3e} below -{tol_psd:.1e}")
+        error = NotPositive(f"smallest eigenvalue {lam_min[i]:.3e} below -{tol:.1e}")
     return Scan((i, error), purity, c_l1, radicand)
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """2x2 density matrix checked at construction by scan_rho.  The
+    """2x2 density matrix checked at construction by scan_rho at TOL.  The
     stored matrix is the one supplied -- never renormalized -- and read-only.
     """
 
     matrix: np.ndarray
-    tol_herm: InitVar[float] = TOL_HERM
-    tol_trace: InitVar[float] = TOL_TRACE
-    tol_psd: InitVar[float] = TOL_PSD
 
-    def __post_init__(self, tol_herm: float, tol_trace: float, tol_psd: float) -> None:
+    def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise BadParam(f"density matrix must be 2x2, got shape {m.shape}")
-        scan_rho(m, tol_herm, tol_trace, tol_psd).require_valid()
+        scan_rho(m).require_valid()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def rho00(self) -> complex:
-        return complex(self.matrix[0, 0])
 
-    @property
-    def rho01(self) -> complex:
-        return complex(self.matrix[0, 1])
-
-    @property
-    def rho10(self) -> complex:
-        return complex(self.matrix[1, 0])
-
-    @property
-    def rho11(self) -> complex:
-        return complex(self.matrix[1, 1])
-
-
-def dm_new(
-    m: np.ndarray,
-    *,
-    tol_herm: float = TOL_HERM,
-    tol_trace: float = TOL_TRACE,
-    tol_psd: float = TOL_PSD,
-) -> DensityMatrix:
+def dm_new(m: np.ndarray) -> DensityMatrix:
     """Validate a 2x2 matrix as a density matrix.
 
     Raises NotHermitian / TraceNotOne / NotPositive naming the violated
     invariant and the offending magnitude.
     """
-    return DensityMatrix(m, tol_herm=tol_herm, tol_trace=tol_trace, tol_psd=tol_psd)
+    return DensityMatrix(m)
 
 
 def ground_state_dm() -> DensityMatrix:
@@ -226,12 +199,11 @@ def dm_purity(rho: DensityMatrix) -> float:
 def dm_eigenvalues(rho: DensityMatrix) -> tuple[float, float]:
     """Eigenvalue pair (lam_plus, lam_minus) = 1/2 +- sqrt(1/4 + |rho01|^2 - rho00*rho11).
 
-    A radicand below -1e-12 signals an invalid state and raises
-    DiscriminantNegative; small negatives from rounding are clamped to 0.
+    The radicand is ((rho00 - rho11)/2)^2 + |rho01|^2 + (1 - tr^2)/4, so for
+    a state within TOL of unit trace it is at least -TOL (2 + TOL)/4, about
+    -TOL/2, before rounding; such small negatives are clamped to 0.
     """
     radicand = scan_rho(rho.matrix).radicand.item() / 4.0
-    if radicand < -1e-12:
-        raise DiscriminantNegative(f"eigenvalue radicand {radicand:.3e} below -1e-12")
     s = math.sqrt(max(radicand, 0.0))
     return 0.5 + s, 0.5 - s
 

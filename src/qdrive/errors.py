@@ -27,7 +27,8 @@ class NotNormalized(QdriveError):
 
 
 class DiscriminantNegative(QdriveError):
-    """Eigenvalue radicand 1/4 + |rho01|^2 - rho00*rho11 is below -1e-12 (invalid state)."""
+    """Frobenius radicand 1 + 4|rho01|^2 - 4 rho00 rho11 (four times the eigenvalue
+    radicand) is below -1e-12 (invalid state); raised when Scan.c_frob is read."""
 
 
 class DegenerateDrive(QdriveError):
@@ -44,7 +45,7 @@ class OutOfRange(QdriveError):
 
 
 class InvariantDrift(QdriveError):
-    """Trace or Hermiticity drift of a propagated state exceeded 1e-8."""
+    """Trace or Hermiticity drift of a propagated state exceeded core.TOL_RUNTIME (1e-8)."""
 
 
 class ConfigInvalid(QdriveError):

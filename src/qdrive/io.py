@@ -21,7 +21,7 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from .core import Scan, TimeSeries, scan_rho
+from .core import TOL_RUNTIME, Scan, TimeSeries, scan_rho
 from .errors import BadParam, ConfigInvalid
 from .liouville import Sampled
 
@@ -181,10 +181,11 @@ def _read_rows(f: TextIO, path: str | Path, ncols: int) -> np.ndarray:
 
 def _read_table(path: str | Path, headers: tuple[str, ...]) -> np.ndarray:
     """Parse a CSV whose header is one of ``headers`` into an (n, ncols) array
-    of finite floats; blank lines are skipped and not counted.  The body is
-    parsed by np.loadtxt when it holds only characters that loadtxt and
-    float() read alike, and field by field otherwise or when loadtxt rejects
-    it, so ConfigInvalid names the file and row of any defect."""
+    of finite floats whose first column, t, strictly increases; blank lines
+    are skipped and not counted.  The body is parsed by np.loadtxt when it
+    holds only characters that loadtxt and float() read alike, and field by
+    field otherwise or when loadtxt rejects it, so ConfigInvalid names the
+    file and row of any defect."""
     try:
         with open(path, encoding="ascii") as f:
             header = ""
@@ -207,6 +208,11 @@ def _read_table(path: str | Path, headers: tuple[str, ...]) -> np.ndarray:
         i, j = bad[0]
         raise ConfigInvalid(f"row {i + 2} of {path}: {header.split(',')[j]} = "
                             f"{float(data[i, j])!r} is not finite")
+    stuck = np.flatnonzero(data[1:, 0] <= data[:-1, 0])
+    if len(stuck):
+        i = int(stuck[0]) + 1
+        raise ConfigInvalid(f"row {i + 2} of {path}: t = {float(data[i, 0])!r} does not "
+                            f"exceed the previous row's t = {float(data[i - 1, 0])!r}")
     return data
 
 
@@ -218,9 +224,9 @@ def _rho_from_columns(data: np.ndarray) -> np.ndarray:
 
 def check_states(rho: np.ndarray, path: str | Path) -> Scan:
     """Return the scan of the states read from ``path`` if each is a density
-    matrix to within 1e-8, a runtime tolerance loose enough for propagated
+    matrix to within TOL_RUNTIME, a tolerance loose enough for propagated
     states; otherwise raise ConfigInvalid naming the first bad row of the file."""
-    scan = scan_rho(rho, tol_herm=1e-8, tol_trace=1e-8, tol_psd=1e-8)
+    scan = scan_rho(rho, TOL_RUNTIME)
     if scan.bad is not None:
         raise ConfigInvalid(f"row {scan.bad[0] + 2} of {path}: {scan.bad[1]}") from scan.bad[1]
     return scan

@@ -30,29 +30,12 @@ xidd/xi + xid^2/xi^2 + 2 Omega^2 = (Theta^2/2 + C|g|^2)/xi^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import cmul, commutator, finite_times, hermitian
 from .errors import BadParam
 from .rabi import RabiParams, _nonzero_omega, floquet_quasienergy, rabi_hamiltonian
-
-
-@dataclass(frozen=True)
-class InvariantCoefficients:
-    """Coefficients of the invariant I = [[delta1, gamma1], [gamma2, delta2]]:
-    floats and complex numbers for a scalar t, else arrays of t's shape.
-
-    Hermiticity fixes gamma2 = conj(gamma1); the trace delta1 + delta2 equals
-    the Ermakov constant C.
-    """
-
-    delta1: float | np.ndarray
-    delta2: float | np.ndarray
-    gamma1: complex | np.ndarray
-    gamma2: complex | np.ndarray
-    c_const: float
 
 
 def xi_squared(p: RabiParams, t: np.ndarray | float, c_const: float) -> np.ndarray | float:
@@ -97,16 +80,6 @@ def invariant_operator(p: RabiParams, t: np.ndarray | float, c_const: float = 1.
     w_re, w_im = cmul(w.real, w.imag, np.sin(2.0 * om * t), 0.0)
     b_re, b_im = p.theta * (np.cos(2.0 * om * t) - 1.0) + w_re, 0.0 + w_im
     return hermitian(x2, c_const - x2, *cmul(a_re, a_im, b_re, b_im))
-
-
-def invariant_coefficients(p: RabiParams, t: np.ndarray | float,
-                           c_const: float = 1.0) -> InvariantCoefficients:
-    """Coefficient record of the rescaled invariant at times t (see invariant_operator)."""
-    m = invariant_operator(p, t, c_const)
-    co = m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1], m[..., 1, 0]
-    if m.ndim == 2:
-        co = float(co[0]), float(co[1]), complex(co[2]), complex(co[3])
-    return InvariantCoefficients(*co, c_const=c_const)
 
 
 def invariance_residual(p: RabiParams, t: np.ndarray | float, h: float,

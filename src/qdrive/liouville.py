@@ -26,7 +26,7 @@ forward at the end: the same RK4 scheme, not a rotating-frame integrator.
 One applier, _apply, serves every drive.
 
 Integration acts on the raw matrix; the finished (n, 2, 2) trajectory is
-validated as density matrices in one batch (relaxed 1e-8 tolerances)
+validated as density matrices in one batch (at TOL_RUNTIME, 1e-8)
 rather than renormalized, so integrator defects surface as errors -- naming
 the first failing step and its time -- instead of being masked.
 """
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import build_series
-from .core import DensityMatrix, Scan, TimeGrid, TimeSeries, scan_rho
+from .core import TOL_RUNTIME, DensityMatrix, Scan, TimeGrid, TimeSeries, scan_rho
 from .errors import BadParam, OutOfRange
 from .pulse import PulseParams, pulse_hamiltonian, reduced_time
 from .rabi import RabiParams, rabi_hamiltonian
@@ -186,15 +186,13 @@ def _corotating_map(p: RabiParams, t0: float, h: float) -> np.ndarray:
 
 
 def _check_states(rhos: np.ndarray, times: np.ndarray) -> Scan:
-    """Scan the states; raise, naming k and t_k, for the lowest state k >= 1 that drifted
-    past 1e-8 in trace or Hermiticity (InvariantDrift), is not finite or not PSD."""
-    scan = scan_rho(rhos, 1e-8, 1e-8, 1e-8, 1e-8)
-    bad = scan.bad
-    if bad is not None and bad[0] == 0:  # rho0, checked at its own tolerances
-        bad = scan_rho(rhos[1:], 1e-8, 1e-8, 1e-8, 1e-8).bad
-        bad = None if bad is None else (bad[0] + 1, bad[1])
-    if bad is not None:
-        k, error = bad
+    """Scan the states at TOL_RUNTIME; raise, naming k and t_k, for the lowest state k
+    that drifted in trace or Hermiticity (InvariantDrift), is not finite or not PSD.
+    rho0 passed DensityMatrix's TOL check, so its drift is at most hypot(TOL, 2 TOL)
+    and k >= 1."""
+    scan = scan_rho(rhos, TOL_RUNTIME, drift=True)
+    if scan.bad is not None:
+        k, error = scan.bad
         raise type(error)(f"step {k}, t = {float(times[k])!r}: {error}") from None
     return scan
 

@@ -9,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qdrive import PulseParams, RabiParams, pulse_rho, rabi_rho
+from qdrive import ConfigInvalid, PulseParams, RabiParams, pulse_rho, rabi_rho
 from qdrive.cli import _write_sweep_csv, build_parser, main
-from qdrive.config import MAX_STEPS, scenario_config_from_dict, sweep_config_from_dict
+from qdrive.config import MAX_STEPS, MODES, scenario_config_from_dict, sweep_config_from_dict
 from qdrive.io import CSV_HEADER, read_series_csv
 from qdrive.runner import SweepRow
 from test_output_digests import EXPECTED, run_case
@@ -315,6 +317,90 @@ class TestConfig:
         assert cfg.grid.steps == MAX_STEPS
 
 
+# JSON values as json.loads builds them, non-finite floats and ints past a
+# double included; ints stay small or exceed MAX_STEPS, so no grid is large
+numbers = st.one_of(st.floats(), st.integers(-5000, 5000),
+                    st.sampled_from([MAX_STEPS + 1, 2**64, 2**1100, -2**1100]))
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), numbers, st.text(max_size=6)),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=10)
+
+
+@st.composite
+def rho0_entries(draw):
+    """[[re, im]] x 4: a state from a Bloch vector of length <= 1, one entry
+    pushed by up to 1e-8 so that dm_new accepts some and rejects others."""
+    x, y, z = (draw(st.floats(-1.0, 1.0)) for _ in range(3))
+    norm = max(1.0, float(np.hypot(np.hypot(x, y), z)))
+    x, y, z = x / norm, y / norm, z / norm
+    entries = [[(1 + z) / 2, 0.0], [x / 2, -y / 2], [x / 2, y / 2], [(1 - z) / 2, 0.0]]
+    i, j = draw(st.integers(0, 3)), draw(st.integers(0, 1))
+    entries[i][j] += draw(st.sampled_from([0.0, 1e-13, -1e-12, 2e-12, 1e-8]))
+    return entries
+
+
+def mostly(draw, good):
+    """A draw from ``good``, or now and then any JSON value."""
+    return draw(json_values if draw(st.integers(0, 3)) == 3 else good)
+
+
+def block(draw, keys: dict) -> dict:
+    """Most of ``keys``, each mostly drawn from its value strategy."""
+    return {k: mostly(draw, v) for k, v in keys.items() if draw(st.integers(0, 3)) < 3}
+
+
+TWO_SAMPLES = [{**ZERO_SAMPLE, "h01_re": 1.0, "h10_re": 1.0}, {**ZERO_SAMPLE, "t": 1.0}]
+PARAMS = {
+    "rabi": {"e_g": numbers, "e_e": numbers, "omega0": numbers,
+             "coupling": numbers | st.lists(numbers, max_size=3)},
+    "pulse": {"e0": numbers, "f0": numbers, "n_period": numbers},
+    "sampled": {"samples": st.just(TWO_SAMPLES) | st.lists(
+                    st.fixed_dictionaries({k: numbers for k in ZERO_SAMPLE}), max_size=3),
+                "rho0": rho0_entries()},
+}
+
+
+@st.composite
+def config_documents(draw):
+    """Some of the scenario, params, grid, mode and output blocks, each
+    mostly well-formed, or any JSON value in place of the document."""
+    if draw(st.integers(0, 9)) == 9:
+        return draw(json_values)
+    scenario = draw(st.sampled_from(list(PARAMS)))
+    params = block(draw, PARAMS[scenario])
+    if draw(st.integers(0, 7)) == 7:  # never a path that exists: no file is opened
+        params["drive_file"] = draw(st.just("no-such-drive-file.json") | st.none())
+    doc = {
+        "scenario": mostly(draw, st.just(scenario)),
+        "params": mostly(draw, st.just(params)),
+        "grid": mostly(draw, st.just(
+            block(draw, {"t_start": numbers, "t_end": numbers, "steps": numbers}))),
+        "mode": mostly(draw, st.sampled_from(MODES)),
+        "output": mostly(draw, st.just(
+            block(draw, {"path": st.text(max_size=6), "format": st.just("csv")}))),
+    }
+    return {k: v for k, v in doc.items() if draw(st.integers(0, 3)) < 3}
+
+
+# the boundary the fuzz pins: a sampled drive's params.rho0 goes through dm_new
+rho0_documents = st.fixed_dictionaries({
+    "scenario": st.just("sampled"), "mode": st.just("numeric"),
+    "params": st.fixed_dictionaries({"samples": st.just(TWO_SAMPLES),
+                                     "rho0": rho0_entries() | json_values})})
+
+
+@settings(max_examples=200, deadline=None)
+@given(config_documents() | rho0_documents)
+def test_config_readers_return_or_raise_config_invalid(doc):
+    for read in (scenario_config_from_dict, sweep_config_from_dict):
+        try:
+            read(doc)
+        except ConfigInvalid:
+            pass
+
+
 class TestScenarios:
     def test_fig1_scale_peak(self, tmp_path):
         # weak drive: c_l1 peaks at 2 f0/(1+f0^2) ~ 0.19802 at T/4
@@ -412,6 +498,17 @@ class TestScenarios:
         out, err = capsys.readouterr()
         assert out == ""
         assert re.match(rf"config error: row {row} of .*states\.csv: t = -?\w+ is not finite\n$", err)
+
+    @pytest.mark.parametrize("times, previous", [(["0", "2", "1"], "2.0"),
+                                                 (["0", "1", "1"], "1.0")],
+                             ids=["swapped", "repeated"])
+    def test_coherence_rejects_unsorted_times(self, tmp_path, capsys, times, previous):
+        header = ",".join(CSV_HEADER.split(",")[:9])
+        src = tmp_path / "states.csv"
+        src.write_text(header + "\n" + "".join(f"{t},1,0,0,0,0,0,0,0\n" for t in times))
+        assert run(["coherence", "--input", src]) == 2
+        assert capsys.readouterr() == ("", f"config error: row 4 of {src}: t = 1.0 does not "
+                                           f"exceed the previous row's t = {previous}\n")
 
     @pytest.mark.parametrize("fmt, text", [("csv", CSV_HEADER + "\n"), ("json", "[]\n")])
     def test_coherence_of_header_only_csv(self, tmp_path, capsys, fmt, text):
@@ -562,13 +659,25 @@ class TestSweep:
         # a row without those characters keeps its plain bytes
         assert out.read_bytes().endswith(b"\nf0,2,,,,,\n")
 
-    @pytest.mark.parametrize("flag, value", [("--e-g", "-1e308"), ("--t-start", "-1e-3")])
+    @pytest.mark.parametrize("flag, value", [("--e-g", "-1e308"), ("--t-start", "-1e-3"),
+                                             ("--e-g", "-inf"), ("--e-g", "-NaN"),
+                                             ("--e-g", "-Infinity")])
     def test_negative_scientific_flag_values(self, flag, value, capsys):
         results = []
         for argv in (["rabi", flag, value], ["rabi", f"{flag}={value}"]):
             results.append((run([*argv, "--steps", 8]), capsys.readouterr()))
         assert results[0] == results[1]
         assert results[0][0] == (2 if flag == "--e-g" else 0)
+
+    @pytest.mark.parametrize("values", ["-inf,1", "-nan,1", "-infinity,1", "-INF,1"])
+    def test_non_finite_values_with_leading_minus(self, values, capsys):
+        # a BadParam row, as "--values=-inf,1" gives, not an argparse usage error
+        results = []
+        for argv in (["--values", values], [f"--values={values}"]):
+            results.append((run(["sweep", "--param", "omega0", *argv, "--steps", 64]),
+                            capsys.readouterr()))
+        assert results[0] == results[1]
+        assert results[0][0] == 0 and "BadParam: omega0 must be finite" in results[0][1].out
 
     def test_values_flag_still_needs_an_argument(self):
         with pytest.raises(SystemExit) as exc:

@@ -289,6 +289,20 @@ def test_readers_reject_non_finite_values(reader, value, tmp_path):
         reader(path)
 
 
+@pytest.mark.parametrize("times, message", [
+    ([0, 2, 1, 3], "row 4 of {}: t = 1.0 does not exceed the previous row's t = 2.0"),
+    ([0, 1, 1, 3], "row 4 of {}: t = 1.0 does not exceed the previous row's t = 1.0"),
+], ids=["swapped", "repeated"])
+@pytest.mark.parametrize("reader", [read_series_csv, read_states_csv])
+def test_readers_reject_unsorted_times(reader, times, message, tmp_path):
+    row = "0.5,0,0,0,0,0,0.5,0,0.5,0,0.70710678118654757"
+    path = tmp_path / "series.csv"
+    path.write_text("\n".join([CSV_HEADER, *(f"{t},{row}" for t in times)]) + "\n")
+    with pytest.raises(ConfigInvalid) as err:
+        reader(path)
+    assert str(err.value) == message.format(path)
+
+
 def test_reader_peak_memory(tmp_path):
     """Reading a 16385-row trajectory streams its lines into one buffer of
     doubles: the peak traced allocation is about 2.6 MB, where holding the
@@ -368,6 +382,10 @@ def reference_table(path: Path, headers: tuple[str, ...]) -> np.ndarray:
         if not np.isfinite(v := float(data[i, j])):
             raise ConfigInvalid(f"row {i + 2} of {path}: {header.split(',')[j]} = {v!r} "
                                 "is not finite")
+    for i in range(1, len(data)):
+        if not data[i, 0] > data[i - 1, 0]:
+            raise ConfigInvalid(f"row {i + 2} of {path}: t = {float(data[i, 0])!r} does not "
+                                f"exceed the previous row's t = {float(data[i - 1, 0])!r}")
     return data
 
 
@@ -415,6 +433,7 @@ def _outcome(read, path: Path):
 @example("\n\n" + STATES_HEADER + "\n\n")
 @example(STATES_HEADER + "\n" + ",".join(["-nan"] * 9))
 @example(STATES_HEADER + "\n" + ",".join(["1e999"] + ["0"] * 8) + "\n")
+@example(STATES_HEADER + ("\n" + ",".join(["0"] * 9)) * 2 + "\n")
 def test_table_reader_matches_reference(text):
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "table.csv"

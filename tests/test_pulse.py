@@ -79,7 +79,7 @@ class TestPulseDensity:
     def test_quarter_period_value(self):
         # 2 eps0 T/4 = pi, so rho00 = (1/4)(-1) + 3/4 = 1/2
         rho = pulse_density(P11, P11.period / 4)
-        assert rho.rho00.real == pytest.approx(0.5, abs=1e-12)
+        assert rho.matrix[0, 0].real == pytest.approx(0.5, abs=1e-12)
 
     def test_half_period_returns_to_ground(self):
         for p in (P11, PulseParams(e0=1.0, f0=4.5, n_period=1)):
@@ -109,7 +109,7 @@ class TestPulseDensity:
         for tau in np.linspace(0.55 * T, 0.95 * T, 17):
             first_branch = (f0 / (2 * q) * (1 - np.cos(2 * eps0 * tau))
                             - 1j * f0 / (2 * np.sqrt(q)) * np.sin(2 * eps0 * tau))
-            assert abs(pulse_density(p, tau).rho01 - (-first_branch)) <= 1e-12
+            assert abs(pulse_density(p, tau).matrix[0, 1] - (-first_branch)) <= 1e-12
 
 
 class TestPulseState:

@@ -58,7 +58,7 @@ class TestRabiDensity:
     def test_full_population_transfer_on_resonance(self):
         # Omega = 0.5, so at t = pi the excited population is sin^2(pi/2) = 1
         rho = rabi_density(RESONANT, np.pi)
-        assert rho.rho11.real == pytest.approx(1.0, abs=1e-12)
+        assert rho.matrix[1, 1].real == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_coupling_freezes_populations(self):
         p = RabiParams(e_g=0.0, e_e=3.0, omega0=1.0, coupling=0.0)  # Theta = 2
@@ -81,8 +81,8 @@ class TestRabiDensity:
         p = DETUNED
         T = p.population_period
         for t in np.linspace(0.0, T, 37):
-            a = rabi_density(p, t).rho00
-            b = rabi_density(p, t + T).rho00
+            a = rabi_density(p, t).matrix[0, 0]
+            b = rabi_density(p, t + T).matrix[0, 0]
             assert abs(a - b) <= 1e-12
 
 

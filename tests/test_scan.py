@@ -6,12 +6,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qdrive import (BadParam, DiscriminantNegative, InvariantDrift, NotHermitian, NotPositive,
-                    QdriveError, TraceNotOne, build_series)
-from qdrive.core import TOL_HERM, TOL_PSD, TOL_TRACE, scan_rho
+from qdrive import (BadParam, DensityMatrix, DiscriminantNegative, InvariantDrift, NotHermitian,
+                    NotPositive, QdriveError, TraceNotOne, build_series)
+from qdrive.core import TOL, TOL_RUNTIME, scan_rho
 
 
 # ---- the reference: the validation pass, purities, l1_columns and frobenius_columns
@@ -21,37 +21,34 @@ def cabs(z):
     return np.hypot(z.real, z.imag)
 
 
-def reference_validate(rho, tol_herm=TOL_HERM, tol_trace=TOL_TRACE, tol_psd=TOL_PSD,
-                       tol_drift=None):
+def reference_validate(rho, tol=TOL, drift=False):
     m = np.asarray(rho, dtype=complex).reshape(-1, 2, 2)
     r00, r11 = m[:, 0, 0].real, m[:, 1, 1].real
     with np.errstate(invalid="ignore", over="ignore"):
         herm = np.maximum(cabs(m[:, 1, 0] - np.conj(m[:, 0, 1])),
                           np.maximum(np.abs(m[:, 0, 0].imag), np.abs(m[:, 1, 1].imag)))
         tr_err = np.abs(r00 + r11 - 1.0)
-        drift = cabs(m[:, 0, 0] + m[:, 1, 1] - 1.0)
+        tr_drift = cabs(m[:, 0, 0] + m[:, 1, 1] - 1.0)
         disc = np.sqrt(np.float_power((r00 - r11) / 2.0, 2.0)
                        + np.float_power(cabs(m[:, 0, 1]), 2.0))
         lam_min = (r00 + r11) / 2.0 - disc
-    drifted = (np.zeros(len(m), dtype=bool) if tol_drift is None
-               else (drift > tol_drift) | (herm > tol_drift))
+    drifted = (tr_drift > tol) | (herm > tol) if drift else np.zeros(len(m), dtype=bool)
     finite = np.isfinite(m).all(axis=(1, 2))
-    failing = (drifted | ~finite | (herm > tol_herm) | (tr_err > tol_trace)
-               | (lam_min < -tol_psd))
+    failing = drifted | ~finite | (herm > tol) | (tr_err > tol) | (lam_min < -tol)
     if not failing.any():
         return None
     i = int(np.argmax(failing))
     if drifted[i]:
         error = InvariantDrift(
-            f"trace drift {drift[i]:.3e}, Hermiticity drift {herm[i]:.3e} (limit {tol_drift:g})")
+            f"trace drift {tr_drift[i]:.3e}, Hermiticity drift {herm[i]:.3e} (limit {tol:g})")
     elif not finite[i]:
         error = BadParam(f"density-matrix entry must be finite, got {m[i].tolist()!r}")
-    elif herm[i] > tol_herm:
-        error = NotHermitian(f"Hermiticity violation {herm[i]:.3e} exceeds {tol_herm:.1e}")
-    elif tr_err[i] > tol_trace:
-        error = TraceNotOne(f"|trace - 1| = {tr_err[i]:.3e} exceeds {tol_trace:.1e}")
+    elif herm[i] > tol:
+        error = NotHermitian(f"Hermiticity violation {herm[i]:.3e} exceeds {tol:.1e}")
+    elif tr_err[i] > tol:
+        error = TraceNotOne(f"|trace - 1| = {tr_err[i]:.3e} exceeds {tol:.1e}")
     else:
-        error = NotPositive(f"smallest eigenvalue {lam_min[i]:.3e} below -{tol_psd:.1e}")
+        error = NotPositive(f"smallest eigenvalue {lam_min[i]:.3e} below -{tol:.1e}")
     return i, error
 
 
@@ -88,13 +85,10 @@ def valid_states(draw):
     return np.array([[(1 + z) / 2, (x - 1j * y) / 2], [(x + 1j * y) / 2, (1 - z) / 2]])
 
 
-@st.composite
-def broken_states(draw):
-    """A valid state pushed past a tolerance: trace, Hermiticity (off-diagonal
+def push(draw, m, size, kinds=("trace", "offdiag", "imagdiag", "psd", "special", "raw")):
+    """m pushed by ``size`` past one invariant: trace, Hermiticity (off-diagonal
     or an imaginary diagonal), positivity, or one entry set to a special value."""
-    m = draw(valid_states())
-    size = draw(st.sampled_from([1e-13, 3e-12, 1e-9, 2e-8, 1e-3, 0.3]))
-    kind = draw(st.sampled_from(["trace", "offdiag", "imagdiag", "psd", "special", "raw"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "trace":
         m = m + size * np.eye(2)
     elif kind == "offdiag":
@@ -115,14 +109,29 @@ def broken_states(draw):
     return m
 
 
+@st.composite
+def broken_states(draw):
+    """A valid state pushed past a tolerance."""
+    size = draw(st.sampled_from([1e-13, 3e-12, 1e-9, 2e-8, 1e-3, 0.3]))
+    return push(draw, draw(valid_states()), size)
+
+
+@st.composite
+def edge_states(draw):
+    """A valid state pushed up to four times, each push of either sign and at
+    most 1.2e-12 in size, toward the TOL edges of trace, Hermiticity and
+    positivity: DensityMatrix accepts some of them and rejects others."""
+    m = draw(valid_states())
+    for _ in range(draw(st.integers(1, 4))):
+        m = push(draw, m, draw(st.floats(-1.2e-12, 1.2e-12)),
+                 ("trace", "offdiag", "imagdiag", "psd"))
+    return m
+
+
 batches = st.lists(st.one_of(valid_states(), broken_states()), min_size=0, max_size=8).map(
     lambda ms: np.array(ms, dtype=complex).reshape(-1, 2, 2))
 
-TOLERANCES = [
-    (TOL_HERM, TOL_TRACE, TOL_PSD, None),
-    (1e-8, 1e-8, 1e-8, None),
-    (1e-8, 1e-8, 1e-8, 1e-8),
-]
+TOLERANCES = [(TOL, False), (TOL_RUNTIME, False), (TOL_RUNTIME, True)]
 
 
 def same_bits(a, b):
@@ -183,8 +192,23 @@ def test_each_failure_kind_is_named():
         assert (i, type(error)) == (2, kind)
         assert verdict(scan_rho(batch).bad) == verdict(reference_validate(batch))
     drifted = np.array([ground, ground + 2e-8 * np.eye(2)])
-    assert type(scan_rho(drifted, 1e-8, 1e-8, 1e-8, 1e-8).bad[1]) is InvariantDrift
-    assert type(scan_rho(drifted, 1e-8, 1e-8, 1e-8).bad[1]) is TraceNotOne
+    assert type(scan_rho(drifted, TOL_RUNTIME, drift=True).bad[1]) is InvariantDrift
+    assert type(scan_rho(drifted, TOL_RUNTIME).bad[1]) is TraceNotOne
+
+
+@settings(max_examples=500, deadline=None)
+@given(m=edge_states())
+@example(m=np.diag([0.5 + 4.999e-13 + 1e-12j] * 2))  # drift 2.236e-12, radicand / 4 = -5.0e-13
+def test_accepted_states_pass_the_runtime_checks(m):
+    """What a state DensityMatrix accepts (every invariant within TOL) always
+    satisfies: its drift is at most hypot(TOL, 2 TOL), inside TOL_RUNTIME, and
+    its eigenvalue radicand is at least -TOL (2 + TOL)/4 before rounding."""
+    try:
+        DensityMatrix(m)
+    except QdriveError:
+        return
+    assert scan_rho(m, TOL_RUNTIME, drift=True).bad is None
+    assert scan_rho(m).radicand.item() / 4 >= -1e-12
 
 
 def test_negative_zero_columns_and_empty_batch():
@@ -200,7 +224,7 @@ def test_negative_zero_columns_and_empty_batch():
 def test_frobenius_radicand_error_is_raised_by_build_series_only():
     # passes the 1e-8 trace check, but 1 - 4 rho00 rho11 = -2e-8
     m = np.diag([0.5 + 5e-9, 0.5 + 5e-9]).astype(complex)[None]
-    scan = scan_rho(m, 1e-8, 1e-8, 1e-8)
+    scan = scan_rho(m, TOL_RUNTIME)
     assert scan.bad is None
     with pytest.raises(DiscriminantNegative, match="coherence radicand -2.000e-08"):
         scan.c_frob

@@ -48,9 +48,8 @@ def l1_pulse_closed_form(p: PulseParams, t: np.ndarray | float) -> np.ndarray | 
     tau, _ = reduced_time(p, t)
     f0 = p.f0
     arg = p.eps0 * tau
-    s2 = np.float_power(np.sin(arg), 2.0)
-    c = 2.0 * f0 / (1.0 + f0 * f0) * np.sqrt(
-        s2 * (1.0 + f0 * f0 * np.float_power(np.cos(arg), 2.0)))
+    sin, cos = np.sin(arg), np.cos(arg)
+    c = 2.0 * f0 / (1.0 + f0 * f0) * np.sqrt(sin * sin * (1.0 + f0 * f0 * (cos * cos)))
     return c if np.ndim(t) else float(c)
 
 

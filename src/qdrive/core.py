@@ -66,10 +66,10 @@ def finite_times(t) -> np.ndarray:
     return t
 
 
-# Array code mirrors the scalar formulas bit for bit: |z| is libm hypot
-# (np.abs on complex arrays may round differently), x ** 2 is libm pow via
-# np.float_power (not always x * x), and complex products go through cmul
-# (numpy's complex array multiply may fuse them into FMAs).
+# Array code mirrors the scalar formulas of rho bit for bit: |z| is libm hypot
+# (np.abs on complex arrays may round differently) and complex products go
+# through cmul (numpy's complex array multiply may fuse them into FMAs).  The
+# measures square by multiplication, x * x, the correctly rounded square.
 
 
 def cmul(ar, ai, br, bi):
@@ -94,14 +94,22 @@ class Scan(NamedTuple):
     purity: np.ndarray
     c_l1: np.ndarray
     radicand: np.ndarray  #: 1 + 4|rho01|^2 - 4 rho00 rho11, the squared Frobenius coherence
+    tol: float  #: the tolerance the states were checked at
 
     @property
     def c_frob(self) -> np.ndarray:
-        """sqrt(radicand) clamped to [0, 1].  Clamping only absorbs rounding at
-        machine scale; a radicand below -1e-12 raises DiscriminantNegative."""
-        bad = self.radicand < -1e-12
+        """sqrt(radicand) clamped to [0, 1].
+
+        The radicand is (rho00 - rho11)^2 + 4|rho01|^2 + 1 - tr^2, so a state
+        within ``tol`` of unit trace has one of at least -tol (2 + tol), less
+        a few roundings of numbers near 1 (4 ulp(1) covers them).  Clamping
+        absorbs that; a radicand below it raises DiscriminantNegative.
+        """
+        floor = -(self.tol * (2.0 + self.tol) + 4.0 * math.ulp(1.0))
+        bad = self.radicand < floor
         if bad.any():
-            raise DiscriminantNegative(f"coherence radicand {self.radicand[bad][0]:.3e} below -1e-12")
+            raise DiscriminantNegative(
+                f"coherence radicand {self.radicand[bad][0]:.3e} below {floor:.3e} (tolerance {self.tol:g})")
         return np.sqrt(np.clip(self.radicand, 0.0, 1.0))
 
     def require_valid(self) -> Scan:
@@ -127,14 +135,13 @@ def scan_rho(rho: np.ndarray, tol: float = TOL, drift: bool = False) -> Scan:
     r00, i00, re01, im01, re10, im10, r11, i11 = m.reshape(-1, 4).view(float).T
     with np.errstate(invalid="ignore", over="ignore"):
         a01 = np.hypot(re01, im01)
-        a01_sq = np.float_power(a01, 2.0)
-        purity = np.float_power(r00, 2.0) + np.float_power(r11, 2.0) + 2.0 * a01_sq
+        a01_sq = a01 * a01
+        purity = r00 * r00 + r11 * r11 + 2.0 * a01_sq
         c_l1 = a01 + np.hypot(re10, im10)
         radicand = 1.0 + 4.0 * a01_sq - 4.0 * r00 * r11
         herm = np.maximum(np.hypot(re10 - re01, im10 + im01), np.maximum(np.abs(i00), np.abs(i11)))
         tr = r00 + r11
         tr_err = np.abs(tr - 1.0)
-        # the smallest eigenvalue feeds no output: a product squares it, not float_power
         d = (r00 - r11) / 2.0
         lam_min = tr / 2.0 - np.sqrt(d * d + a01_sq)
         # a non-finite entry makes herm, tr_err or lam_min non-finite: "not within" catches NaN
@@ -144,7 +151,7 @@ def scan_rho(rho: np.ndarray, tol: float = TOL, drift: bool = False) -> Scan:
             drifted = (tr_drift > tol) | (herm > tol)
             failing |= drifted
     if not failing.any():
-        return Scan(None, purity, c_l1, radicand)
+        return Scan(None, purity, c_l1, radicand, tol)
     i = int(np.argmax(failing))
     if drift and drifted[i]:
         error: QdriveError = InvariantDrift(
@@ -157,7 +164,7 @@ def scan_rho(rho: np.ndarray, tol: float = TOL, drift: bool = False) -> Scan:
         error = TraceNotOne(f"|trace - 1| = {tr_err[i]:.3e} exceeds {tol:.1e}")
     else:
         error = NotPositive(f"smallest eigenvalue {lam_min[i]:.3e} below -{tol:.1e}")
-    return Scan((i, error), purity, c_l1, radicand)
+    return Scan((i, error), purity, c_l1, radicand, tol)
 
 
 @dataclass(frozen=True, eq=False)

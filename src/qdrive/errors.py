@@ -28,7 +28,8 @@ class NotNormalized(QdriveError):
 
 class DiscriminantNegative(QdriveError):
     """Frobenius radicand 1 + 4|rho01|^2 - 4 rho00 rho11 (four times the eigenvalue
-    radicand) is below -1e-12 (invalid state); raised when Scan.c_frob is read."""
+    radicand) is below what a state within the scan's trace tolerance reaches
+    (invalid state); raised when Scan.c_frob is read."""
 
 
 class DegenerateDrive(QdriveError):

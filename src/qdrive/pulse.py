@@ -104,10 +104,11 @@ def pulse_rho(p: PulseParams, t: np.ndarray | float) -> np.ndarray:
     f0 = p.f0
     q = 1.0 + f0 * f0
     x = 2.0 * p.eps0 * tau
-    r00 = f0 * f0 / (2.0 * q) * np.cos(x) + (2.0 + f0 * f0) / (2.0 * q)
+    cos = np.cos(x)
+    r00 = f0 * f0 / (2.0 * q) * cos + (2.0 + f0 * f0) / (2.0 * q)
     b = 1j * f0 / (2.0 * math.sqrt(q))
     b_re, b_im = cmul(b.real, b.imag, np.sin(x), 0.0)
-    d_re, d_im = f0 / (2.0 * q) * (1.0 - np.cos(x)) - b_re, 0.0 - b_im
+    d_re, d_im = f0 / (2.0 * q) * (1.0 - cos) - b_re, 0.0 - b_im
     return hermitian(r00, 1.0 - r00, *cmul(s, 0.0, d_re, d_im))
 
 

@@ -5,7 +5,7 @@ import cmath
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qdrive import (PulseParams, RabiParams, build_series, commutator, invariance_residual,
@@ -84,14 +84,14 @@ def pulse_reference(p, t):
 def l1_reference(p, t):
     tau, _ = pulse_reduce(p, t)
     f0 = p.f0
-    arg = p.eps0 * tau
-    s2 = math.sin(arg) ** 2
-    return 2.0 * f0 / (1.0 + f0 * f0) * math.sqrt(s2 * (1.0 + f0 * f0 * math.cos(arg) ** 2))
+    sin, cos = math.sin(p.eps0 * tau), math.cos(p.eps0 * tau)
+    return 2.0 * f0 / (1.0 + f0 * f0) * math.sqrt(sin * sin * (1.0 + f0 * f0 * (cos * cos)))
 
 
 def measures_reference(m):
-    purity = m[0, 0].real ** 2 + m[1, 1].real ** 2 + 2.0 * abs(m[0, 1]) ** 2
-    radicand = 1.0 + 4.0 * abs(m[0, 1]) ** 2 - 4.0 * m[0, 0].real * m[1, 1].real
+    r00, r11, a01 = m[0, 0].real, m[1, 1].real, abs(m[0, 1])
+    purity = r00 * r00 + r11 * r11 + 2.0 * (a01 * a01)
+    radicand = 1.0 + 4.0 * (a01 * a01) - 4.0 * r00 * r11
     return purity, abs(m[0, 1]) + abs(m[1, 0]), math.sqrt(min(max(radicand, 0.0), 1.0))
 
 
@@ -99,8 +99,11 @@ def same_bits(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
+# x * x and libm pow differ in about one square in a thousand: the dense
+# examples hold states where a pow square would move purity and the pulse l1
 @settings(max_examples=300, deadline=None)
 @given(moderate(50), moderate(50), moderate(50), moderate(10), moderate(10), times)
+@example(0.2, 1.3, 0.8, 0.7, -0.2, np.linspace(0.0, 20.0, 4097))
 def test_rabi_rho_matches_scalar_loop(e_g, e_e, omega0, g_re, g_im, t):
     p = RabiParams(e_g=e_g, e_e=e_e, omega0=omega0, coupling=complex(g_re, g_im))
     assume(p.omega_rabi > 1e-6)
@@ -114,6 +117,7 @@ def test_rabi_rho_matches_scalar_loop(e_g, e_e, omega0, g_re, g_im, t):
 @settings(max_examples=300, deadline=None)
 @given(st.floats(0.05, 20), st.floats(1e-3, 20), st.integers(1, 4), times,
        st.integers(-6, 6))
+@example(1.0, 4.5, 1, np.linspace(0.0, 6.0, 4097), 0)
 def test_pulse_rho_matches_scalar_loop(e0, f0, n, t, k):
     p = PulseParams(e0=e0, f0=f0, n_period=n)
     # include exact switching times k T/2, where the signed zeros matter

@@ -487,6 +487,17 @@ class TestScenarios:
         assert float(row[10]) == 1.0   # c_l1 of the maximally coherent state
         assert float(row[11]) == 1.0   # c_frobenius of a pure state
 
+    def test_coherence_of_a_state_at_the_runtime_tolerance(self, tmp_path, capsys):
+        # trace 1 + 8e-9 passes the reader's 1e-8 check; its Frobenius radicand
+        # 1 - 4 rho00 rho11 is -1.6e-8, which that tolerance admits
+        header = ",".join(CSV_HEADER.split(",")[:9])
+        src = tmp_path / "states.csv"
+        src.write_text(header + "\n0,0.500000004,0,0,0,0,0,0.500000004,0\n")
+        assert run(["coherence", "--input", src]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.split("\n")[1].split(",")[9:] == ["0.500000008", "0", "0"]
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("times, row", [(["0", "inf"], 3), (["-inf", "0"], 2), (["nan"], 2)])
     def test_coherence_rejects_non_finite_times(self, tmp_path, capsys, fmt, times, row):
@@ -510,7 +521,8 @@ class TestScenarios:
         assert capsys.readouterr() == ("", f"config error: row 4 of {src}: t = 1.0 does not "
                                            f"exceed the previous row's t = {previous}\n")
 
-    @pytest.mark.parametrize("fmt, text", [("csv", CSV_HEADER + "\n"), ("json", "[]\n")])
+    @pytest.mark.parametrize("fmt, text", [("csv", CSV_HEADER + "\n"), ("json", "[]\n")],
+                             ids=["csv", "json"])
     def test_coherence_of_header_only_csv(self, tmp_path, capsys, fmt, text):
         src = tmp_path / "empty.csv"
         src.write_text(CSV_HEADER + "\n")

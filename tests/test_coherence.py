@@ -45,6 +45,11 @@ class TestFrobenius:
     def test_maximally_mixed_is_zero(self):
         assert frobenius_coherence(dm_new(np.diag([0.5, 0.5]).astype(complex))) == 0.0
 
+    def test_state_at_the_trace_tolerance_is_zero(self):
+        # trace 1 + 9.998e-13 passes DensityMatrix's 1e-12 check; the radicand
+        # 1 - trace^2 = -2.0e-12 is within what that tolerance admits
+        assert frobenius_coherence(dm_new(np.diag([0.5 + 4.999e-13] * 2))) == 0.0
+
     def test_diagonal_mixed_state(self):
         rho = dm_new(np.diag([0.75, 0.25]).astype(complex))
         assert frobenius_coherence(rho) == pytest.approx(0.5, abs=1e-15)

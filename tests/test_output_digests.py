@@ -7,8 +7,9 @@ arrays.  A refactor that changes any output byte -- a signed zero, the
 last bit of a product, a JSON float -- fails here.
 
 The digests were recorded with Python 3.11.7 and numpy 2.4.6 on x86-64
-Linux with glibc.  They pin libm's sin/cos/pow/hypot results, so a
-different libm or numpy build may legitimately produce other bytes.
+Linux with glibc.  They pin libm's sin/cos/hypot results (the measures
+square by multiplication, not pow), so a different libm or numpy build may
+legitimately produce other bytes.
 """
 import contextlib
 import hashlib
@@ -81,16 +82,21 @@ EXPECTED = {
     # 1.0e-15 (integrate_csv), 1.1e-14 (pulse, 2048 steps) and 4.4e-16 (rabi,
     # 32 steps); verify_pulse_stdout's trace drift went 7.327472e-15 ->
     # 2.153833e-14 and its entrywise error 1.159175e-09 -> 1.159174e-09, and
-    # verify_rabi_stdout's trace drift 1.887379e-15 -> 1.554312e-15
-    "integrate_csv": "a197e11c1150629f25fb8c90f0ba970230bf09a6a0295623e574741b9712c631",
+    # verify_rabi_stdout's trace drift 1.887379e-15 -> 1.554312e-15.
+    # Re-pinned when the measures went from np.float_power squares to
+    # products: purity in 1 of 257 rows, largest |delta| 1.1e-16; no rho moved
+    "integrate_csv": "896a28dbd5dd97d7f19d825f669d071538434d1939abed87084e84cf8948fe19",
     "pulse_default_csv": "050c866ff7dd2797697daac78cff9ab3120dcee267040d223f893181a7e96a57",
     "pulse_json": "eaf6fef4367b6fb56368b0f8fe3b710d6e2c0e2f8e4c779436e0393431235fd9",
     "rabi_default_csv": "488f0c9147ca810f401a14bb1a2de726af400ef711b92c6528dfcab91aaf43da",
     "rabi_detuned_csv": "45f3b44feb900928b0f67926c37820da2d62ee950997478d6e7e3fcbe6aa96ee",
-    "rabi_json_4100": "cee3c35fc2b672d3b238a192ef202f98c02a8874c4c1bdbcc3916309617f855f",
+    # squares as products: purity and c_frobenius each in 1 of 4101 rows,
+    # largest |delta| 1.1e-16; no rho moved
+    "rabi_json_4100": "93b6cc3e62441bcc4785dc3ccf20dd81ab068c50bdaad9d6ec5abbfe4f691fb7",
     "sweep_coupling_stdout": "110e0caf4f27e8b410e3cdf114889b7f1623c3a94f26c7afccb1e298afabb4d8",
     "sweep_f0_csv": "01888c9d6eef97f81dd79947d135e390180cfc7fccc50f396d5e0af8394568c3",
-    "sweep_omega0_csv": "0e0c87cd0f19ceba0bf1bde6dee1acc3ca6a5e1bade3e2c3f0b57eee4251cab8",
+    # squares as products: min_purity in 1 of 3 rows, largest |delta| 1.1e-16
+    "sweep_omega0_csv": "424ab22a728263cbb23f816bf76c81858b73abc4e6121d4076eb18c3c683872a",
     "verify_pulse_stdout": "3b8e6ca4e974d50cc64159d3f90a48aec7c32afed4ade14b74a636df14179257",
     "verify_rabi_stdout": "870fb35d12a97d3c277a698af3832ab8ade3e19bfc8a026358ce7389649232a8",
 }

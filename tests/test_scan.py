@@ -15,7 +15,7 @@ from qdrive.core import TOL, TOL_RUNTIME, scan_rho
 
 
 # ---- the reference: the validation pass, purities, l1_columns and frobenius_columns
-# as they were before scan_rho fused them
+# as they were before scan_rho fused them, squares taken as products
 
 def cabs(z):
     return np.hypot(z.real, z.imag)
@@ -29,8 +29,8 @@ def reference_validate(rho, tol=TOL, drift=False):
                           np.maximum(np.abs(m[:, 0, 0].imag), np.abs(m[:, 1, 1].imag)))
         tr_err = np.abs(r00 + r11 - 1.0)
         tr_drift = cabs(m[:, 0, 0] + m[:, 1, 1] - 1.0)
-        disc = np.sqrt(np.float_power((r00 - r11) / 2.0, 2.0)
-                       + np.float_power(cabs(m[:, 0, 1]), 2.0))
+        d, a01 = (r00 - r11) / 2.0, cabs(m[:, 0, 1])
+        disc = np.sqrt(d * d + a01 * a01)
         lam_min = (r00 + r11) / 2.0 - disc
     drifted = (tr_drift > tol) | (herm > tol) if drift else np.zeros(len(m), dtype=bool)
     finite = np.isfinite(m).all(axis=(1, 2))
@@ -53,20 +53,22 @@ def reference_validate(rho, tol=TOL, drift=False):
 
 
 def reference_purities(rho):
-    return (np.float_power(rho[..., 0, 0].real, 2.0) + np.float_power(rho[..., 1, 1].real, 2.0)
-            + 2.0 * np.float_power(cabs(rho[..., 0, 1]), 2.0))
+    r00, r11, a01 = rho[..., 0, 0].real, rho[..., 1, 1].real, cabs(rho[..., 0, 1])
+    return r00 * r00 + r11 * r11 + 2.0 * (a01 * a01)
 
 
 def reference_l1(rho):
     return cabs(rho[..., 0, 1]) + cabs(rho[..., 1, 0])
 
 
-def reference_frobenius(rho):
-    radicand = np.asarray(1.0 + 4.0 * np.float_power(cabs(rho[..., 0, 1]), 2.0)
-                          - 4.0 * rho[..., 0, 0].real * rho[..., 1, 1].real)
-    bad = radicand < -1e-12
+def reference_frobenius(rho, tol=TOL):
+    a01 = cabs(rho[..., 0, 1])
+    radicand = np.asarray(1.0 + 4.0 * (a01 * a01) - 4.0 * rho[..., 0, 0].real * rho[..., 1, 1].real)
+    floor = -(tol * (2.0 + tol) + 4.0 * math.ulp(1.0))
+    bad = radicand < floor
     if bad.any():
-        raise DiscriminantNegative(f"coherence radicand {radicand[bad][0]:.3e} below -1e-12")
+        raise DiscriminantNegative(
+            f"coherence radicand {radicand[bad][0]:.3e} below {floor:.3e} (tolerance {tol:g})")
     return np.sqrt(np.clip(radicand, 0.0, 1.0))
 
 
@@ -96,9 +98,9 @@ def push(draw, m, size, kinds=("trace", "offdiag", "imagdiag", "psd", "special",
     elif kind == "imagdiag":
         k = draw(st.integers(0, 1))
         m[k, k] += 1j * size
-    elif kind == "psd":  # |rho01| past sqrt(rho00 rho11)
+    elif kind == "psd":  # |rho01| past sqrt(rho00 rho11), or at size when that is negative
         phase = np.exp(1j * np.angle(m[0, 1]))
-        r = math.sqrt(m[0, 0].real * m[1, 1].real) + size
+        r = math.sqrt(max(m[0, 0].real * m[1, 1].real, 0.0)) + size
         m[0, 1], m[1, 0] = r * phase, r * np.conj(phase)
     elif kind == "special":
         flat = m.reshape(4)
@@ -117,13 +119,13 @@ def broken_states(draw):
 
 
 @st.composite
-def edge_states(draw):
+def edge_states(draw, tol=TOL):
     """A valid state pushed up to four times, each push of either sign and at
-    most 1.2e-12 in size, toward the TOL edges of trace, Hermiticity and
-    positivity: DensityMatrix accepts some of them and rejects others."""
+    most 1.2 tol in size, toward the tol edges of trace, Hermiticity and
+    positivity: a scan at tol accepts some of them and rejects others."""
     m = draw(valid_states())
     for _ in range(draw(st.integers(1, 4))):
-        m = push(draw, m, draw(st.floats(-1.2e-12, 1.2e-12)),
+        m = push(draw, m, draw(st.floats(-1.2 * tol, 1.2 * tol)),
                  ("trace", "offdiag", "imagdiag", "psd"))
     return m
 
@@ -160,7 +162,7 @@ def test_scan_matches_the_four_passes(tols, rho):
     with np.errstate(all="ignore"):
         assert same_bits(scan.purity, reference_purities(rho))
         assert same_bits(scan.c_l1, reference_l1(rho))
-        frob, expected = outcome(lambda: scan.c_frob), outcome(lambda: reference_frobenius(rho))
+        frob, expected = outcome(lambda: scan.c_frob), outcome(lambda: reference_frobenius(rho, tols[0]))
     if isinstance(expected, np.ndarray):
         assert same_bits(frob, expected)
     else:
@@ -199,6 +201,9 @@ def test_each_failure_kind_is_named():
 @settings(max_examples=500, deadline=None)
 @given(m=edge_states())
 @example(m=np.diag([0.5 + 4.999e-13 + 1e-12j] * 2))  # drift 2.236e-12, radicand / 4 = -5.0e-13
+# diag(1, 0) pushed in trace by -1.2e-12, then in positivity by 1e-12: the psd
+# push meets rho00 rho11 < 0
+@example(m=np.array([[1.0 - 1.2e-12, 1e-12], [1e-12, -1.2e-12]], dtype=complex))
 def test_accepted_states_pass_the_runtime_checks(m):
     """What a state DensityMatrix accepts (every invariant within TOL) always
     satisfies: its drift is at most hypot(TOL, 2 TOL), inside TOL_RUNTIME, and
@@ -208,7 +213,22 @@ def test_accepted_states_pass_the_runtime_checks(m):
     except QdriveError:
         return
     assert scan_rho(m, TOL_RUNTIME, drift=True).bad is None
-    assert scan_rho(m).radicand.item() / 4 >= -1e-12
+    scan = scan_rho(m)
+    assert scan.radicand.item() / 4 >= -1e-12
+    assert 0.0 <= scan.c_frob.item() <= 1.0
+
+
+@settings(max_examples=500, deadline=None)
+@given(m=edge_states(TOL_RUNTIME))
+@example(m=np.diag([0.500000004] * 2).astype(complex))  # radicand -1.6e-8
+@example(m=np.diag([0.5 + 5e-9] * 2).astype(complex))  # trace 1 + 1e-8, radicand -2.0e-8
+def test_states_accepted_at_the_runtime_tolerance_have_a_frobenius_coherence(m):
+    """A state within TOL_RUNTIME of unit trace has a Frobenius radicand of
+    at least -TOL_RUNTIME (2 + TOL_RUNTIME) before rounding, which c_frob
+    clamps to 0 rather than raising."""
+    scan = scan_rho(m, TOL_RUNTIME)
+    if scan.bad is None:
+        assert 0.0 <= scan.c_frob.item() <= 1.0
 
 
 def test_negative_zero_columns_and_empty_batch():
@@ -222,11 +242,14 @@ def test_negative_zero_columns_and_empty_batch():
 
 
 def test_frobenius_radicand_error_is_raised_by_build_series_only():
-    # passes the 1e-8 trace check, but 1 - 4 rho00 rho11 = -2e-8
+    # 1 - 4 rho00 rho11 = -2e-8: within what the 1e-8 trace tolerance admits,
+    # far below what the 1e-12 one does, where the state fails the trace check
     m = np.diag([0.5 + 5e-9, 0.5 + 5e-9]).astype(complex)[None]
-    scan = scan_rho(m, TOL_RUNTIME)
-    assert scan.bad is None
-    with pytest.raises(DiscriminantNegative, match="coherence radicand -2.000e-08"):
+    assert scan_rho(m, TOL_RUNTIME).c_frob.tolist() == [0.0]
+    scan = scan_rho(m)
+    assert type(scan.bad[1]) is TraceNotOne
+    with pytest.raises(DiscriminantNegative,
+                       match=r"coherence radicand -2.000e-08 below -2.001e-12 \(tolerance 1e-12\)"):
         scan.c_frob
     with pytest.raises(DiscriminantNegative):
         build_series([0.0], m, scan)

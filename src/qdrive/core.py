@@ -66,24 +66,20 @@ def finite_times(t) -> np.ndarray:
     return t
 
 
-# Array code mirrors the scalar formulas of rho bit for bit: |z| is libm hypot
-# (np.abs on complex arrays may round differently) and complex products go
-# through cmul (numpy's complex array multiply may fuse them into FMAs).  The
-# measures square by multiplication, x * x, the correctly rounded square.
-
-
-def cmul(ar, ai, br, bi):
-    """(ar + i ai)(br + i bi) as (re, im), rounded like a scalar complex product."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def hermitian(r00, r11, re01, im01) -> np.ndarray:
-    """(..., 2, 2) matrices [[r00, re01 + i im01], [re01 - i im01, r11]]."""
-    m = np.empty(np.shape(r00) + (2, 2), dtype=complex)
+def hermitian(r00, r11, r01) -> np.ndarray:
+    """(..., 2, 2) matrices [[r00, r01], [conj(r01), r11]] over the broadcast
+    shape of the inputs; r00 and r11 are real, r01 complex."""
+    m = np.empty(np.broadcast(r00, r11, r01).shape + (2, 2), dtype=complex)
     m[..., 0, 0], m[..., 1, 1] = r00, r11
-    m[..., 0, 1].real = m[..., 1, 0].real = re01
-    m[..., 0, 1].imag, m[..., 1, 0].imag = im01, -im01
+    m[..., 0, 1], m[..., 1, 0] = r01, np.conj(r01)
     return m
+
+
+def projector(c0, c1) -> np.ndarray:
+    """|psi><psi| of the normalized amplitudes (c0, c1) (arrays of one shape),
+    with rho11 = 1 - |c0|^2, so the trace is 1 to one rounding."""
+    r00 = c0.real * c0.real + c0.imag * c0.imag
+    return hermitian(r00, 1.0 - r00, c0 * np.conj(c1))
 
 
 class Scan(NamedTuple):

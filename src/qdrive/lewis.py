@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .core import cmul, commutator, finite_times, hermitian
+from .core import commutator, finite_times, hermitian
 from .errors import BadParam
 from .rabi import RabiParams, _nonzero_omega, floquet_quasienergy, rabi_hamiltonian
 
@@ -63,23 +63,14 @@ def invariant_operator(p: RabiParams, t: np.ndarray | float, c_const: float = 1.
 
     without dividing by g: the quotient form loses about eps Theta/|g| to
     cancellation, and gives NaN once Theta/2g overflows.  At g = 0 the
-    invariant is diag(1, 0) at C = 1.  Complex arithmetic is spelled out as
-    the scalar expression evaluates it.
+    invariant is diag(1, 0) at C = 1.
     """
     x2 = xi_squared(p, t, c_const)  # checks t and Omega
     t = np.asarray(t, dtype=float)
     om = p.omega_rabi
-    z = 1j * p.omega0  # e^{i w0 t} = e^{i Im(z t)}
-    arg = z.real * 0.0 + z.imag * t
-    a = (2.0 - c_const) * p.coupling.conjugate()
-    a_re, a_im = cmul(a.real, a.imag, np.cos(arg), np.sin(arg))
-    # a complex divided by a real d > 0 is (re + im * 0, im - re * 0) / d
-    d = 4.0 * om * om
-    a_re, a_im = (a_re + a_im * 0.0) / d, (a_im - a_re * 0.0) / d
-    w = 2j * om
-    w_re, w_im = cmul(w.real, w.imag, np.sin(2.0 * om * t), 0.0)
-    b_re, b_im = p.theta * (np.cos(2.0 * om * t) - 1.0) + w_re, 0.0 + w_im
-    return hermitian(x2, c_const - x2, *cmul(a_re, a_im, b_re, b_im))
+    a = (2.0 - c_const) * np.conj(p.coupling) * np.exp(1j * p.omega0 * t) / (4.0 * om * om)
+    b = p.theta * (np.cos(2.0 * om * t) - 1.0) + 2j * om * np.sin(2.0 * om * t)
+    return hermitian(x2, c_const - x2, a * b)
 
 
 def invariance_residual(p: RabiParams, t: np.ndarray | float, h: float,

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SIGMA_X, SIGMA_Z, DensityMatrix, StateVector, cmul, dm_new, finite_times,
-                   hermitian)
+from .core import SIGMA_X, SIGMA_Z, DensityMatrix, StateVector, dm_new, finite_times, projector
 from .errors import BadParam
 
 
@@ -89,27 +88,33 @@ def pulse_hamiltonian(p: PulseParams, t: float) -> np.ndarray:
     return -p.e0 * (SIGMA_Z + pulse_f(p, t) * SIGMA_X)
 
 
+def pulse_amplitudes(p: PulseParams, t: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes (c0, c1) at times t (any shape) of the system started in |0>:
+
+    c0 = cos(eps0 tau) + (i / sqrt(1 + f0^2)) sin(eps0 tau)
+    c1 = s (i f0 / sqrt(1 + f0^2)) sin(eps0 tau)
+
+    The |1> amplitude flips sign with the pulse branch s.
+    """
+    tau, s = reduced_time(p, t)
+    root = math.sqrt(1.0 + p.f0 * p.f0)
+    sin = np.sin(p.eps0 * tau)
+    return np.cos(p.eps0 * tau) + 1j * (sin / root), (1j * p.f0 / root) * (s * sin)
+
+
 def pulse_rho(p: PulseParams, t: np.ndarray | float) -> np.ndarray:
-    """Closed-form density matrices at times t (shape S) for the system
-    started in |0>, as an S + (2, 2) array.
+    """Closed-form density matrices |psi><psi| at times t (shape S) for the
+    system started in |0>, as an S + (2, 2) array (see pulse_amplitudes).
 
     With x = 2 eps0 tau and q = 1 + f0^2:
         rho00 = (f0^2 / 2q) cos x + (2 + f0^2) / 2q
         rho01 = s [ (f0 / 2q)(1 - cos x) - (i f0 / 2 sqrt(q)) sin x ]
     and rho11 = 1 - rho00, rho10 = conj(rho01).  The sign s follows the
-    pulse branch; at the switches both branches give rho01 = 0 (with the
-    signed zeros of the scalar complex expression).
+    pulse branch; at the switches eps0 tau is a multiple of pi, so c1 and
+    rho01 vanish on both branches, up to the rounding of sin.  At t = 0 the
+    state is |0><0| exactly.
     """
-    tau, s = reduced_time(p, t)
-    f0 = p.f0
-    q = 1.0 + f0 * f0
-    x = 2.0 * p.eps0 * tau
-    cos = np.cos(x)
-    r00 = f0 * f0 / (2.0 * q) * cos + (2.0 + f0 * f0) / (2.0 * q)
-    b = 1j * f0 / (2.0 * math.sqrt(q))
-    b_re, b_im = cmul(b.real, b.imag, np.sin(x), 0.0)
-    d_re, d_im = f0 / (2.0 * q) * (1.0 - cos) - b_re, 0.0 - b_im
-    return hermitian(r00, 1.0 - r00, *cmul(s, 0.0, d_re, d_im))
+    return projector(*pulse_amplitudes(p, t))
 
 
 def pulse_density(p: PulseParams, t: float) -> DensityMatrix:
@@ -118,18 +123,5 @@ def pulse_density(p: PulseParams, t: float) -> DensityMatrix:
 
 
 def pulse_state(p: PulseParams, t: float) -> StateVector:
-    """Pure state whose projector reproduces pulse_density.
-
-    c0 = cos(eps0 tau) + (i / sqrt(1 + f0^2)) sin(eps0 tau)
-    c1 = s (i f0 / sqrt(1 + f0^2)) sin(eps0 tau)
-
-    The |1> amplitude flips sign with the pulse branch.
-    """
-    tau, s = reduced_time(p, t)
-    tau, s = float(tau), float(s)
-    root = math.sqrt(1.0 + p.f0 * p.f0)
-    arg = p.eps0 * tau
-    c0 = math.cos(arg) + 1j / root * math.sin(arg)
-    c1 = s * 1j * p.f0 / root * math.sin(arg)
-    return StateVector(c0, c1)
-
+    """Pure state at a single time t; its projector is pulse_rho."""
+    return StateVector(*map(complex, pulse_amplitudes(p, t)))

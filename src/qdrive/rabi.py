@@ -22,13 +22,12 @@ the solution is a sum of two Floquet states with quasi-energies
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, StateVector, cmul, dm_new, finite_times, hermitian
+from .core import DensityMatrix, StateVector, dm_new, finite_times, hermitian, projector
 from .errors import BadParam, DegenerateDrive
 
 
@@ -80,54 +79,43 @@ def _nonzero_omega(p: RabiParams) -> float:
     om = p.omega_rabi
     if om == 0.0:
         raise DegenerateDrive("Omega = 0 (zero coupling and zero detuning)")
-    if om * om == 0.0 or math.isinf(1.0 / (4.0 * om * om)):  # rabi_rho scales by it
+    if om * om == 0.0 or math.isinf(1.0 / (4.0 * om * om)):  # the Lewis invariant scales by it
         raise DegenerateDrive(f"Omega = {om!r} is too small: 1/(4 Omega^2) overflows")
     return om
 
 
 def rabi_hamiltonian(p: RabiParams, t: np.ndarray | float) -> np.ndarray:
     """RWA drive Hamiltonian [[E_g, conj(g) e^{i w0 t}], [g e^{-i w0 t}, E_e]]
-    at times t (shape S), as an S + (2, 2) array.
-
-    Complex arithmetic is spelled out as the scalar expression
-    g * cmath.exp(-1j * w0 * t) evaluates it.
-    """
+    at times t (shape S), as an S + (2, 2) array."""
     t = finite_times(t)
-    z = -1j * p.omega0  # e^{-i w0 t} = e^{i Im(z t)}
-    arg = z.real * 0.0 + z.imag * t
-    g = p.coupling
-    re, im = cmul(g.real, g.imag, np.cos(arg), np.sin(arg))
-    return hermitian(np.full(t.shape, p.e_g), p.e_e, re, -im)
+    return hermitian(p.e_g, p.e_e, np.conj(p.coupling) * np.exp(1j * p.omega0 * t))
 
 
-def rabi_rho(p: RabiParams, t: np.ndarray | float) -> np.ndarray:
-    """Density matrices at times t (shape S) for the system started in the
-    ground state, as an S + (2, 2) array.
+def rabi_amplitudes(p: RabiParams, t: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes (c0, c1) at times t (any shape) of the system started in the
+    ground state:
 
-    rho_gg = cos^2(Omega t) + (Theta^2 / 4 Omega^2) sin^2(Omega t)
-    rho_ee = (|g|^2 / Omega^2) sin^2(Omega t)
-    rho_ge = (conj(g) e^{i w0 t} / 4 Omega^2)
-             (Theta cos(2 Omega t) - Theta + 2i Omega sin(2 Omega t))
-
-    Complex arithmetic is spelled out as the scalar expression evaluates it.
+    c0 = cos(Omega t) + (i Theta / 2 Omega) sin(Omega t)
+    c1 = -(i g / Omega) e^{-i w0 t} sin(Omega t)
     """
     t = finite_times(t)
     om = _nonzero_omega(p)
-    th = p.theta
-    g = p.coupling
-    s, c = np.sin(om * t), np.cos(om * t)
-    rgg = c * c + (th * th / (4.0 * om * om)) * s * s
-    ree = (abs(g) ** 2 / (om * om)) * s * s
-    z = 1j * p.omega0  # e^{i w0 t} = e^{i Im(z t)}
-    arg = z.real * 0.0 + z.imag * t
-    a_re, a_im = cmul(g.real, -g.imag, np.cos(arg), np.sin(arg))
-    # numpy divides by a real d > 0 as (a_re + a_im * 0, a_im - a_re * 0) * (1/d)
-    scl = 1.0 / (4.0 * om * om)
-    a_re, a_im = (a_re + a_im * 0.0) * scl, (a_im - a_re * 0.0) * scl
-    w = 2j * om
-    w_re, w_im = cmul(w.real, w.imag, np.sin(2.0 * om * t), 0.0)
-    b_re, b_im = (th * np.cos(2.0 * om * t) - th) + w_re, 0.0 + w_im
-    return hermitian(rgg, ree, *cmul(a_re, a_im, b_re, b_im))
+    s = np.sin(om * t)
+    c0 = np.cos(om * t) + 1j * (p.theta / (2.0 * om) * s)
+    c1 = (-1j * p.coupling / om) * np.exp(-1j * p.omega0 * t) * s
+    return c0, c1
+
+
+def rabi_rho(p: RabiParams, t: np.ndarray | float) -> np.ndarray:
+    """Density matrices |phi(t)><phi(t)| at times t (shape S) for the system
+    started in the ground state, as an S + (2, 2) array (see rabi_amplitudes):
+
+    rho_gg = cos^2(Omega t) + (Theta^2 / 4 Omega^2) sin^2(Omega t)
+    rho_ee = 1 - rho_gg = (|g|^2 / Omega^2) sin^2(Omega t)
+    rho_ge = (conj(g) e^{i w0 t} / 4 Omega^2)
+             (Theta cos(2 Omega t) - Theta + 2i Omega sin(2 Omega t))
+    """
+    return projector(*rabi_amplitudes(p, t))
 
 
 def rabi_density(p: RabiParams, t: float) -> DensityMatrix:
@@ -136,17 +124,8 @@ def rabi_density(p: RabiParams, t: float) -> DensityMatrix:
 
 
 def rabi_state(p: RabiParams, t: float) -> StateVector:
-    """Pure state |phi(t)> whose projector reproduces rabi_density.
-
-    c0 = cos(Omega t) + (i Theta / 2 Omega) sin(Omega t)
-    c1 = -(i g / Omega) e^{-i w0 t} sin(Omega t)
-    """
-    finite_times(t)  # BadParam, where math.sin would raise ValueError
-    om = _nonzero_omega(p)
-    s = math.sin(om * t)
-    c0 = math.cos(om * t) + 1j * p.theta / (2.0 * om) * s
-    c1 = -1j * p.coupling / om * cmath.exp(-1j * p.omega0 * t) * s
-    return StateVector(c0, c1)
+    """Pure state |phi(t)> at a single time t; its projector is rabi_rho."""
+    return StateVector(*map(complex, rabi_amplitudes(p, t)))
 
 
 def floquet_quasienergy(p: RabiParams) -> float:
@@ -158,6 +137,6 @@ def floquet_solution(p: RabiParams, t: float) -> StateVector:
     """Full solution |psi(t)> = e^{i zeta t} |phi(t)> of the Schroedinger
     equation, in the paper's form; |phi(t)> is not 2 pi/w0-periodic unless
     Omega and w0 are commensurate (see the module docstring)."""
-    phi = rabi_state(p, t)
-    phase = cmath.exp(1j * floquet_quasienergy(p) * t)
-    return StateVector(phase * phi.c0, phase * phi.c1)
+    c0, c1 = rabi_amplitudes(p, t)
+    phase = np.exp(1j * floquet_quasienergy(p) * t)
+    return StateVector(complex(phase * c0), complex(phase * c1))

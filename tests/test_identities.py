@@ -1,6 +1,7 @@
 """The paper's identities over random parameters and times: the Lewis
-invariant at C = 1 is the closed-form density matrix, and the pure states
-rabi_state and pulse_state project onto rabi_rho and pulse_rho.
+invariant at C = 1 is the closed-form density matrix, the pure states
+rabi_state and pulse_state project onto rabi_rho and pulse_rho, the closed
+forms start exactly in |0><0| and stay unit-trace and pure.
 
 Tolerances are a few ulps, scaled by what the two routes round
 differently: the phase arguments w0 t and Omega t (absolute error about
@@ -8,12 +9,15 @@ eps |arg|) and, for the pulse, eps0 tau < 2 pi n."""
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qdrive import (DegenerateDrive, PulseParams, RabiParams, invariant_operator, pulse_rho, pulse_state,
-                    rabi_rho, rabi_state)
-from test_array_core import moderate
+from qdrive import (DegenerateDrive, PulseParams, RabiParams, TimeGrid, ground_state_dm,
+                    invariant_operator, pulse_rho, pulse_state, rabi_rho, rabi_state)
+from qdrive.config import ScenarioConfig
+from qdrive.core import scan_rho
+from qdrive.runner import numeric_series
+from test_array_core import moderate, times
 
 EPS = np.finfo(float).eps
 
@@ -62,3 +66,53 @@ def test_pulse_state_projects_onto_pulse_rho(e0, f0, n, t):
     p = PulseParams(e0=e0, f0=f0, n_period=n)
     err = np.abs(pulse_state(p, t).projector() - pulse_rho(p, t)).max()
     assert err <= 16 * EPS * (1.0 + 2 * math.pi * n)
+
+
+GROUND = np.diag([1.0, 0.0])
+
+
+def numeric_start(scenario, p):
+    """The first state of the numeric route from t_start = 0; the grid is short
+    enough for RK4 at any drawn energy."""
+    cfg = ScenarioConfig(scenario, p, ground_state_dm(), TimeGrid(0.0, 1e-6, 2), "numeric", None, "csv")
+    return numeric_series(cfg).rho[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rabi_params(zero_coupling=st.booleans()))
+def test_rabi_starts_exactly_in_the_ground_state(p):
+    assert np.array_equal(rabi_rho(p, 0.0), GROUND)
+    assert np.array_equal(numeric_start("rabi", p), ground_state_dm().matrix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-3, 1e3), st.floats(1e-6, 1e3), st.integers(1, 4))
+@example(1.0, 0.1, 1)  # where f0^2/2q cos x + (2 + f0^2)/2q rounds below 1 at x = 0
+@example(1.0, 0.3, 1)
+def test_pulse_starts_exactly_in_the_ground_state(e0, f0, n):
+    p = PulseParams(e0=e0, f0=f0, n_period=n)
+    assert np.array_equal(pulse_rho(p, 0.0), GROUND)
+    assert np.array_equal(numeric_start("pulse", p), ground_state_dm().matrix)
+
+
+def assert_unit_trace_and_pure(rho):
+    """rho11 = fl(1 - rho00), so the trace rounds once: |tr - 1| <= EPS.
+    purity = tr^2 - 2 det, and the exact projector of (c0, c1) has det =
+    |c0|^2 (1 - |c0|^2 - |c1|^2): the computed amplitudes are normalized to
+    a few roundings, and the entries and the purity's own sum add a few
+    more, so |purity - 1| <= 16 EPS."""
+    tr = rho[..., 0, 0].real + rho[..., 1, 1].real
+    assert np.abs(tr - 1.0).max() <= EPS
+    assert np.abs(scan_rho(rho).purity - 1.0).max() <= 16 * EPS
+
+
+@settings(max_examples=500, deadline=None)
+@given(rabi_params(zero_coupling=st.booleans()), times)
+def test_rabi_rho_is_unit_trace_and_pure(p, t):
+    assert_unit_trace_and_pure(rabi_rho(p, t))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(1e-3, 1e3), st.floats(1e-6, 1e3), st.integers(1, 4), times)
+def test_pulse_rho_is_unit_trace_and_pure(e0, f0, n, t):
+    assert_unit_trace_and_pure(pulse_rho(PulseParams(e0=e0, f0=f0, n_period=n), t))

@@ -72,10 +72,13 @@ CASES = {
 }
 
 EXPECTED = {
-    "coherence_csv_stdout": "57c82e38e72acbfb17c15613ea24df977d9346ce50dfdfb92a2351debcba2730",
-    "coherence_json": "80de0965b7669ec40fa0dac531dcd259c76a0955f25cbbe0aad21e86e41be5fe",
+    # Re-pinned when rho became the projector of each drive's amplitudes, with
+    # the largest |delta| of each moved case: coherence_* re-read a rabi
+    # trajectory whose rho moved by 3.3e-16 and measures by 5.6e-16 (purity)
+    "coherence_csv_stdout": "c8cbf868eba12870318935727f57dfd3ece8729e4790c452e5ef6e5be83040b4",
+    "coherence_json": "8fb04e668bb02924fa7fe4c7db7cf7875ca15ec616a41052812b4bf4f9888e3c",
     # the same bytes as coherence_json, written to stdout
-    "coherence_json_stdout": "80de0965b7669ec40fa0dac531dcd259c76a0955f25cbbe0aad21e86e41be5fe",
+    "coherence_json_stdout": "8fb04e668bb02924fa7fe4c7db7cf7875ca15ec616a41052812b4bf4f9888e3c",
     # integrate_csv and the two verify cases run RK4; recorded with the maps
     # applied in 64-step chunks and the RWA drive as one co-rotating map.
     # Against the one-dot-per-step loop before it, the largest |delta rho| was
@@ -86,17 +89,22 @@ EXPECTED = {
     # Re-pinned when the measures went from np.float_power squares to
     # products: purity in 1 of 257 rows, largest |delta| 1.1e-16; no rho moved
     "integrate_csv": "896a28dbd5dd97d7f19d825f669d071538434d1939abed87084e84cf8948fe19",
-    "pulse_default_csv": "050c866ff7dd2797697daac78cff9ab3120dcee267040d223f893181a7e96a57",
-    "pulse_json": "eaf6fef4367b6fb56368b0f8fe3b710d6e2c0e2f8e4c779436e0393431235fd9",
-    "rabi_default_csv": "488f0c9147ca810f401a14bb1a2de726af400ef711b92c6528dfcab91aaf43da",
-    "rabi_detuned_csv": "45f3b44feb900928b0f67926c37820da2d62ee950997478d6e7e3fcbe6aa96ee",
-    # squares as products: purity and c_frobenius each in 1 of 4101 rows,
-    # largest |delta| 1.1e-16; no rho moved
-    "rabi_json_4100": "93b6cc3e62441bcc4785dc3ccf20dd81ab068c50bdaad9d6ec5abbfe4f691fb7",
+    # projector: rho 2.2e-16, measures 4.4e-16 (purity)
+    "pulse_default_csv": "a4bf94c20da6ae0a37dcfe164f440b6726b2294b03ddd58fab4697016a7f21f9",
+    # projector: rho 2.2e-16, measures 5.6e-16 (purity)
+    "pulse_json": "8bf91bf2fe3288b6f92fc069898cb88758dd6aa2036fd45e70a343a3c434f495",
+    # projector: rho 1.2e-16, measures 3.3e-16 (purity, c_frobenius)
+    "rabi_default_csv": "21c67fc5028693824b059e5f3d9c3a97172bfcb3c8035a0eb5ab81b7babdaf62",
+    # projector: rho 2.5e-16, measures 4.4e-16 (purity)
+    "rabi_detuned_csv": "b6313ea74c79d173fecec690797b558dc0b393e514a22adfb9c168194bd6e624",
+    # projector: rho 2.2e-16, measures 4.4e-16 (purity, c_frobenius)
+    "rabi_json_4100": "141c94dd57366cfab94cdc75602dd41b99db84842da3ceb226b67698dc6565fd",
     "sweep_coupling_stdout": "110e0caf4f27e8b410e3cdf114889b7f1623c3a94f26c7afccb1e298afabb4d8",
-    "sweep_f0_csv": "01888c9d6eef97f81dd79947d135e390180cfc7fccc50f396d5e0af8394568c3",
-    # squares as products: min_purity in 1 of 3 rows, largest |delta| 1.1e-16
-    "sweep_omega0_csv": "424ab22a728263cbb23f816bf76c81858b73abc4e6121d4076eb18c3c683872a",
+    # projector: min_purity and max_purity by at most 6.7e-16; the return
+    # error at f0 = 0.1 went 1.1e-16 -> 0: pulse_rho is |0><0| at tau = 0
+    "sweep_f0_csv": "a6b5b063faa54de7e8f3fd8660d0648797b905f28963ad35901514e4795e7e88",
+    # projector: max_purity in 1 of 3 rows, by 2.2e-16
+    "sweep_omega0_csv": "797234fef08eec215289b01133a80d95133d8b50caf1ceecc16f2748a63e1142",
     "verify_pulse_stdout": "3b8e6ca4e974d50cc64159d3f90a48aec7c32afed4ade14b74a636df14179257",
     "verify_rabi_stdout": "870fb35d12a97d3c277a698af3832ab8ade3e19bfc8a026358ce7389649232a8",
 }

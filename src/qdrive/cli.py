@@ -9,9 +9,10 @@ Subcommands:
     verify      run a scenario both ways and compare against thresholds
     sweep       one-parameter sweep with a summary table
 
-Flags mirror configuration fields; ``--config FILE`` loads a JSON document
-whose values override the flags.  Exit codes: 0 success, 1 verification (or
-run) failure, 2 configuration error.
+The subcommand decides the scenario and mode that run (see _RUNS).  Flags
+mirror configuration fields; ``--config FILE`` loads a JSON document whose
+values override the flags, but may only repeat that scenario and mode.  Exit
+codes: 0 success, 1 verification (or run) failure, 2 configuration error.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import sys
 from pathlib import Path
 
 from .coherence import build_series
-from .config import FORMATS, MODES, merge_config, scenario_config_from_dict, sweep_config_from_dict
+from .config import FORMATS, scenario_config_from_dict, sweep_config_from_dict
 from .errors import ConfigInvalid, QdriveError
 from .io import (
     check_states,
@@ -46,6 +47,16 @@ from .runner import (
 )
 
 
+#: What each run subcommand runs: its scenario (verify: the --scenario given)
+#: and the modes it may run, the first its default
+_RUNS = {
+    "rabi": ("rabi", ("analytic", "numeric")),
+    "pulse": ("pulse", ("analytic", "numeric")),
+    "integrate": ("sampled", ("numeric",)),
+    "verify": (None, ("verify",)),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parsing does not mutate it)."""
@@ -55,15 +66,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_flags(p: argparse.ArgumentParser, modes: bool = True, series: bool = True) -> None:
-        """series: the grid span and format flags of a run that writes a time series."""
+    def add_run_flags(p: argparse.ArgumentParser, modes: tuple = (), series: bool = True) -> None:
+        """modes: the --mode choices; series: the grid span and format flags."""
         if series:
             p.add_argument("--t-start", type=float, default=None, help="grid start time")
             p.add_argument("--t-end", type=float, default=None, help="grid end time")
         p.add_argument("--steps", type=int, default=None,
                        help="grid steps (default: $QDRIVE_STEPS_DEFAULT or 4096)")
         if modes:
-            p.add_argument("--mode", choices=MODES, default=None)
+            p.add_argument("--mode", choices=modes, default=modes[0])
         p.add_argument("--output", default=None, help="output file path")
         if series:
             p.add_argument("--format", choices=FORMATS, default=None,
@@ -85,15 +96,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rabi = sub.add_parser("rabi", help="RWA harmonic drive")
     add_rabi_flags(p_rabi)
-    add_run_flags(p_rabi)
+    add_run_flags(p_rabi, _RUNS["rabi"][1])
 
     p_pulse = sub.add_parser("pulse", help="square-pulse drive")
     add_pulse_flags(p_pulse)
-    add_run_flags(p_pulse)
+    add_run_flags(p_pulse, _RUNS["pulse"][1])
 
     p_int = sub.add_parser("integrate", help="propagate a sampled drive from a file")
     p_int.add_argument("--drive", default=None, help='JSON file {"samples": [...]}')
-    add_run_flags(p_int, modes=False)
+    add_run_flags(p_int)
 
     p_coh = sub.add_parser("coherence", help="recompute measures for a CSV of states")
     p_coh.add_argument("--input", required=True, help="input CSV of states")
@@ -104,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--scenario", choices=("rabi", "pulse"), default=None)
     add_rabi_flags(p_ver)
     add_pulse_flags(p_ver)
-    add_run_flags(p_ver, modes=False)
+    add_run_flags(p_ver)
 
     p_sw = sub.add_parser("sweep", help="summary table over one swept parameter")
     p_sw.add_argument("--scenario", choices=("rabi", "pulse"), default=None)
@@ -113,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated numbers (empty for an empty sweep)")
     add_rabi_flags(p_sw)
     add_pulse_flags(p_sw)
-    add_run_flags(p_sw, modes=False, series=False)
+    add_run_flags(p_sw, series=False)
 
     return parser
 
@@ -136,12 +147,11 @@ _FLAG_KEYS = {
 }
 
 
-def _raw_config(args: argparse.Namespace, scenario: str | None, mode: str | None) -> dict:
+def _raw_config(args: argparse.Namespace, scenario: str, mode: str | None) -> dict:
     """The raw config mapping: the flags given, with the --config file's
-    values laid over them.  scenario=None contributes no scenario/params keys
-    (the config file must then provide them)."""
-    def block(name: str | None) -> dict:
-        given = ((key, getattr(args, attr, None)) for key, attr in _FLAG_KEYS.get(name, ()))
+    values laid over them."""
+    def block(name: str) -> dict:
+        given = ((key, getattr(args, attr, None)) for key, attr in _FLAG_KEYS[name])
         return {key: v for key, v in given if v is not None}
 
     params = block(scenario)
@@ -150,8 +160,10 @@ def _raw_config(args: argparse.Namespace, scenario: str | None, mode: str | None
     raw = {"scenario": scenario, "params": params, "grid": block("grid"), "mode": mode,
            "output": block("output")}
     raw = {key: v for key, v in raw.items() if v}
-    if getattr(args, "config", None) is not None:
-        raw = merge_config(raw, _load_config_file(args.config))
+    if getattr(args, "config", None) is not None:  # file values win, blocks merge key by key
+        for key, value in _load_config_file(args.config).items():
+            both = isinstance(value, dict) and isinstance(raw.get(key), dict)
+            raw[key] = {**raw[key], **value} if both else value
     return raw
 
 
@@ -192,9 +204,19 @@ def _print_report(report) -> None:
     print(f"verdict: {'PASS' if report.passed else 'FAIL'}")
 
 
-def _run_command(args: argparse.Namespace, scenario: str | None, forced_mode: str | None) -> int:
-    mode = getattr(args, "mode", None) or forced_mode
-    cfg = scenario_config_from_dict(_raw_config(args, scenario, mode))
+def _run_command(args: argparse.Namespace) -> int:
+    scenario, modes = _RUNS[args.command]
+    if args.command == "verify":
+        if args.scenario is None:
+            raise ConfigInvalid("verify needs --scenario")
+        scenario = args.scenario
+        _reject_cross_scenario_flags(args, scenario)
+    raw = _raw_config(args, scenario, getattr(args, "mode", modes[0]))
+    for key, runs in (("scenario", (scenario,)), ("mode", modes)):
+        if raw[key] not in runs:
+            raise ConfigInvalid(f"qdrive {args.command} runs {key} "
+                                f"{' or '.join(map(repr, runs))}, not {raw[key]!r}")
+    cfg = scenario_config_from_dict(raw)
     if cfg.output_path is not None:  # fail before the compute, not after it
         probe_output(cfg.output_path)
     series, report = run_scenario(cfg)
@@ -280,23 +302,10 @@ def _attach_values(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     try:
-        if args.command in ("rabi", "pulse"):
-            return _run_command(args, args.command, None)
-        if args.command == "integrate":
-            return _run_command(args, "sampled", "numeric")
+        if args.command in _RUNS:
+            return _run_command(args)
         if args.command == "coherence":
             return _coherence_command(args)
-        if args.command == "verify":
-            if args.scenario is not None:
-                _reject_cross_scenario_flags(args, args.scenario)
-                return _run_command(args, args.scenario, "verify")
-            if args.config is None:
-                raise ConfigInvalid("verify needs --scenario (or a config file setting it)")
-            if any(getattr(args, a, None) is not None
-                   for _, a in _FLAG_KEYS["rabi"] + _FLAG_KEYS["pulse"]):
-                raise ConfigInvalid("give --scenario when combining parameter flags "
-                                    "with --config")
-            return _run_command(args, None, "verify")
         if args.command == "sweep":
             return _sweep_command(args)
         raise ConfigInvalid(f"unknown command {args.command!r}")

@@ -25,10 +25,13 @@ Parameter blocks and defaults:
              (defaults to the ground state)
 
 Grid defaults: t_start = 0 (sampled: first sample time), t_end = one drive
-period (rabi: pi/Omega, pulse: T; sampled: last sample time), steps from the
-QDRIVE_STEPS_DEFAULT environment variable, falling back to 4096.  An
-explicitly configured steps value always wins over the environment; either
-way steps may not exceed MAX_STEPS.
+period (rabi: pi/Omega, pulse: T; sampled: last sample time).  steps is
+grid.steps if given; else the QDRIVE_STEPS_DEFAULT environment variable,
+which is read only then; else 4096.  From any source it must lie in
+[1, MAX_STEPS].
+
+Every mode is valid here; the command line runs verify only through
+``qdrive verify`` (see cli).
 """
 from __future__ import annotations
 
@@ -145,21 +148,6 @@ def _sampled_params(block: dict) -> tuple[Sampled, DensityMatrix]:
     return drive, rho0
 
 
-def _default_steps() -> int:
-    raw = os.environ.get(STEPS_ENV_VAR)
-    if raw is None:
-        return BUILTIN_STEPS_DEFAULT
-    try:
-        steps = int(raw)
-    except ValueError:
-        raise ConfigInvalid(f"{STEPS_ENV_VAR} must be a positive integer, got {raw!r}") from None
-    if steps < 1:
-        raise ConfigInvalid(f"{STEPS_ENV_VAR} must be a positive integer, got {raw!r}")
-    if steps > MAX_STEPS:
-        raise ConfigInvalid(f"{STEPS_ENV_VAR} must be at most {MAX_STEPS}, got {raw!r}")
-    return steps
-
-
 def _choice(value: Any, name: str, choices: tuple[str, ...]) -> str:
     if value not in choices:
         raise ConfigInvalid(f"{name} must be one of {list(choices)}, got {value!r}")
@@ -174,9 +162,23 @@ def _block(raw: dict, name: str) -> dict:
 
 
 def _steps(grid_block: dict) -> int:
-    steps = _integer(grid_block, "steps", "grid", _default_steps())
+    """grid.steps, else QDRIVE_STEPS_DEFAULT, else BUILTIN_STEPS_DEFAULT."""
+    if "steps" in grid_block:
+        steps = shown = _integer(grid_block, "steps", "grid", 0)
+        low, high = "grid: steps", "grid.steps"
+    else:
+        raw = os.environ.get(STEPS_ENV_VAR)
+        if raw is None:
+            return BUILTIN_STEPS_DEFAULT
+        try:
+            steps = int(raw)
+        except ValueError:
+            steps = 0  # reported as not a positive integer
+        shown, low, high = repr(raw), STEPS_ENV_VAR, STEPS_ENV_VAR
+    if steps < 1:
+        raise ConfigInvalid(f"{low} must be a positive integer, got {shown}")
     if steps > MAX_STEPS:
-        raise ConfigInvalid(f"grid.steps must be at most {MAX_STEPS}, got {steps}")
+        raise ConfigInvalid(f"{high} must be at most {MAX_STEPS}, got {shown}")
     return steps
 
 
@@ -249,22 +251,7 @@ def sweep_config_from_dict(raw: dict) -> tuple[RabiParams | PulseParams, int, st
     grid_block = _block(raw, "grid")
     _check_keys(grid_block, ("steps",), "grid")
     steps = _steps(grid_block)
-    if steps < 1:  # a scenario's TimeGrid checks this after its span
-        raise ConfigInvalid(f"grid: steps must be a positive integer, got {steps}")
     output_block = _block(raw, "output")
     _check_keys(output_block, ("path",), "output")
     return drive, steps, _output_path(output_block)
 
-
-def merge_config(flags: dict[str, Any], overrides: dict[str, Any]) -> dict[str, Any]:
-    """Overlay a config-file document on top of flag-derived values.
-
-    File values win key-by-key; nested blocks (params/grid/output) merge the
-    same way.
-    """
-    merged = dict(flags)
-    for key, value in overrides.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            value = {**merged[key], **value}
-        merged[key] = value
-    return merged

@@ -223,8 +223,8 @@ class StateVector:
             if not (math.isfinite(c.real) and math.isfinite(c.imag)):
                 raise BadParam(f"{name} must be finite, got {c!r}")
         norm_err = abs(abs(self.c0) ** 2 + abs(self.c1) ** 2 - 1.0)
-        if norm_err > 1e-12:
-            raise NotNormalized(f"| |c0|^2 + |c1|^2 - 1 | = {norm_err:.3e} exceeds 1e-12")
+        if norm_err > TOL:
+            raise NotNormalized(f"| |c0|^2 + |c1|^2 - 1 | = {norm_err:.3e} exceeds {TOL:g}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.c0, self.c1], dtype=complex)

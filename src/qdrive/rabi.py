@@ -38,7 +38,8 @@ class RabiParams:
     Omega is zero only in the fully degenerate case (zero coupling AND zero
     detuning); operations that divide by Omega reject it with DegenerateDrive,
     and also a nonzero Omega below about 3.7e-155, where 1/(4 Omega^2)
-    overflows.  An Omega that overflows is rejected here with BadParam.
+    overflows (Omega itself may round to 0).  An Omega that overflows is
+    rejected here with BadParam.
     """
 
     e_g: float
@@ -76,9 +77,9 @@ class RabiParams:
 
 
 def _nonzero_omega(p: RabiParams) -> float:
-    om = p.omega_rabi
-    if om == 0.0:
+    if p.theta == 0.0 and p.coupling == 0:
         raise DegenerateDrive("Omega = 0 (zero coupling and zero detuning)")
+    om = p.omega_rabi  # 0.0 also when Theta**2 and |coupling|**2 underflow
     if om * om == 0.0 or math.isinf(1.0 / (4.0 * om * om)):  # the Lewis invariant scales by it
         raise DegenerateDrive(f"Omega = {om!r} is too small: 1/(4 Omega^2) overflows")
     return om

@@ -1,22 +1,25 @@
 """CLI contract: subcommands, config handling, CSV/JSON schema, exit codes."""
+import contextlib
 import csv
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qdrive import ConfigInvalid, PulseParams, RabiParams, pulse_rho, rabi_rho
 from qdrive.cli import _write_sweep_csv, build_parser, main
 from qdrive.config import MAX_STEPS, MODES, scenario_config_from_dict, sweep_config_from_dict
 from qdrive.io import CSV_HEADER, read_series_csv
-from qdrive.runner import SweepRow
+from qdrive.runner import SWEEP_PARAMS, SweepRow
 from test_output_digests import EXPECTED, run_case
 
 
@@ -213,6 +216,81 @@ class TestConfig:
         monkeypatch.setenv("QDRIVE_STEPS_DEFAULT", "-3")
         assert run(["rabi"]) == 2
 
+    SWEEP = ["sweep", "--param", "f0", "--values", "1"]
+
+    @pytest.mark.parametrize("env", ["abc", "-3", "0", str(10**12)])
+    @pytest.mark.parametrize("argv", [["rabi"], SWEEP], ids=["rabi", "sweep"])
+    def test_explicit_steps_never_read_the_env(self, argv, env, tmp_path, monkeypatch):
+        monkeypatch.setenv("QDRIVE_STEPS_DEFAULT", env)
+        assert run([*argv, "--steps", 8]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": {"steps": 8}}))
+        assert run([*argv, "--config", cfg]) == 0
+        assert run(argv) == 2
+
+    @pytest.mark.parametrize("env, steps, message", [
+        ("zero", None, "QDRIVE_STEPS_DEFAULT must be a positive integer, got 'zero'"),
+        ("-3", None, "QDRIVE_STEPS_DEFAULT must be a positive integer, got '-3'"),
+        (str(MAX_STEPS + 1), None,
+         f"QDRIVE_STEPS_DEFAULT must be at most {MAX_STEPS}, got '{MAX_STEPS + 1}'"),
+        ("abc", 0, "grid: steps must be a positive integer, got 0"),
+        ("abc", MAX_STEPS + 1, f"grid.steps must be at most {MAX_STEPS}, got {MAX_STEPS + 1}"),
+    ], ids=["env-word", "env-negative", "env-huge", "flag-zero", "flag-huge"])
+    @pytest.mark.parametrize("argv", [["rabi"], SWEEP], ids=["rabi", "sweep"])
+    def test_one_steps_check_for_every_source(self, argv, env, steps, message, monkeypatch,
+                                              capsys, no_compute):
+        monkeypatch.setenv("QDRIVE_STEPS_DEFAULT", env)
+        assert run(argv if steps is None else [*argv, "--steps", steps]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("argv, doc, message", [
+        (["verify", "--scenario", "rabi"], {"mode": "analytic"},
+         "qdrive verify runs mode 'verify', not 'analytic'"),
+        (["verify", "--scenario", "rabi"], {"scenario": "pulse"},
+         "qdrive verify runs scenario 'rabi', not 'pulse'"),
+        (["rabi"], {"scenario": "pulse"}, "qdrive rabi runs scenario 'rabi', not 'pulse'"),
+        (["rabi"], {"mode": "verify"},
+         "qdrive rabi runs mode 'analytic' or 'numeric', not 'verify'"),
+        (["pulse", "--mode", "numeric"], {"mode": None},
+         "qdrive pulse runs mode 'analytic' or 'numeric', not None"),
+        (["integrate"], {"scenario": "rabi", "mode": "analytic"},
+         "qdrive integrate runs scenario 'sampled', not 'rabi'"),
+        (["integrate"], {"mode": "analytic"}, "qdrive integrate runs mode 'numeric', not 'analytic'"),
+        (["verify"], {"scenario": "pulse"}, "verify needs --scenario"),
+    ], ids=["verify-mode", "verify-scenario", "rabi-scenario", "rabi-mode", "pulse-null-mode",
+            "integrate-rabi", "integrate-mode", "verify-no-scenario"])
+    def test_config_cannot_change_what_the_subcommand_runs(self, argv, doc, message, tmp_path,
+                                                           capsys, no_compute):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run([*argv, "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("argv, doc, summary", [
+        (["verify", "--scenario", "rabi", "--steps", 64], {"scenario": "rabi", "mode": "verify"},
+         None),
+        (["rabi", "--steps", 8], {"scenario": "rabi", "mode": "numeric"}, "rabi [numeric]"),
+        (["pulse", "--mode", "numeric", "--steps", 8], {"mode": "analytic"}, "pulse [analytic]"),
+    ], ids=["verify", "rabi-numeric", "pulse-analytic"])
+    def test_config_may_repeat_what_the_subcommand_runs(self, argv, doc, summary, tmp_path,
+                                                        capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        rc = run([*argv, "--config", cfg])
+        out = capsys.readouterr().out
+        if summary is None:  # the same verdict as without the file
+            assert (rc, out) == (run(argv), capsys.readouterr().out)
+            assert "verdict: " in out
+        else:
+            assert rc == 0 and out.startswith(f"{summary}: 9 samples")
+
+    def test_verify_is_no_mode_of_rabi_or_pulse(self, capsys):
+        for command in ("rabi", "pulse"):
+            with pytest.raises(SystemExit) as exc:
+                run([command, "--mode", "verify"])
+            assert exc.value.code == 2
+            assert "argument --mode: invalid choice: 'verify'" in capsys.readouterr().err
+
     @pytest.fixture
     def no_compute(self, monkeypatch):
         """Fail the test if anything past config validation runs."""
@@ -244,6 +322,18 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith(("config error: params: ", "config error: grid: "))
         assert re.search(message, err) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("coupling, cause", [
+        ("0", "Omega = 0 (zero coupling and zero detuning)"),
+        ("1e-200", "Omega = 0.0 is too small: 1/(4 Omega^2) overflows"),  # |g|**2 underflows
+    ], ids=["zero", "underflow"])
+    def test_zero_omega_names_its_cause(self, coupling, cause, capsys):
+        resonant = ["--e-g", 0, "--e-e", 1, "--omega0", 1]
+        assert run(["rabi", *resonant, "--coupling", coupling]) == 2
+        assert capsys.readouterr().err == f"config error: params: degenerate drive: {cause}\n"
+        assert run(["sweep", "--param", "coupling-magnitude", "--values", coupling, *resonant,
+                    "--steps", 8]) == 0
+        assert capsys.readouterr().out.split("\n")[1].endswith(f"  DegenerateDrive: {cause}")
 
     HUGE = 10**400  # a JSON int that no double holds: 1329 bits
 
@@ -399,6 +489,98 @@ def test_config_readers_return_or_raise_config_invalid(doc):
             read(doc)
         except ConfigInvalid:
             pass
+
+
+# Argv fuzz: flag values valid or not, missing values, flags of other
+# subcommands, and --config files that contradict the subcommand or hold
+# unknown keys.  Valid steps stay <= 64 (QDRIVE_STEPS_DEFAULT is always set),
+# so no draw computes much; the invalid ones reach every steps check.
+STEPS = st.integers(1, 64).map(str) | st.sampled_from(
+    ["0", "-1", str(MAX_STEPS + 1), str(10**12), "abc", "nan", "1.5", ""])
+FLAG_NUMBERS = st.floats(0.1, 3.0).map(repr) | st.floats().map(repr) | st.integers(-3, 5).map(
+    str) | st.sampled_from(["1e-200", "1e308", "-1e308", "1e400", "-nan", "-inf", str(10**12),
+                            "abc", "", "0.3+0.4j"])
+RABI_FLAGS = ("--e-g", "--e-e", "--omega0", "--coupling")
+PULSE_FLAGS = ("--e0", "--f0", "--n")
+RUN_FLAGS = ("--t-start", "--t-end", "--steps", "--output", "--format", "--config")
+COMMANDS = {  # the flags each subcommand takes, the ones it needs first
+    "rabi": ((), RABI_FLAGS + RUN_FLAGS + ("--mode",)),
+    "pulse": ((), PULSE_FLAGS + RUN_FLAGS + ("--mode",)),
+    "integrate": (("--drive",), RUN_FLAGS),
+    "coherence": (("--input",), ("--output", "--format")),
+    "verify": (("--scenario",), RABI_FLAGS + PULSE_FLAGS + RUN_FLAGS),
+    "sweep": (("--param", "--values"), ("--scenario", *RABI_FLAGS, *PULSE_FLAGS, "--steps",
+                                        "--output", "--config")),
+}
+ALL_FLAGS = sorted({f for needed, rest in COMMANDS.values() for f in needed + rest} | {"--help"})
+
+RAN = {  # the stdout of a run that exits 0
+    "rabi": r"rabi \[(analytic|numeric)\]: .*\n",
+    "pulse": r"pulse \[(analytic|numeric)\]: .*\n",
+    "integrate": r"sampled \[numeric\]: .*\n",
+    "verify": r"max entrywise error: (.*\n){3}verdict: PASS\n",
+}
+
+
+@settings(max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_argv_exits_0_1_or_2(data, tmp_path):
+    drive, states, cfg = tmp_path / "drive.json", tmp_path / "states.csv", tmp_path / "cfg.json"
+    drive.write_text(json.dumps({"samples": [{**ZERO_SAMPLE, "h01_re": 1.0, "h10_re": 1.0},
+                                             {**ZERO_SAMPLE, "t": 1.0}]}))
+    states.write_text(",".join(CSV_HEADER.split(",")[:9]) + "\n0,1,0,0,0,0,0,0,0\n")
+    missing = str(tmp_path / "missing" / "x")
+    files = st.sampled_from([str(drive), str(states), str(cfg), missing, str(tmp_path)])
+    settings_only = st.fixed_dictionaries({}, optional={  # may repeat or contradict argv
+        "scenario": st.sampled_from(["rabi", "pulse", "sampled"]), "mode": st.sampled_from(MODES)})
+    cfg.write_text(json.dumps(data.draw(settings_only | st.fixed_dictionaries({}, optional={
+        "scenario": st.sampled_from(["rabi", "pulse", "sampled", "bogus"]) | st.none(),
+        "mode": st.sampled_from([*MODES, "bogus"]) | st.none(),
+        "params": st.sampled_from([{}, {"f0": 2.0}, {"coupling": [0.5, 0.1]}, {"couplng": 1},
+                                   {"drive_file": str(drive)}, {"drive_file": missing}]),
+        "grid": st.fixed_dictionaries({}, optional={
+            "steps": STEPS.map(lambda v: int(v) if v.lstrip("-").isdigit() else v),
+            "t_end": st.floats(), "typo": st.just(1)}),
+        "output": st.fixed_dictionaries({}, optional={
+            "path": st.sampled_from([str(tmp_path / "cfg-out.csv"), missing]),
+            "format": st.sampled_from(["csv", "json", "xml"])}),
+        "typo": st.just(1),
+    }))))
+    values = {
+        **dict.fromkeys(RABI_FLAGS + PULSE_FLAGS + ("--t-start", "--t-end"), FLAG_NUMBERS),
+        "--steps": STEPS, "--mode": st.sampled_from([*MODES, "bogus"]),
+        "--format": st.sampled_from(["csv", "json", "xml"]),
+        "--output": st.sampled_from([str(tmp_path / "out.csv"), missing, str(tmp_path)]),
+        "--config": st.just(str(cfg)) | files, "--drive": files, "--input": files,
+        "--scenario": st.sampled_from(["rabi", "pulse", "sampled"]),
+        "--param": st.sampled_from([*SWEEP_PARAMS, "bogus"]),
+        "--values": st.lists(FLAG_NUMBERS, max_size=3).map(",".join),
+    }
+    command = data.draw(st.sampled_from([*COMMANDS, "bogus"]))
+    needed, rest = COMMANDS.get(command, ((), tuple(ALL_FLAGS)))
+    flags = [f for f in needed if data.draw(st.integers(0, 9)) < 9]
+    if "--config" in rest and data.draw(st.booleans()):
+        flags.append("--config")
+    flags += data.draw(st.lists(st.sampled_from(rest) | st.sampled_from(ALL_FLAGS), max_size=4))
+    argv = [command]
+    for flag in flags:
+        argv.append(flag)
+        if flag != "--help" and data.draw(st.integers(0, 19)) < 19:  # else its value is missing
+            argv.append(data.draw(values[flag]))
+    out = io.StringIO()
+    env = data.draw(st.integers(1, 64).map(str) | STEPS)  # valid three times in four
+    with mock.patch.dict(os.environ, {"QDRIVE_STEPS_DEFAULT": env}), \
+            contextlib.redirect_stdout(out):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse: --help, or a usage error
+            assert exc.code in (0, 2), argv
+            return
+    assert rc in (0, 1, 2), argv
+    # a run that exits 0 ran what its subcommand names
+    if rc == 0 and command in RAN:
+        assert re.fullmatch(RAN[command], out.getvalue()), (argv, out.getvalue())
 
 
 class TestScenarios:

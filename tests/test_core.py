@@ -149,7 +149,8 @@ class TestStateVector:
         assert psi.to_density_matrix().matrix[0, 0] == 1.0
 
     def test_unnormalized_rejected(self):
-        with pytest.raises(NotNormalized):
+        with pytest.raises(NotNormalized, match=r"^\| \|c0\|\^2 \+ \|c1\|\^2 - 1 \| = "
+                                                r"2\.500e-01 exceeds 1e-12$"):
             StateVector(1.0, 0.5)
 
     def test_non_finite_rejected(self):

@@ -43,6 +43,19 @@ def test_rabi_frequency_too_small_for_closed_form_rejected(coupling):
     assert np.isfinite(rabi_rho(p, np.array([0.0, 1e150]))).all()
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(e_g=0.0, e_e=1.0, omega0=1.0, coupling=0.0),
+     r"Omega = 0 \(zero coupling and zero detuning\)"),
+    (dict(e_g=0.0, e_e=1.0, omega0=1.0, coupling=1e-200),  # |g|**2 underflows to 0
+     r"Omega = 0\.0 is too small: 1/\(4 Omega\^2\) overflows"),
+    (dict(e_g=0.0, e_e=1e-200, omega0=0.0, coupling=0.0),  # Theta**2 underflows to 0
+     r"Omega = 0\.0 is too small: 1/\(4 Omega\^2\) overflows"),
+], ids=["degenerate", "tiny-coupling", "tiny-detuning"])
+def test_zero_omega_names_its_cause(kwargs, message):
+    with pytest.raises(DegenerateDrive, match=f"^{message}$"):
+        RabiParams(**kwargs).population_period
+
+
 def test_derived_constants():
     assert RESONANT.theta == 0.0
     assert RESONANT.omega_rabi == 0.5

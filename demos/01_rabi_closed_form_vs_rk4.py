@@ -18,9 +18,10 @@ from qdrive import (
     floquet_quasienergy,
     ground_state_dm,
     propagate,
+    rabi_amplitudes,
     rabi_density,
-    rabi_state,
 )
+from qdrive.core import projector
 
 # A detuned drive: Theta = 0.4, so population transfer stays incomplete.
 params = RabiParams(e_g=0.3, e_e=1.7, omega0=1.0, coupling=0.4 - 0.3j)
@@ -60,8 +61,9 @@ print(f"RK4 vs closed form over one period ({grid.steps} steps):"
 print(f"propagated purity drift: {np.abs(series.purity - 1.0).max():.3e}")
 print()
 
-# The pure state behind the density matrix: rho(t) = |phi(t)><phi(t)|.
+# The pure state behind the density matrix: rho(t) = |phi(t)><phi(t)|.  The
+# paper's full solution e^{i zeta t} |phi(t)> has the same projector.
 t_probe = 0.37 * period
-phi = rabi_state(params, t_probe)
-gap = np.abs(phi.projector() - rabi_density(params, t_probe).matrix).max()
+c0, c1 = rabi_amplitudes(params, t_probe)
+gap = np.abs(projector(c0, c1) - rabi_density(params, t_probe).matrix).max()
 print(f"state projector vs density matrix at t = {t_probe:.3f}: gap = {gap:.3e}")

@@ -9,8 +9,6 @@ from types import ModuleType as _ModuleType
 
 from .coherence import (
     build_series,
-    frobenius_coherence,
-    l1_coherence,
     l1_pulse_closed_form,
     refine_max,
 )
@@ -20,15 +18,11 @@ from .core import (
     SIGMA_Y,
     SIGMA_Z,
     DensityMatrix,
-    StateVector,
     TimeGrid,
     TimeSeries,
     commutator,
-    dm_eigenvalues,
     dm_new,
-    dm_purity,
     ground_state_dm,
-    mat2,
 )
 from .errors import (
     BadParam,
@@ -37,7 +31,6 @@ from .errors import (
     DiscriminantNegative,
     InvariantDrift,
     NotHermitian,
-    NotNormalized,
     NotPositive,
     OutOfRange,
     QdriveError,
@@ -57,20 +50,19 @@ from .liouville import (
 from .pulse import (
     PulseParams,
     periodicity_T,
+    pulse_amplitudes,
     pulse_density,
     pulse_f,
     pulse_hamiltonian,
     pulse_rho,
-    pulse_state,
 )
 from .rabi import (
     RabiParams,
     floquet_quasienergy,
-    floquet_solution,
+    rabi_amplitudes,
     rabi_density,
     rabi_hamiltonian,
     rabi_rho,
-    rabi_state,
 )
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DensityMatrix, Scan, TimeSeries, scan_rho
+from .core import Scan, TimeSeries, scan_rho
 from .pulse import PulseParams, reduced_time
 
 
@@ -30,16 +30,6 @@ def l1_columns(rho: np.ndarray) -> np.ndarray:
     """|rho01| + |rho10| of each matrix in a (..., 2, 2) array, each |z| as libm hypot."""
     r01, r10 = rho[..., 0, 1], rho[..., 1, 0]
     return np.hypot(r01.real, r01.imag) + np.hypot(r10.real, r10.imag)
-
-
-def l1_coherence(rho: DensityMatrix) -> float:
-    """Sum of off-diagonal magnitudes; 2|rho01| for a valid density matrix."""
-    return float(l1_columns(rho.matrix))
-
-
-def frobenius_coherence(rho: DensityMatrix) -> float:
-    """Frobenius coherence of one state; see Scan.c_frob."""
-    return scan_rho(rho.matrix).c_frob.item()
 
 
 def l1_pulse_closed_form(p: PulseParams, t: np.ndarray | float) -> np.ndarray | float:

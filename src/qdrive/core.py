@@ -6,7 +6,6 @@ check of density-matrix invariants and output columns (:func:`scan_rho`, on
 ``(n, 2, 2)`` arrays) and the constructors that apply it at the boundary:
 
 * :class:`DensityMatrix` -- Hermitian, unit trace, positive semidefinite;
-* :class:`StateVector`   -- normalized two-component amplitude vector;
 * :class:`TimeGrid`      -- uniform grid for propagation/sampling;
 * :class:`TimeSeries`    -- ordered (t, rho, purity, coherence) record.
 
@@ -25,7 +24,6 @@ from .errors import (
     DiscriminantNegative,
     InvariantDrift,
     NotHermitian,
-    NotNormalized,
     NotPositive,
     QdriveError,
     TraceNotOne,
@@ -41,15 +39,6 @@ TOL = 1e-12
 #: Tolerance of a propagated state (trace and Hermiticity drift included) and
 #: of a state re-read from a file.
 TOL_RUNTIME = 1e-8
-
-
-def mat2(a00: complex, a01: complex, a10: complex, a11: complex) -> np.ndarray:
-    """Build a 2x2 complex matrix, rejecting non-finite entries."""
-    m = np.array([[a00, a01], [a10, a11]], dtype=complex)
-    # np.isfinite on complex arrays requires both real and imaginary parts finite
-    if not np.isfinite(m).all():
-        raise BadParam(f"matrix entry must be finite, got {m!r}")
-    return m
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -192,50 +181,6 @@ def dm_new(m: np.ndarray) -> DensityMatrix:
 def ground_state_dm() -> DensityMatrix:
     """The |0><0| (ground-state) density matrix, diag(1, 0)."""
     return DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
-
-
-def dm_purity(rho: DensityMatrix) -> float:
-    """tr(rho^2); 1 for pure states, 0.5 for the maximally mixed qubit."""
-    return scan_rho(rho.matrix).purity.item()
-
-
-def dm_eigenvalues(rho: DensityMatrix) -> tuple[float, float]:
-    """Eigenvalue pair (lam_plus, lam_minus) = 1/2 +- sqrt(1/4 + |rho01|^2 - rho00*rho11).
-
-    The radicand is ((rho00 - rho11)/2)^2 + |rho01|^2 + (1 - tr^2)/4, so for
-    a state within TOL of unit trace it is at least -TOL (2 + TOL)/4, about
-    -TOL/2, before rounding; such small negatives are clamped to 0.
-    """
-    radicand = scan_rho(rho.matrix).radicand.item() / 4.0
-    s = math.sqrt(max(radicand, 0.0))
-    return 0.5 + s, 0.5 - s
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized amplitudes (c0, c1) on the |0>/ground and |1>/excited levels."""
-
-    c0: complex
-    c1: complex
-
-    def __post_init__(self) -> None:
-        for name, c in (("c0", self.c0), ("c1", self.c1)):
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise BadParam(f"{name} must be finite, got {c!r}")
-        norm_err = abs(abs(self.c0) ** 2 + abs(self.c1) ** 2 - 1.0)
-        if norm_err > TOL:
-            raise NotNormalized(f"| |c0|^2 + |c1|^2 - 1 | = {norm_err:.3e} exceeds {TOL:g}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c0, self.c1], dtype=complex)
-
-    def projector(self) -> np.ndarray:
-        """Outer product |psi><psi| as a raw 2x2 matrix."""
-        v = self.as_array()
-        return np.outer(v, v.conj())
-
-    def to_density_matrix(self) -> DensityMatrix:
-        return DensityMatrix(self.projector())
 
 
 @dataclass(frozen=True)

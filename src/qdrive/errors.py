@@ -22,10 +22,6 @@ class NotPositive(QdriveError):
     """Density matrix has an eigenvalue below -tolerance."""
 
 
-class NotNormalized(QdriveError):
-    """State-vector norm differs from 1 beyond tolerance."""
-
-
 class DiscriminantNegative(QdriveError):
     """Frobenius radicand 1 + 4|rho01|^2 - 4 rho00 rho11 (four times the eigenvalue
     radicand) is below what a state within the scan's trace tolerance reaches

@@ -96,7 +96,7 @@ def _pieces(drive: DriveHamiltonian, grid: TimeGrid) -> tuple[np.ndarray, np.nda
     # piece k runs from k*T/2 on and holds the branch of its midpoint
     ks = np.arange(math.floor(grid.t_start / half), math.ceil(grid.t_end / half) + 1.0)
     _, sign = reduced_time(drive, (ks + 0.5) * half)
-    branches = np.stack([pulse_hamiltonian(drive, 0.0), pulse_hamiltonian(drive, half)])
+    branches = pulse_hamiltonian(drive, np.array([0.0, half]))
     return ks * half, branches[(sign < 0).astype(int)]
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SIGMA_X, SIGMA_Z, DensityMatrix, StateVector, dm_new, finite_times, projector
+from .core import SIGMA_X, SIGMA_Z, DensityMatrix, dm_new, finite_times, projector
 from .errors import BadParam
 
 
@@ -76,16 +76,20 @@ def reduced_time(p: PulseParams, t: np.ndarray | float) -> tuple[np.ndarray, np.
     return tau, np.where(tau < T / 2.0, 1.0, -1.0)
 
 
-def pulse_f(p: PulseParams, t: float) -> float:
-    """Square pulse value: +f0 for tau < T/2, -f0 for tau >= T/2 (right limit
-    at the switch)."""
+def pulse_f(p: PulseParams, t: np.ndarray | float) -> np.ndarray | float:
+    """Square pulse value at time(s) t: +f0 for tau < T/2, -f0 for tau >= T/2
+    (right limit at the switch); a float for scalar t, an array of t's shape
+    otherwise."""
     _, s = reduced_time(p, t)
-    return float(s) * p.f0
+    f = s * p.f0
+    return f if np.ndim(t) else float(f)
 
 
-def pulse_hamiltonian(p: PulseParams, t: float) -> np.ndarray:
-    """Drive Hamiltonian -e0 (sigma_z + f(t) sigma_x) at time t."""
-    return -p.e0 * (SIGMA_Z + pulse_f(p, t) * SIGMA_X)
+def pulse_hamiltonian(p: PulseParams, t: np.ndarray | float) -> np.ndarray:
+    """Drive Hamiltonian -e0 (sigma_z + f(t) sigma_x) at times t (shape S), as
+    an S + (2, 2) array."""
+    f = np.asarray(pulse_f(p, t))
+    return -p.e0 * (SIGMA_Z + f[..., None, None] * SIGMA_X)
 
 
 def pulse_amplitudes(p: PulseParams, t: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
@@ -120,8 +124,3 @@ def pulse_rho(p: PulseParams, t: np.ndarray | float) -> np.ndarray:
 def pulse_density(p: PulseParams, t: float) -> DensityMatrix:
     """Validated closed-form density matrix at a single time t (see pulse_rho)."""
     return dm_new(pulse_rho(p, t))
-
-
-def pulse_state(p: PulseParams, t: float) -> StateVector:
-    """Pure state at a single time t; its projector is pulse_rho."""
-    return StateVector(*map(complex, pulse_amplitudes(p, t)))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, StateVector, dm_new, finite_times, hermitian, projector
+from .core import DensityMatrix, dm_new, finite_times, hermitian, projector
 from .errors import BadParam, DegenerateDrive
 
 
@@ -93,8 +93,9 @@ def rabi_hamiltonian(p: RabiParams, t: np.ndarray | float) -> np.ndarray:
 
 
 def rabi_amplitudes(p: RabiParams, t: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitudes (c0, c1) at times t (any shape) of the system started in the
-    ground state:
+    """Amplitudes (c0, c1) of |phi(t)> at times t (any shape) for the system
+    started in the ground state; the full solution of the Schroedinger
+    equation is e^{i zeta t} |phi(t)>, zeta = floquet_quasienergy(p):
 
     c0 = cos(Omega t) + (i Theta / 2 Omega) sin(Omega t)
     c1 = -(i g / Omega) e^{-i w0 t} sin(Omega t)
@@ -124,20 +125,6 @@ def rabi_density(p: RabiParams, t: float) -> DensityMatrix:
     return dm_new(rabi_rho(p, t))
 
 
-def rabi_state(p: RabiParams, t: float) -> StateVector:
-    """Pure state |phi(t)> at a single time t; its projector is rabi_rho."""
-    return StateVector(*map(complex, rabi_amplitudes(p, t)))
-
-
 def floquet_quasienergy(p: RabiParams) -> float:
     """The paper's quasi-energy zeta = (w0 - E_e - E_g) / 2 (see the module docstring)."""
     return (p.omega0 - p.e_e - p.e_g) / 2.0
-
-
-def floquet_solution(p: RabiParams, t: float) -> StateVector:
-    """Full solution |psi(t)> = e^{i zeta t} |phi(t)> of the Schroedinger
-    equation, in the paper's form; |phi(t)> is not 2 pi/w0-periodic unless
-    Omega and w0 are commensurate (see the module docstring)."""
-    c0, c1 = rabi_amplitudes(p, t)
-    phase = np.exp(1j * floquet_quasienergy(p) * t)
-    return StateVector(complex(phase * c0), complex(phase * c1))

@@ -4,15 +4,13 @@ import qdrive
 
 PUBLIC_NAMES = (
     "BadParam", "ConfigInvalid", "DegenerateDrive", "DensityMatrix", "DiscriminantNegative",
-    "DriveHamiltonian", "IDENTITY", "InvariantDrift", "NotHermitian",
-    "NotNormalized", "NotPositive", "OutOfRange", "PulseParams", "QdriveError", "RabiParams",
-    "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "Sampled", "StateVector",
-    "TimeGrid", "TimeSeries", "TraceNotOne", "build_series", "commutator", "dm_eigenvalues",
-    "dm_new", "dm_purity", "floquet_quasienergy", "floquet_solution", "frobenius_coherence",
-    "ground_state_dm", "invariance_residual", "invariant_operator",
-    "l1_coherence", "l1_pulse_closed_form", "lewis_phase", "mat2", "periodicity_T", "propagate",
-    "pulse_density", "pulse_f", "pulse_hamiltonian", "pulse_rho", "pulse_state", "rabi_density",
-    "rabi_hamiltonian", "rabi_rho", "rabi_state", "refine_max", "xi_squared",
+    "DriveHamiltonian", "IDENTITY", "InvariantDrift", "NotHermitian", "NotPositive", "OutOfRange",
+    "PulseParams", "QdriveError", "RabiParams", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "Sampled",
+    "TimeGrid", "TimeSeries", "TraceNotOne", "build_series", "commutator", "dm_new",
+    "floquet_quasienergy", "ground_state_dm", "invariance_residual", "invariant_operator",
+    "l1_pulse_closed_form", "lewis_phase", "periodicity_T", "propagate", "pulse_amplitudes",
+    "pulse_density", "pulse_f", "pulse_hamiltonian", "pulse_rho", "rabi_amplitudes",
+    "rabi_density", "rabi_hamiltonian", "rabi_rho", "refine_max", "xi_squared",
 )
 
 

@@ -1,4 +1,4 @@
-"""The array closed forms, the RWA Hamiltonian, the Lewis invariant and the
+"""The array closed forms, the drive Hamiltonians, the Lewis invariant and the
 measure columns against per-sample scalar reference loops, over random
 parameters and times.
 
@@ -14,9 +14,9 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qdrive import (PulseParams, RabiParams, build_series, commutator, invariance_residual,
-                    invariant_operator, l1_pulse_closed_form, pulse_rho, rabi_hamiltonian,
-                    rabi_rho, xi_squared)
+from qdrive import (SIGMA_X, SIGMA_Z, PulseParams, RabiParams, build_series, commutator,
+                    invariance_residual, invariant_operator, l1_pulse_closed_form, pulse_f,
+                    pulse_hamiltonian, pulse_rho, rabi_hamiltonian, rabi_rho, xi_squared)
 
 
 def moderate(bound):
@@ -220,6 +220,24 @@ def test_rabi_hamiltonian_matches_scalar_loop(e_g, e_e, omega0, g_re, g_im, t):
     assert (np.abs(rabi_hamiltonian(p, t.reshape(-1, 1)) - refs[:, None]) <= tol[:, None]).all()
     assert all((np.abs(rabi_hamiltonian(p, float(ti)) - ref) <= tol_i).all()
                for ti, ref, tol_i in zip(t, refs, tol))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.05, 20), st.floats(1e-3, 20), st.integers(1, 4), times,
+       st.integers(-6, 6))
+def test_pulse_hamiltonian_matches_scalar_loop(e0, f0, n, t, k):
+    # one expression serves every shape of t, so the array route equals the
+    # stacked scalar calls bit for bit, switching times k T/2 included
+    p = PulseParams(e0=e0, f0=f0, n_period=n)
+    t = np.append(t, k * p.period / 2.0)
+    fs = [pulse_f(p, float(ti)) for ti in t]
+    assert all(type(f) is float for f in fs)
+    refs = np.stack([pulse_hamiltonian(p, float(ti)) for ti in t])
+    assert same_bits(refs, [-e0 * (SIGMA_Z + f * SIGMA_X) for f in fs])
+    assert same_bits(pulse_f(p, t), fs)
+    assert same_bits(pulse_hamiltonian(p, t), refs)
+    assert same_bits(pulse_hamiltonian(p, np.stack([t, t[::-1]])), np.stack([refs, refs[::-1]]))
+    assert same_bits(pulse_hamiltonian(p, np.asarray(t[0])), refs[0])
 
 
 @settings(max_examples=300, deadline=None)

@@ -8,30 +8,27 @@ from hypothesis import strategies as st
 from qdrive import (
     PulseParams,
     RabiParams,
-    dm_eigenvalues,
     dm_new,
-    frobenius_coherence,
-    l1_coherence,
     l1_pulse_closed_form,
-    mat2,
     pulse_density,
     rabi_rho,
     refine_max,
 )
 from qdrive.coherence import _fminbound, l1_columns
+from qdrive.core import scan_rho
 from conftest import random_density_matrix
 
 
 class TestL1:
     def test_diagonal_state_has_none(self):
-        assert l1_coherence(dm_new(np.diag([1.0, 0.0]).astype(complex))) == 0.0
+        assert scan_rho(np.diag([1.0, 0.0]).astype(complex)).c_l1.item() == 0.0
 
     def test_maximally_coherent_state(self):
-        assert l1_coherence(dm_new(mat2(0.5, 0.5, 0.5, 0.5))) == 1.0
+        assert scan_rho(np.full((2, 2), 0.5, dtype=complex)).c_l1.item() == 1.0
 
     def test_complex_off_diagonal(self):
-        rho = dm_new(mat2(0.5, 0.3 + 0.4j, 0.3 - 0.4j, 0.5))
-        assert l1_coherence(rho) == pytest.approx(1.0, abs=1e-15)
+        rho = np.array([[0.5, 0.3 + 0.4j], [0.3 - 0.4j, 0.5]], dtype=complex)
+        assert scan_rho(rho).c_l1.item() == pytest.approx(1.0, abs=1e-15)
 
 
 class TestFrobenius:
@@ -39,28 +36,28 @@ class TestFrobenius:
         for _ in range(50):
             v = rng.normal(size=2) + 1j * rng.normal(size=2)
             v = v / np.linalg.norm(v)
-            rho = dm_new(np.outer(v, v.conj()))
-            assert abs(frobenius_coherence(rho) - 1.0) <= 1e-12
+            assert abs(scan_rho(np.outer(v, v.conj())).c_frob.item() - 1.0) <= 1e-12
 
     def test_maximally_mixed_is_zero(self):
-        assert frobenius_coherence(dm_new(np.diag([0.5, 0.5]).astype(complex))) == 0.0
+        assert scan_rho(np.diag([0.5, 0.5]).astype(complex)).c_frob.item() == 0.0
 
     def test_state_at_the_trace_tolerance_is_zero(self):
         # trace 1 + 9.998e-13 passes DensityMatrix's 1e-12 check; the radicand
         # 1 - trace^2 = -2.0e-12 is within what that tolerance admits
-        assert frobenius_coherence(dm_new(np.diag([0.5 + 4.999e-13] * 2))) == 0.0
+        rho = dm_new(np.diag([0.5 + 4.999e-13] * 2))
+        assert scan_rho(rho.matrix).c_frob.item() == 0.0
 
     def test_diagonal_mixed_state(self):
-        rho = dm_new(np.diag([0.75, 0.25]).astype(complex))
-        assert frobenius_coherence(rho) == pytest.approx(0.5, abs=1e-15)
+        c_frob = scan_rho(np.diag([0.75, 0.25]).astype(complex)).c_frob.item()
+        assert c_frob == pytest.approx(0.5, abs=1e-15)
 
     def test_matches_eigenvalue_route(self, rng):
-        # sqrt(2 ((lam+ - 1/2)^2 + (lam- - 1/2)^2)) computed independently
+        # sqrt(2 ((lam+ - 1/2)^2 + (lam- - 1/2)^2)) from LAPACK's eigenvalues
         for _ in range(1000):
-            rho = random_density_matrix(rng)
-            lp, lm = dm_eigenvalues(rho)
+            m = random_density_matrix(rng).matrix
+            lm, lp = np.linalg.eigvalsh(m)
             via_eigs = np.sqrt(2.0 * ((lp - 0.5) ** 2 + (lm - 0.5) ** 2))
-            assert abs(frobenius_coherence(rho) - via_eigs) <= 1e-12
+            assert abs(scan_rho(m).c_frob.item() - via_eigs) <= 1e-12
 
 
 class TestPulseClosedForm:
@@ -85,14 +82,14 @@ class TestPulseClosedForm:
     def test_equals_density_matrix_route(self, f0):
         p = PulseParams(e0=1.0, f0=f0, n_period=1)
         for t in np.linspace(0.0, 2 * p.period, 400):
-            direct = l1_coherence(pulse_density(p, t))
+            direct = scan_rho(pulse_density(p, t).matrix).c_l1.item()
             assert abs(l1_pulse_closed_form(p, t) - direct) <= 1e-12
 
     @pytest.mark.parametrize("f0", [0.1, 1.0, 4.5])
     def test_frobenius_constant_for_pulse(self, f0):
         p = PulseParams(e0=1.0, f0=f0, n_period=1)
         for t in np.linspace(0.0, 2 * p.period, 400):
-            assert abs(frobenius_coherence(pulse_density(p, t)) - 1.0) <= 1e-12
+            assert abs(scan_rho(pulse_density(p, t).matrix).c_frob.item() - 1.0) <= 1e-12
 
     def test_interior_maximizer_strong_drive(self):
         # for f0 > 1 the half-period max sits at sin^2(eps0 tau) = (1+f0^2)/(2 f0^2)

@@ -1,5 +1,4 @@
 """Core types: validated density matrices, 2x2 helpers, grids and series."""
-import math
 import warnings
 
 import numpy as np
@@ -8,66 +7,59 @@ import pytest
 from qdrive import (
     BadParam,
     NotHermitian,
-    NotNormalized,
     NotPositive,
     PulseParams,
     RabiParams,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    StateVector,
     TimeGrid,
     TimeSeries,
     TraceNotOne,
     commutator,
-    dm_eigenvalues,
     dm_new,
-    dm_purity,
-    floquet_solution,
     ground_state_dm,
     invariance_residual,
     invariant_operator,
     l1_pulse_closed_form,
     lewis_phase,
-    mat2,
+    pulse_amplitudes,
     pulse_hamiltonian,
     pulse_rho,
-    pulse_state,
+    rabi_amplitudes,
     rabi_hamiltonian,
     rabi_rho,
-    rabi_state,
     xi_squared,
 )
+from qdrive.core import scan_rho
 from conftest import random_density_matrix
 
 
 class TestDmNew:
     def test_ground_state_valid(self):
         rho = dm_new(np.diag([1.0, 0.0]).astype(complex))
-        assert dm_purity(rho) == pytest.approx(1.0, abs=1e-15)
+        assert scan_rho(rho.matrix).purity.item() == pytest.approx(1.0, abs=1e-15)
 
     def test_maximally_mixed_valid(self):
         rho = dm_new(np.diag([0.5, 0.5]).astype(complex))
-        assert dm_purity(rho) == pytest.approx(0.5, abs=1e-15)
+        assert scan_rho(rho.matrix).purity.item() == pytest.approx(0.5, abs=1e-15)
 
     def test_indefinite_matrix_rejected(self):
         # eigenvalues 1.1 and -0.1 by the 2x2 formula
         with pytest.raises(NotPositive):
-            dm_new(mat2(0.5, 0.6, 0.6, 0.5))
+            dm_new(np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex))
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(NotHermitian):
-            dm_new(mat2(0.5, 0.2, 0.3, 0.5))
+            dm_new(np.array([[0.5, 0.2], [0.3, 0.5]], dtype=complex))
         with pytest.raises(NotHermitian):
-            dm_new(mat2(0.5 + 1e-6j, 0, 0, 0.5))
+            dm_new(np.array([[0.5 + 1e-6j, 0], [0, 0.5]], dtype=complex))
 
     def test_bad_trace_rejected(self):
         with pytest.raises(TraceNotOne):
             dm_new(np.diag([0.6, 0.6]).astype(complex))
 
     def test_non_finite_rejected(self):
-        with pytest.raises(BadParam):
-            mat2(np.nan, 0, 0, 1)
         with pytest.raises(BadParam):
             dm_new(np.array([[np.inf, 0], [0, 0]], dtype=complex))
 
@@ -78,7 +70,7 @@ class TestDmNew:
             dm_new(np.array([[np.nan, 0], [0, 1]], dtype=complex))
 
     def test_relaxed_tolerances(self):
-        m = mat2(0.5 + 3e-9, 0.1, 0.1, 0.5 - 1e-9)
+        m = np.array([[0.5 + 3e-9, 0.1], [0.1, 0.5 - 1e-9]], dtype=complex)
         with pytest.raises(TraceNotOne):
             dm_new(m)
 
@@ -93,13 +85,13 @@ class TestCommutator:
         assert np.abs(commutator(SIGMA_Z, SIGMA_X) - 2j * SIGMA_Y).max() < 1e-15
 
     def test_self_commutator_vanishes(self):
-        a = mat2(1.0, 2.0 + 1j, 0.5, -3.0)
+        a = np.array([[1.0, 2.0 + 1j], [0.5, -3.0]], dtype=complex)
         assert np.abs(commutator(a, a)).max() == 0.0
 
     def test_hand_computed_example(self):
         a = np.diag([1.0, 2.0]).astype(complex)
-        b = mat2(0, 1, 0, 0)
-        expected = mat2(0, -1, 0, 0)
+        b = np.array([[0, 1], [0, 0]], dtype=complex)
+        expected = np.array([[0, -1], [0, 0]], dtype=complex)
         assert np.abs(commutator(a, b) - expected).max() == 0.0
 
     def test_antisymmetry(self, rng):
@@ -110,52 +102,39 @@ class TestCommutator:
 
 
 class TestPurityAndEigenvalues:
+    """scan_rho's purity and Frobenius radicand against the eigenvalues that
+    LAPACK finds (eigvalsh, ascending): purity is lam-^2 + lam+^2 and the
+    radicand is (lam+ - lam-)^2."""
+
     def test_purity_examples(self):
-        assert dm_purity(dm_new(np.diag([1.0, 0.0]).astype(complex))) == 1.0
-        assert dm_purity(dm_new(np.diag([0.5, 0.5]).astype(complex))) == 0.5
-        assert dm_purity(dm_new(np.diag([0.75, 0.25]).astype(complex))) == pytest.approx(0.625, abs=1e-15)
+        for diag, purity in (([1.0, 0.0], 1.0), ([0.5, 0.5], 0.5), ([0.75, 0.25], 0.625)):
+            assert scan_rho(np.diag(diag).astype(complex)).purity.item() == purity
 
     def test_eigenvalue_examples(self):
-        assert dm_eigenvalues(dm_new(np.diag([1.0, 0.0]).astype(complex))) == (1.0, 0.0)
-        assert dm_eigenvalues(dm_new(np.diag([0.5, 0.5]).astype(complex))) == (0.5, 0.5)
-        lam = dm_eigenvalues(dm_new(mat2(0.5, 0.5, 0.5, 0.5)))
-        assert lam[0] == pytest.approx(1.0, abs=1e-15)
-        assert lam[1] == pytest.approx(0.0, abs=1e-15)
+        for m in (np.diag([1.0, 0.0]), np.diag([0.5, 0.5]), np.full((2, 2), 0.5),
+                  np.array([[0.5, 0.3 + 0.4j], [0.3 - 0.4j, 0.5]])):
+            lm, lp = np.linalg.eigvalsh(m)
+            scan = scan_rho(m.astype(complex))
+            assert scan.c_frob.item() == pytest.approx(lp - lm, abs=1e-15)
+            assert scan.purity.item() == pytest.approx(lp * lp + lm * lm, abs=1e-15)
 
     def test_eigenvalues_match_direct_radicand(self, rng):
-        # scan_rho's radicand / 4 against the formula dm_eigenvalues used before
         for _ in range(2000):
             m = random_density_matrix(rng).matrix
-            radicand = 0.25 + abs(m[0, 1]) ** 2 - m[0, 0].real * m[1, 1].real
-            s = math.sqrt(max(radicand, 0.0))
-            assert dm_eigenvalues(dm_new(m)) == (0.5 + s, 0.5 - s)
+            lm, lp = np.linalg.eigvalsh(m)
+            assert abs(scan_rho(m).radicand.item() - (lp - lm) ** 2) <= 1e-12
 
     def test_eigenvalues_sum_to_one(self, rng):
+        # a state dm_new accepts has eigenvalues >= 0 summing to 1, within its 1e-12
         for _ in range(200):
-            lam = dm_eigenvalues(random_density_matrix(rng))
-            assert abs(lam[0] + lam[1] - 1.0) <= 1e-12
+            lam = np.linalg.eigvalsh(random_density_matrix(rng).matrix)
+            assert abs(lam.sum() - 1.0) <= 1e-12 and lam.min() >= -1e-12
 
     def test_purity_equals_eigenvalue_squares(self, rng):
         for _ in range(200):
-            rho = random_density_matrix(rng)
-            lp, lm = dm_eigenvalues(rho)
-            assert abs(dm_purity(rho) - (lp * lp + lm * lm)) <= 1e-12
-
-
-class TestStateVector:
-    def test_valid_and_projector(self):
-        psi = StateVector(1.0, 0.0)
-        assert np.abs(psi.projector() - np.diag([1.0, 0.0])).max() == 0.0
-        assert psi.to_density_matrix().matrix[0, 0] == 1.0
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(NotNormalized, match=r"^\| \|c0\|\^2 \+ \|c1\|\^2 - 1 \| = "
-                                                r"2\.500e-01 exceeds 1e-12$"):
-            StateVector(1.0, 0.5)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(BadParam):
-            StateVector(complex("nan"), 0.0)
+            m = random_density_matrix(rng).matrix
+            lm, lp = np.linalg.eigvalsh(m)
+            assert abs(scan_rho(m).purity.item() - (lp * lp + lm * lm)) <= 1e-12
 
 
 class TestTimeGrid:
@@ -221,16 +200,15 @@ RABI = RabiParams(e_g=0.0, e_e=2.0, omega0=1.0, coupling=0.7)
 PULSE = PulseParams(e0=1.0, f0=1.0, n_period=1)
 CLOSED_FORMS = {
     "rabi_rho": lambda t: rabi_rho(RABI, t),
-    "rabi_state": lambda t: rabi_state(RABI, t),
+    "rabi_amplitudes": lambda t: rabi_amplitudes(RABI, t),
     "rabi_hamiltonian": lambda t: rabi_hamiltonian(RABI, t),
-    "floquet_solution": lambda t: floquet_solution(RABI, t),
     "xi_squared": lambda t: xi_squared(RABI, t, 1.0),
     "invariant_operator": lambda t: invariant_operator(RABI, t),
     "invariance_residual": lambda t: invariance_residual(RABI, t, 1e-5),
     "invariance_residual-h": lambda h: invariance_residual(RABI, 0.5, h),
     "lewis_phase": lambda t: lewis_phase(RABI, t),
     "pulse_rho": lambda t: pulse_rho(PULSE, t),
-    "pulse_state": lambda t: pulse_state(PULSE, t),
+    "pulse_amplitudes": lambda t: pulse_amplitudes(PULSE, t),
     "pulse_hamiltonian": lambda t: pulse_hamiltonian(PULSE, t),
     "l1_pulse_closed_form": lambda t: l1_pulse_closed_form(PULSE, t),
 }

@@ -14,11 +14,11 @@ from qdrive import (
     OutOfRange,
     PulseParams,
     RabiParams,
+    SIGMA_X,
     Sampled,
     TimeGrid,
     dm_new,
     ground_state_dm,
-    mat2,
     propagate,
     pulse_density,
     pulse_hamiltonian,
@@ -61,14 +61,14 @@ class TestHamiltonianAt:
     def test_rwa_at_zero(self):
         p = RabiParams(e_g=0.2, e_e=1.3, omega0=0.9, coupling=0.3 + 0.4j)
         h = rabi_hamiltonian(p, 0.0)
-        expected = mat2(0.2, 0.3 - 0.4j, 0.3 + 0.4j, 1.3)
+        expected = np.array([[0.2, 0.3 - 0.4j], [0.3 + 0.4j, 1.3]], dtype=complex)
         assert np.abs(h - expected).max() <= 1e-15
 
     def test_square_pulse_branches(self):
         p = PulseParams(e0=1.0, f0=1.0, n_period=1)
-        assert np.abs(pulse_hamiltonian(p, 0.0) - mat2(-1, -1, -1, 1)).max() == 0.0
+        assert np.abs(pulse_hamiltonian(p, 0.0) - np.array([[-1, -1], [-1, 1]])).max() == 0.0
         # right-limit branch at the switch: -E0 sigma_z + f0 E0 sigma_x
-        assert np.abs(pulse_hamiltonian(p, p.period / 2) - mat2(-1, 1, 1, 1)).max() == 0.0
+        assert np.abs(pulse_hamiltonian(p, p.period / 2) - np.array([[-1, 1], [1, 1]])).max() == 0.0
 
     def test_sampled_piecewise_left(self):
         drive = Sampled(
@@ -95,7 +95,7 @@ def rhs(ham, rho):
     on the coordinates (rho00, Re rho01, Im rho01, rho11)."""
     r = _generator(ham, 1.0) @ np.array([rho[0, 0].real, rho[0, 1].real, rho[0, 1].imag,
                                          rho[1, 1].real])
-    return mat2(r[0], complex(r[1], r[2]), complex(r[1], -r[2]), r[3])
+    return np.array([[r[0], complex(r[1], r[2])], [complex(r[1], -r[2]), r[3]]], dtype=complex)
 
 
 class TestRhs:
@@ -107,7 +107,7 @@ class TestRhs:
         # -i[H, diag(1,0)] has off-diagonal entries +i conj(g), -i g
         p = RabiParams(e_g=0.0, e_e=1.0, omega0=1.0, coupling=0.3 + 0.4j)
         out = rhs(rabi_hamiltonian(p, 0.0), ground_state_dm().matrix)
-        expected = mat2(0.0, 1j * np.conj(p.coupling), -1j * p.coupling, 0.0)
+        expected = np.array([[0.0, 1j * np.conj(p.coupling)], [-1j * p.coupling, 0.0]])
         assert np.abs(out - expected).max() <= 1e-15
 
     def test_commuting_matrices_give_zero(self):
@@ -117,14 +117,14 @@ class TestRhs:
 
 class TestPropagate:
     def test_zero_drive_is_constant(self):
-        rho0 = dm_new(mat2(0.7, 0.2, 0.2, 0.3))
+        rho0 = dm_new(np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex))
         series = propagate(zero_drive(), rho0, TimeGrid(0.0, 5.0, 64))
         assert np.abs(series.rho - rho0.matrix).max() == 0.0
 
     def test_zero_drive_keeps_non_hermitian_start(self):
         # rho01 and rho10 miss being conjugates by 8e-13: the anti-Hermitian
         # part Q of rho = P + iQ is carried along with P and put back
-        rho0 = dm_new(mat2(0.7, 0.2 + 4e-13, 0.2 - 4e-13, 0.3))
+        rho0 = dm_new(np.array([[0.7, 0.2 + 4e-13], [0.2 - 4e-13, 0.3]], dtype=complex))
         series = propagate(zero_drive(), rho0, TimeGrid(0.0, 5.0, 64))
         assert np.abs(series.rho - rho0.matrix).max() == 0.0
 
@@ -210,8 +210,8 @@ class TestPropagate:
         # unstable step size until the drift guard trips; the Hermitian part
         # (I/2 + sigma_x/2) commutes with the sigma_x drive and stays put
         drive = Sampled(times=np.array([0.0, 1000.0]),
-                        matrices=np.stack([mat2(0, 1, 1, 0)] * 2))
-        rho0 = dm_new(mat2(0.5 + 1e-12j, 0.5, 0.5, 0.5))
+                        matrices=np.stack([SIGMA_X] * 2))
+        rho0 = dm_new(np.array([[0.5 + 1e-12j, 0.5], [0.5, 0.5]], dtype=complex))
         # step 1 also fails the 1e-8 Hermiticity check; drift is reported first
         with pytest.raises(InvariantDrift, match=r"^step 1, t = 100\.0: trace drift"):
             propagate(drive, rho0, TimeGrid(0.0, 1000.0, 10))
@@ -220,8 +220,8 @@ class TestPropagate:
         # the same defect grows to about 1e-7 by step 4: one drift limit
         # (1e-8) reports it as InvariantDrift, not NotHermitian
         drive = Sampled(times=np.array([0.0, 25.0]),
-                        matrices=np.stack([mat2(0, 1, 1, 0)] * 2))
-        rho0 = dm_new(mat2(0.5 + 1e-12j, 0.5, 0.5, 0.5))
+                        matrices=np.stack([SIGMA_X] * 2))
+        rho0 = dm_new(np.array([[0.5 + 1e-12j, 0.5], [0.5, 0.5]], dtype=complex))
         with pytest.raises(InvariantDrift, match=r"^step 4, t = 10\.0: trace drift 1\.000e-12, "
                                                  r"Hermiticity drift 1\.053e-07 \(limit 1e-08\)$"):
             propagate(drive, rho0, TimeGrid(0.0, 25.0, 10))
@@ -229,16 +229,14 @@ class TestPropagate:
     def test_unstable_step_names_step_and_time(self):
         # h = 2 under a sigma_x drive: RK4 is unstable and the first state
         # already has eigenvalue -3.3
-        sx = mat2(0, 1, 1, 0)
-        drive = Sampled(times=np.array([0.0, 20.0]), matrices=np.stack([sx, sx]))
+        drive = Sampled(times=np.array([0.0, 20.0]), matrices=np.stack([SIGMA_X, SIGMA_X]))
         with pytest.raises(NotPositive, match=r"^step 1, t = 2\.0: smallest eigenvalue -3\.304e\+00"):
             propagate(drive, ground_state_dm(), TimeGrid(0.0, 20.0, 10))
 
     def test_invalid_state_reported_before_later_out_of_range(self):
         # the drive ends at t = 10, so step 5 leaves its range; the state
         # after step 1 is already invalid and is the failure reported
-        sx = mat2(0, 1, 1, 0)
-        drive = Sampled(times=np.array([0.0, 10.0]), matrices=np.stack([sx, sx]))
+        drive = Sampled(times=np.array([0.0, 10.0]), matrices=np.stack([SIGMA_X, SIGMA_X]))
         with pytest.raises(NotPositive, match=r"^step 1, t = 2\.0: "):
             propagate(drive, ground_state_dm(), TimeGrid(0.0, 20.0, 10))
 
@@ -246,8 +244,7 @@ class TestPropagate:
 P15 = PulseParams(e0=1.0, f0=1.5, n_period=1)
 # the square pulse as a sampled drive: samples at 0, T/2 and T
 SAMPLED_PULSE = Sampled(times=np.array([0.0, P15.period / 2, P15.period]),
-                        matrices=np.stack([pulse_hamiltonian(P15, t)
-                                           for t in (0.0, P15.period / 2, P15.period)]))
+                        matrices=pulse_hamiltonian(P15, np.array([0.0, 0.5, 1.0]) * P15.period))
 # a slowly varying drive held constant over 32 pieces of [0, 3]
 SMOOTH_TIMES = np.linspace(0.0, 3.0, 33)
 SMOOTH = Sampled(times=SMOOTH_TIMES, matrices=np.stack([
@@ -340,7 +337,7 @@ def reference_propagate(drive, rho0, grid):
 
 # a mixed start: RK4's truncation error at large h then cannot push an
 # eigenvalue below zero, which propagate would reject
-MIXED = dm_new(mat2(0.7, 0.1 - 0.2j, 0.1 + 0.2j, 0.3))
+MIXED = dm_new(np.array([[0.7, 0.1 - 0.2j], [0.1 + 0.2j, 0.3]], dtype=complex))
 
 
 def assert_matches_reference(drive, grid):
@@ -493,7 +490,7 @@ class TestChunkedApply:
         # the window ends at 4200.5, inside a chunk of a later block: steps
         # 0..4199 are propagated, checked, then step 4201 is named
         assert _BLOCK < 4100 and 4200 % _BLOCK % _CHUNK
-        sx = mat2(0, 1, 1, 0)
+        sx = SIGMA_X
         grid = TimeGrid(0.0, 5000.0, 5000)
         calm = Sampled(times=np.array([0.0, 4100.0, 4200.5]),
                        matrices=np.stack([0 * sx, 1e-3 * sx, 1e-3 * sx]))

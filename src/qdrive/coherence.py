@@ -14,16 +14,22 @@ For the square-pulse drive the l1 measure has the closed form
 
 which peaks at 2 f0/(1+f0^2) when f0 <= 1 and reaches exactly 1 (twice per
 half-period) when f0 >= 1, while the Frobenius measure stays constant at 1.
+``refine_max`` finds such a peak (the sweep's ``max_c_l1``) by a grid scan
+and a resampling polish around the best grid point.
 """
 from __future__ import annotations
 
-from math import sqrt
+from math import isfinite
 from typing import Callable
 
 import numpy as np
 
 from .core import Scan, TimeSeries, scan_rho
+from .errors import BadParam
 from .pulse import PulseParams, reduced_time
+
+#: Polish points per step of refine_max: each step shrinks its span by ZOOM / 2.
+ZOOM = 128
 
 
 def l1_columns(rho: np.ndarray) -> np.ndarray:
@@ -52,115 +58,35 @@ def build_series(t: np.ndarray, rho: np.ndarray, scan: Scan | None = None) -> Ti
                       c_l1=scan.c_l1, c_frob=scan.c_frob)
 
 
-def _fminbound(f: Callable[[float], float], a: float, b: float, xatol: float) -> float:
-    """Minimum value of f on [a, b] by Brent's bounded minimiser (Brent 1973,
-    *Algorithms for Minimization Without Derivatives*, ch. 5): parabolic
-    interpolation with a golden-section fallback.
-
-    Statement for statement the reference ``fminbound`` implementation
-    (500 evaluations at most, no display or status), numpy scalar operations
-    included, so the returned f value equals the reference's bit for bit;
-    tests/test_coherence.py compares the two.
-    """
-    maxfun = 500
-    sqrt_eps = sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - sqrt(5.0))
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = f(x)
-    num = 1
-
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while (np.abs(xf - xm) > (tol2 - 0.5 * (b - a))):
-        golden = 1
-        # parabolic fit through the three best points
-        if np.abs(e) > tol1:
-            golden = 0
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = np.abs(q)
-            r = e
-            e = rat
-
-            # accept the parabola only inside the bracket and shrinking
-            if ((np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf))
-                    and (p < q * (b - xf))):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if ((x - a) < tol2) or ((b - x) < tol2):
-                    si = np.sign(xm - xf) + ((xm - xf) == 0)
-                    rat = tol1 * si
-            else:
-                golden = 1
-
-        if golden:  # golden-section step into the larger segment
-            if xf >= xm:
-                e = a - xf
-            else:
-                e = b - xf
-            rat = golden_mean * e
-
-        si = np.sign(rat) + (rat == 0)
-        x = xf + si * np.maximum(np.abs(rat), tol1)
-        fu = f(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-
-        if num >= maxfun:
-            break
-
-    return fx
-
-
 def refine_max(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
                samples: int = 4096, *, scan: np.ndarray | None = None) -> float:
-    """Maximum of a smooth scalar function on [lo, hi]: dense scan plus a
-    bounded local polish around the best grid point.
+    """Maximum of a smooth scalar function on [lo, hi]: a dense scan, then a
+    polish that resamples around the best point found so far.
 
-    ``fn`` must accept both an array of times (the scan calls it once on
-    the whole grid) and a single float (the polish).  A caller that already
-    holds ``fn``'s values on ``linspace(lo, hi, samples + 1)`` passes them
-    as ``scan`` and the scan call is skipped.  The scan guards against the
-    polish settling in a secondary lobe; the polish removes the O(grid^2)
-    bias of the bare scan.
+    ``fn`` maps an array of times to their values.  The scan calls it once on
+    ``linspace(lo, hi, samples + 1)``, unless the caller passes those values
+    as ``scan``.  From the best node ``t`` and the grid spacing ``h``, each
+    polish step calls it once on ``ZOOM + 1`` points over ``[t - h, t + h]``
+    (clipped to [lo, hi]), moves ``t`` to the best and takes their spacing as
+    ``h``, until ``h <= 1e-9 (hi - lo)``: a smooth peak is then missed by less
+    than 1e-18 of its curvature times (hi - lo)^2.  The scan keeps the polish
+    out of secondary lobes; the result, the largest value seen, is never below
+    the grid maximum.
     """
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise BadParam(f"samples must be an integer >= 1, got {samples!r}")
+    if not (isfinite(lo) and isfinite(hi - lo) and hi >= lo):
+        raise BadParam(f"lo = {lo!r}, hi = {hi!r}: lo, hi and hi - lo must be finite and lo <= hi")
     ts = np.linspace(lo, hi, samples + 1)
     vals = np.asarray(fn(ts) if scan is None else scan, dtype=float)
+    if vals.shape != ts.shape:
+        raise BadParam(f"scan must hold {samples + 1} values, got shape {vals.shape}")
     i = int(np.argmax(vals))
-    a, b = ts[max(i - 1, 0)], ts[min(i + 1, samples)]
-    if a == b:
-        return float(vals[i])
-    fx = _fminbound(lambda t: -fn(t), a, b, xatol=1e-14)
-    return float(max(vals[i], -fx))
+    t, best, h = ts[i], vals[i], (hi - lo) / samples
+    offsets = np.linspace(-1.0, 1.0, ZOOM + 1)
+    while h > 1e-9 * (hi - lo):
+        pts = np.clip(t + h * offsets, lo, hi)
+        vals = np.asarray(fn(pts), dtype=float)
+        i = int(np.argmax(vals))
+        t, best, h = pts[i], max(best, vals[i]), 2.0 * h / ZOOM
+    return float(best)

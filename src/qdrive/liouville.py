@@ -181,6 +181,8 @@ def _corotating_map(p: RabiParams, t0: float, h: float) -> np.ndarray:
     M_0, from H at t0, t0 + h/2 and t0 + h, its (x, y) rows turned back by w0 h."""
     m = _rk4_map(*_generator(rabi_hamiltonian(p, t0 + np.array([0.0, 0.5, 1.0]) * h), h))
     w = p.omega0 * h
+    if not math.isfinite(w):
+        raise BadParam(f"omega0 h = {w!r} overflows at step h = {h!r}")
     m[1:3] = np.array([[math.cos(w), math.sin(w)], [-math.sin(w), math.cos(w)]]) @ m[1:3]
     return m
 
@@ -207,24 +209,26 @@ def propagate(drive: DriveHamiltonian, rho0: DensityMatrix, grid: TimeGrid) -> T
     """
     h, t0, times, n = grid.h, grid.t_start, grid.times(), grid.steps
     pieces = _pieces(drive, grid)
-    if pieces is not None:
-        starts, mats = pieces
-        # step i holds pieces first[i]..last[i] (-1: outside the window); a
-        # piece starting within tol of a node counts as starting on it
-        tol = 1e-9 * h
-        first, last = _held(starts, times[:-1] + tol), _held(starts, times[1:] - tol)
-        outside = (first < 0) | (last < 0)
-        n = int(np.argmax(outside)) if outside.any() else n
-        # step i's map is table[index[i]]: each piece's map, then the split steps'
-        split = np.flatnonzero(first[:n] != last[:n])
-        table = np.concatenate([_piece_map(mats, h), _split_maps(
-            starts, mats, times[split], h, first[split], last[split])])
-        index = first[:n].copy()
-        index[split] = len(mats) + np.arange(len(split))
-    elif isinstance(drive, RabiParams):
-        table, index = _corotating_map(drive, t0, h)[None], np.zeros(n, dtype=int)
-    else:
-        raise BadParam(f"unknown drive type {type(drive).__name__}")
+    # an unstable step size may overflow the maps and states; _check_states reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if pieces is not None:
+            starts, mats = pieces
+            # step i holds pieces first[i]..last[i] (-1: outside the window); a
+            # piece starting within tol of a node counts as starting on it
+            tol = 1e-9 * h
+            first, last = _held(starts, times[:-1] + tol), _held(starts, times[1:] - tol)
+            outside = (first < 0) | (last < 0)
+            n = int(np.argmax(outside)) if outside.any() else n
+            # step i's map is table[index[i]]: each piece's map, then the split steps'
+            split = np.flatnonzero(first[:n] != last[:n])
+            table = np.concatenate([_piece_map(mats, h), _split_maps(
+                starts, mats, times[split], h, first[split], last[split])])
+            index = first[:n].copy()
+            index[split] = len(mats) + np.arange(len(split))
+        elif isinstance(drive, RabiParams):
+            table, index = _corotating_map(drive, t0, h)[None], np.zeros(n, dtype=int)
+        else:
+            raise BadParam(f"unknown drive type {type(drive).__name__}")
     # rho = P + iQ with P = (rho + rho^H)/2 and Q = (rho - rho^H)/2i
     # Hermitian; the columns of r hold the coordinates of P and Q.  Each
     # node's r sits in its own rho: the (re, im) slots of rho00, rho01, rho10
@@ -235,7 +239,6 @@ def propagate(drive: DriveHamiltonian, rho0: DensityMatrix, grid: TimeGrid) -> T
     coords = rhos.view(float).reshape(-1, 4, 2)
     coords[0] = [[m[0, 0].real, m[0, 0].imag], [s.real, d.imag],
                  [s.imag, -d.real], [m[1, 1].real, m[1, 1].imag]]
-    # an unstable step size may overflow; _check_states reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for i0 in range(0, n, _BLOCK):
             _apply(table[index[i0:i0 + _BLOCK]], coords[i0:i0 + _BLOCK + 1])

@@ -101,7 +101,7 @@ def _swept(drive: RabiParams | PulseParams, param: str, value: float) -> RabiPar
 
 
 def _sweep_row(drive: RabiParams | PulseParams, steps: int, param: str, value: float) -> SweepRow:
-    polished: list[np.ndarray] = []  # the states of the rabi polish, checked after it
+    polished: list[np.ndarray] = []  # the rabi polish's batches of states, checked after it
     p = _swept(drive, param, value)
     pulse = isinstance(p, PulseParams)
     if pulse:
@@ -119,7 +119,7 @@ def _sweep_row(drive: RabiParams | PulseParams, steps: int, param: str, value: f
     # rabi scans the states it just validated; pulse scans its closed form,
     # whose bits differ from scan.c_l1
     max_l1 = refine_max(c_l1_at, 0.0, period, samples=steps, scan=None if pulse else scan.c_l1)
-    scan_rho(np.array(polished)).require_valid()  # the first failing evaluation raises
+    scan_rho(np.array(polished)).require_valid()  # the first failing state, in call order, raises
     ret = float(np.abs(dm_at(p, period).matrix - np.diag([1.0, 0.0])).max())
     return SweepRow(
         value=value,

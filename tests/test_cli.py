@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from qdrive import ConfigInvalid, PulseParams, RabiParams, pulse_rho, rabi_rho
 from qdrive.cli import _write_sweep_csv, build_parser, main
+from qdrive.coherence import ZOOM
 from qdrive.config import MAX_STEPS, MODES, scenario_config_from_dict, sweep_config_from_dict
 from qdrive.io import CSV_HEADER, read_series_csv
 from qdrive.runner import SWEEP_PARAMS, SweepRow
@@ -322,6 +323,24 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith(("config error: params: ", "config error: grid: "))
         assert re.search(message, err) and err.count("\n") == 1
+
+    NOT_FINITE = "step 1, t = 1e+308: density-matrix entry must be finite"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--scenario", "rabi"], NOT_FINITE),
+        (["rabi", "--mode", "numeric", "--omega0", 2], "omega0 h = inf overflows at step h = 1e+308"),
+        (["integrate", "--drive", "{drive}"], NOT_FINITE),
+    ], ids=["verify", "corotating-turn", "sampled"])
+    def test_overflowing_step_is_a_one_line_run_error(self, argv, message, tmp_path, capsys):
+        """A step so long that its RK4 map overflows ends the run with one
+        line and exit 1, with no numpy warning and no traceback."""
+        drive = tmp_path / "drive.json"
+        big = {**ZERO_SAMPLE, "h00_re": 1e308, "h01_re": 1e308, "h10_re": 1e308}
+        drive.write_text(json.dumps({"samples": [big, {**big, "t": 1e308}]}))
+        argv = [str(drive) if a == "{drive}" else a for a in argv]
+        assert run([*argv, "--t-end", 1e308, "--steps", 1, "--output", tmp_path / "x.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"run failed: BadParam: {message}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("coupling, cause", [
         ("0", "Omega = 0 (zero coupling and zero detuning)"),
@@ -722,26 +741,27 @@ class TestSweep:
         assert maxima == pytest.approx(expected, abs=1e-6)
 
     def test_polish_reports_its_first_failing_state(self, monkeypatch):
-        """The rabi polish checks its states in one batch after refine_max;
-        the row still names the first failing evaluation, as when each state
-        was checked as it was made."""
+        """The rabi polish checks its batches of states in one scan after
+        refine_max; the row still names the first failing state in the order
+        the states were made, as when each batch was checked as it was made."""
         from qdrive import runner
-        real, polished = runner.rabi_rho, []
+        real, batches = runner.rabi_rho, []
 
         def failing_polish(p, t):
             rho = real(p, t)
-            if np.ndim(t) == 0:
-                polished.append(t)
-                if len(polished) == 3:
-                    rho = 1.5 * rho  # |trace - 1| = 0.5
-                elif len(polished) == 5:
-                    rho[0, 1] += 1e-3  # not Hermitian
+            if len(t) == ZOOM + 1:  # a polish batch; the grid has 257 nodes
+                batches.append(t)
+                if len(batches) == 2:
+                    rho[20] *= 1.5  # |trace - 1| = 0.5
+                    rho[25, 0, 1] += 1e-3  # not Hermitian, later in the batch
+                elif len(batches) == 3:
+                    rho[3, 0, 1] += 1e-3  # not Hermitian, earlier in a later batch
             return rho
 
         monkeypatch.setattr(runner, "rabi_rho", failing_polish)
         drive, steps, _ = sweep_config_from_dict({"scenario": "rabi", "grid": {"steps": 256}})
         [row] = runner.run_sweep(drive, steps, "omega0", [0.7])
-        assert len(polished) > 5
+        assert len(batches) > 3
         assert row.error == "TraceNotOne: |trace - 1| = 5.000e-01 exceeds 1.0e-12"
 
     def test_empty_sweep(self, capsys):

@@ -1,20 +1,24 @@
-"""l1 and Frobenius coherence measures, the pulse closed form and the
-bounded peak polish."""
+"""l1 and Frobenius coherence measures, the pulse closed form, refine_max's
+peak polish and the sweep's peak against its closed form."""
+import re
+from math import sqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdrive import (
+    BadParam,
     PulseParams,
     RabiParams,
     dm_new,
     l1_pulse_closed_form,
     pulse_density,
-    rabi_rho,
     refine_max,
 )
-from qdrive.coherence import _fminbound, l1_columns
+from qdrive import runner
+from qdrive.coherence import ZOOM
 from qdrive.core import scan_rho
 from conftest import random_density_matrix
 
@@ -117,109 +121,18 @@ class TestPulseClosedForm:
             assert l1_pulse_closed_form(p, tau_star) == pytest.approx(expected, abs=1e-12)
 
 
-def _reference_min(f, a, b, xatol=1e-14):
-    """f's minimum on [a, b] by the reference bounded Brent minimiser."""
-    optimize = pytest.importorskip("scipy.optimize")
-    return optimize.minimize_scalar(f, bounds=(a, b), method="bounded",
-                                    options={"xatol": xatol}).fun
-
-
-def _scan_bracket(fn, lo, hi, samples):
-    """The grid interval around the scan maximum, as refine_max picks it."""
-    ts = np.linspace(lo, hi, samples + 1)
-    i = int(np.argmax(fn(ts)))
-    return ts[max(i - 1, 0)], ts[min(i + 1, samples)]
-
-
 def _same_bits(x, y):
     return np.float64(x).tobytes() == np.float64(y).tobytes()
 
 
-def _assert_same_run(f, a, b, xatol=1e-14):
-    """_fminbound evaluates f at the reference's points, in the reference's
-    order, and returns the same minimum, all bit for bit."""
-    ours, ref = [], []
-
-    def logged(log):
-        def g(t):
-            log.append(np.float64(t).tobytes())
-            return f(t)
-        return g
-
-    fx = _fminbound(logged(ours), a, b, xatol=xatol)
-    assert _same_bits(fx, _reference_min(logged(ref), a, b, xatol))
-    assert ours == ref
-    return len(ours)
-
-
-samples = st.sampled_from([8, 33, 256, 1000, 4096])
-
-
-class TestFminbound:
-    """_fminbound against the reference implementation, bit for bit."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.floats(0.05, 5.0), st.floats(0.01, 10.0), st.integers(1, 4), samples)
-    def test_pulse_closed_form_bracket(self, e0, f0, n, k):
-        p = PulseParams(e0=e0, f0=f0, n_period=n)
-
-        def f(t):
-            return -l1_pulse_closed_form(p, t)
-
-        a, b = _scan_bracket(lambda t: l1_pulse_closed_form(p, t), 0.0, p.period, k)
-        _assert_same_run(f, a, b)
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
-           st.floats(0.01, 2.0), st.floats(0.0, 2 * np.pi), samples)
-    def test_rabi_l1_column_bracket(self, e_g, e_e, omega0, g, phase, k):
-        p = RabiParams(e_g=e_g, e_e=e_e, omega0=omega0, coupling=g * np.exp(1j * phase))
-
-        def f(t):
-            return -l1_columns(rabi_rho(p, t))
-
-        a, b = _scan_bracket(lambda t: l1_columns(rabi_rho(p, t)), 0.0,
-                             p.population_period, k)
-        _assert_same_run(f, a, b)
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.floats(-3.0, 3.0), st.floats(0.1, 20.0), st.floats(-3.0, 3.0),
-           st.floats(-1.0, 1.0), st.floats(-10.0, 10.0), st.floats(1e-9, 10.0))
-    def test_smooth_function_any_bracket(self, amp, w, phase, curv, a, width):
-        def f(t):
-            return amp * np.cos(w * t + phase) + curv * t * t
-
-        b = a + width
-        _assert_same_run(f, a, b)
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 8), st.floats(0.5, 5.0), st.floats(-5.0, 5.0), st.floats(0.1, 10.0))
-    def test_staircase_function_ties(self, levels, w, a, width):
-        # equal function values exercise the tie branches of the bracket update
-        def f(t):
-            return np.floor(levels * np.cos(w * t)) / levels
-
-        b = a + width
-        _assert_same_run(f, a, b)
-
-    def test_evaluation_cap(self):
-        # with xatol = 0 the kink at 0 is approached until 500 evaluations
-        assert _assert_same_run(abs, -1.0, 2.0, xatol=0.0) == 500
-
-    @pytest.mark.parametrize("a, b", [(0.7, 0.7), (0.0, 0.0), (0.7, np.nextafter(0.7, 1.0))])
-    def test_degenerate_bracket(self, a, b):
-        def f(t):
-            return np.sin(3.0 * t) - t
-
-        _assert_same_run(f, a, b)
-
+class TestRefineMax:
     def test_refine_max_scan_argument_skips_the_grid_call(self):
         p = PulseParams(e0=1.0, f0=0.5, n_period=1)
         grid_calls = []
 
         def fn(t):
-            if np.ndim(t):
-                grid_calls.append(len(t))
+            if np.size(t) == 257:
+                grid_calls.append(np.size(t))
             return l1_pulse_closed_form(p, t)
 
         scan = l1_pulse_closed_form(p, np.linspace(0.0, p.period, 257))
@@ -227,3 +140,139 @@ class TestFminbound:
         assert grid_calls == []
         assert _same_bits(given_scan, refine_max(fn, 0.0, p.period, samples=256))
         assert grid_calls == [257]
+
+    @pytest.mark.parametrize("samples", [1, 2, 7, 64, 4096])
+    @pytest.mark.parametrize("t0", [0.0, 0.3137, 1.0, 2.2360679774997896, 3.0])
+    def test_known_maximum_to_the_last_bit(self, t0, samples):
+        # the final spacing is at most 3e-9, so the parabola misses m by
+        # (1.5e-9)^2 at most, and the cosine by half that: below rounding
+        m = 0.7071067811865476
+        assert refine_max(lambda t: m - (t - t0) ** 2, 0.0, 3.0, samples) == m
+        assert refine_max(lambda t: np.cos(5.0 * (t - t0)), 0.0, 3.0, samples) == 1.0
+
+    def test_one_sample_polishes_the_whole_interval(self):
+        # the two grid nodes read sin(0) = 0 and sin(3) = 0.14; the polish
+        # starts at 3 with half-width 3 and finds the peak at pi/2
+        calls = []
+
+        def fn(t):
+            calls.append(len(t))
+            return np.sin(t)
+
+        assert refine_max(fn, 0.0, 3.0, samples=1) == 1.0
+        assert calls[0] == 2
+
+    @pytest.mark.parametrize("fn, sup", [
+        (lambda t: -np.abs(t - 0.123456789), 0.0),
+        (lambda t: np.floor(5.0 * np.cos(3.0 * t)) / 5.0, 1.0),
+        (lambda t: np.sin(1e4 * t) * np.cos(t), 1.0),
+        (lambda t: np.minimum(np.sin(t), 0.5), 0.5),
+    ], ids=["kink", "staircase", "high_frequency", "plateau"])
+    @pytest.mark.parametrize("samples", [1, 16, 4096])
+    def test_rough_function_terminates_at_least_at_the_grid_maximum(self, fn, sup, samples):
+        calls = []
+
+        def counted(t):
+            calls.append(len(t))
+            return fn(t)
+
+        lo, hi = -1.0, 2.5
+        grid_max = fn(np.linspace(lo, hi, samples + 1)).max()
+        peak = refine_max(counted, lo, hi, samples)
+        assert grid_max <= peak <= sup
+        # each polish step shrinks the half-width by ZOOM / 2, from the grid
+        # spacing down to 1e-9 of the interval
+        steps = int(np.ceil(np.log(1e9 / samples) / np.log(ZOOM / 2)))
+        assert calls == [samples + 1] + [ZOOM + 1] * steps
+
+
+class TestRefineMaxRejects:
+    """Inputs refine_max would answer wrongly raise BadParam naming the argument."""
+
+    @staticmethod
+    def f(t):
+        return -(t - 0.8) ** 2
+
+    def test_scan_of_another_grid(self):
+        # the five values cover [0, 0.4], where f peaks at -0.16; the maximum
+        # on [0, 1] is 0
+        with pytest.raises(BadParam, match="^scan must hold 11 values"):
+            refine_max(self.f, 0.0, 1.0, samples=10, scan=self.f(np.linspace(0.0, 0.4, 5)))
+
+    def test_scan_longer_than_the_grid(self):
+        with pytest.raises(BadParam, match="^scan must hold 5 values"):
+            refine_max(self.f, 0.0, 1.0, samples=4, scan=self.f(np.linspace(0.0, 1.0, 11)))
+
+    @pytest.mark.parametrize("samples", [0, -1, 2.5, 4096.0])
+    def test_samples_not_a_positive_integer(self, samples):
+        with pytest.raises(BadParam, match="^samples must be an integer >= 1"):
+            refine_max(self.f, 0.0, 1.0, samples=samples)
+
+    @pytest.mark.parametrize("lo, hi", [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0),
+                                        (0.0, np.nan), (0.0, np.inf), (0.0, -np.inf),
+                                        (0.0, -0.5), (-1e308, 1e308)],
+                             ids=["lo-nan", "lo-inf", "lo--inf", "hi-nan", "hi-inf", "hi--inf",
+                                  "hi-below-lo", "span-overflows"])
+    def test_bounds_not_finite_or_reversed(self, lo, hi):
+        with pytest.raises(BadParam, match=re.escape(f"lo = {lo!r}, hi = {hi!r}: lo, hi and ")):
+            refine_max(self.f, lo, hi)
+
+
+EPS = np.finfo(float).eps
+sweep_steps = st.sampled_from([1, 5, 16, 256, 4096])
+
+
+def _closed_form_peak(p_max):
+    """Largest l1 of a pure state whose rho11 sweeps [0, p_max]."""
+    return 1.0 if p_max >= 0.5 else 2.0 * sqrt(p_max * (1.0 - p_max))
+
+
+class TestSweepPeak:
+    """Each sweep row's max_c_l1 against its closed-form peak, within 8 EPS.
+
+    Every sweep state is pure, so C_l1 = 2 sqrt(p (1 - p)) with p = rho11.
+    Over one period p = p_max sin^2(w t) sweeps [0, p_max], with p_max =
+    |g|^2/Omega^2 and w T = pi for rabi (w = Omega, T = pi/Omega), p_max =
+    f0^2/(1 + f0^2) and w T = 2 N pi for the pulse (w = eps0).  Every lobe
+    peaks at the same C*: 1 if p_max >= 1/2 (where p crosses 1/2), else
+    2 sqrt(p_max (1 - p_max)) (where p = p_max).
+
+    The row misses C* by two things:
+
+    * truncation: the polish stops at a spacing s <= 1e-9 T, its best point
+      within s/2 of a maximiser.  At a maximiser |C''| <= 4 w^2 C* (p
+      crossing 1/2: C'' = -(2 p')^2 with |p'| <= w; p = p_max < 1/2:
+      |C''| = C* w^2 (1 - 2 p_max)/(1 - p_max)), so the shortfall is at most
+      (w s)^2 C*/2 <= (1e-9 w T)^2 C*/2: 0.02 EPS C* for rabi and, at N = 5,
+      2.2 EPS C* for the pulse;
+    * rounding: a computed C_l1 carries the roundings of the amplitudes
+      (a sine or cosine, a division and a square root: about 1 EPS each
+      amplitude), of rho01 = c0 conj(c1) (sqrt(5)/2 EPS), of hypot and of the
+      sum (1 EPS), and the closed-form peak about 1 EPS: some 5 EPS in all,
+      up or down.
+
+    8 EPS C* covers both.  The largest miss seen over 100000 random rows was
+    3.75 EPS C*.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-1.0, 1.0), st.floats(-1.0, 2.0), st.floats(-3.0, 3.0),
+           st.floats(0.001, 3.0), st.floats(0.0, 2 * np.pi), sweep_steps,
+           st.sampled_from(["omega0", "coupling-magnitude"]))
+    def test_rabi(self, e_g, e_e, omega0, g, phase, n, param):
+        p = RabiParams(e_g=e_g, e_e=e_e, omega0=omega0, coupling=g * np.exp(1j * phase))
+        value = omega0 if param == "omega0" else g
+        [row] = runner.run_sweep(p, n, param, [value])
+        swept = runner._swept(p, param, value)
+        peak = _closed_form_peak(abs(swept.coupling) ** 2 / swept.omega_rabi ** 2)
+        assert row.error is None
+        assert abs(row.max_c_l1 - peak) <= 8 * EPS * peak
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.1, 5.0), st.floats(0.01, 10.0), st.integers(1, 5), sweep_steps)
+    def test_pulse(self, e0, f0, n_period, n):
+        p = PulseParams(e0=e0, f0=f0, n_period=n_period)
+        [row] = runner.run_sweep(p, n, "f0", [f0])
+        peak = _closed_form_peak(f0 * f0 / (1.0 + f0 * f0))
+        assert row.error is None
+        assert abs(row.max_c_l1 - peak) <= 8 * EPS * peak

@@ -1,7 +1,8 @@
 """Flat-file serialization of time series and sampled drives.
 
-CSV schema (fixed header, LF newlines, floats at 17 significant digits so a
-round trip reproduces every double bit-exactly):
+CSV schema (fixed header, LF newlines, each float as '%.17g' formats it, with
+17 significant digits, so a round trip reproduces every double bit-exactly;
+the text comes from an exact numpy kernel, _fmt17_words):
 
     t,rho00_re,rho00_im,rho01_re,rho01_im,rho10_re,rho10_im,rho11_re,rho11_im,purity,c_l1,c_frobenius
 
@@ -17,7 +18,7 @@ from array import array
 from contextlib import contextmanager, suppress
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, TextIO
+from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -45,14 +46,115 @@ def _json_record(slots: list[str]) -> str:
     return " {\n" + ",\n".join(f'  "{k}": {v}' for k, v in zip(CSV_FIELDS, slots)) + "\n }"
 
 
-# fmt -> (float conversion, row template from its 12 field slots, row
-# separator, head, tail, text of an empty series); %.17g is fmt17, %r is
-# json's float repr
-_LAYOUTS = {
-    "csv": ("%.17g", ",".join, "\n", CSV_HEADER + "\n", "\n", CSV_HEADER + "\n"),
-    "json": ("%r", _json_record, ",\n", "[\n", "\n]\n", "[]\n"),
-}
 _SIGN = np.int64(-2**63)  # the sign bit of a double viewed as int64
+
+
+# The exact %.17g kernel.  A value of decimal exponent k (|x| in [10^k,
+# 10^(k+1))) in [-4, 16] prints in fixed point, and its 17 digits are N =
+# |x| 10^(16-k) rounded half to even.  Dekker's two-product (Dekker 1971)
+# gives that product exactly as hi + lo: 10^(16-k) <= 1e20 is an exact
+# double, and hi >= 1e16 > 2^53 is an even integer, so N = hi + rint(lo).
+# A field is 24 bytes, three little-endian uint64 words: byte 0 the sign,
+# bytes 1-5 "0." and -k-1 zeros if k < 0, the digits from byte 6 with the
+# point inserted after digit k if k >= 0, and 0 bytes that the join drops.
+_POW10 = np.cumprod(np.r_[1.0, np.full(20, 10.0)])  # 10^p, p = 0..20, exact
+_LOW = np.cumsum(np.r_[np.uint64(0), 0xFF << 8 * np.arange(8, dtype=np.uint64)])  # low c bytes
+# _KEEP[:, c]: the three words of a field's mask of its bytes before byte c
+_KEEP = _LOW[np.clip(np.arange(26) - 8 * np.arange(3)[:, None], 0, 8)]
+# _PREFIX[k + 4]: bytes 1-5 of a field of exponent k, "0." and -k-1 zeros if k < 0
+_PREFIX = np.r_[0x2E3000 | (0x303030 & _LOW[3::-1]) << 24, np.zeros(17, np.uint64)]
+
+
+def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split: v = hi + lo exactly, each of at most 26 significant bits."""
+    c = v * 134217729.0  # 2^27 + 1
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a 10^(16-k) as hi + lo exactly, hi the rounded product."""
+    s = _POW10.take(16 - k)
+    (ah, al), (sh, sl) = _split(a), _split(s)
+    hi = a * s
+    return hi, ((ah * sh - hi) + ah * sl + al * sh) + al * sl
+
+
+def _fmt17_words(x: np.ndarray) -> np.ndarray:
+    """'%.17g' % v of each value of the 1-D array ``x`` as a field (above), in
+    a (3, n) array of words.  Python formats the values outside the kernel's
+    range: nonzero |v| < 1e-4, |v| >= 1e17, inf and nan."""
+    a = np.abs(x)
+    zero = a == 0
+    fast = ((a >= 1e-4) & (a < 1e17)) | zero
+    b = np.where(fast & ~zero, a, 1.0)
+    k = np.clip(np.floor(np.log10(b)), -4, 16).astype(np.int64)
+    hi, lo = _scaled(b, k)
+    # log10 may be one off near a power of ten; the exact product decides
+    up = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    down = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    if up.any() or down.any():
+        k += up.astype(np.int64) - down
+        hi, lo = _scaled(b, k)
+    # N < 10^17: no double in range is within half a unit of digit 17 below 10^(k+1)
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    d0 = np.where(zero, 0, n // 10**16).astype(np.uint64)
+    # digits 1-16 as two words of eight, one digit a byte, the first lowest:
+    # each word's lanes split 4 + 4, 2 + 2 and 1 + 1 by multiply and shift
+    v = np.stack([n % 10**16 // 10**8, n % 10**8]).astype(np.uint64)
+    q = v // 10**4
+    v = q | (v - q * 10**4) << 32
+    q = (v * 5243 >> 19) & 0x0000007F0000007F
+    v = q | (v - q * 100) << 16
+    q = (v * 103 >> 10) & 0x000F000F000F000F
+    v = q | (v - q * 10) << 8
+    # the last nonzero digit from the top set bit of each word's nonzero bytes
+    e = np.frexp(((v + 0x7F7F7F7F7F7F7F7F) & 0x8080808080808080).astype(float))[1]
+    last = np.where(e[1] > 0, 8 + e[1] // 8, e[0] // 8)
+    v |= 0x3030303030303030
+    words = np.stack([np.signbit(x) * np.uint64(45) | _PREFIX.take(k + 4) | (d0 + 48) << 48
+                      | v[0] << 56, v[0] >> 8 | v[1] << 56, v[1] >> 8])
+    words &= _KEEP.take(7 + np.maximum(last, k), axis=1)  # no trailing zeros
+    # where k >= 0 and a nonzero digit follows digit k, the bytes from 7 + k
+    # on move up by one, and the point takes byte 7 + k
+    i = np.flatnonzero((k >= 0) & (last > k))
+    keep, w = _KEEP.take(7 + k[i], axis=1), words[:, i]
+    moved = w & ~keep
+    w = w & keep | moved << 8 | (_KEEP.take(8 + k[i], axis=1) ^ keep) & 0x2E2E2E2E2E2E2E2E
+    w[1:] |= moved[:-1] >> 56
+    words[:, i] = w
+    texts = ("%.17g" % v for v in x[~fast].tolist())
+    body = "".join((s if s[0] == "-" else "\0" + s).ljust(24, "\0") for s in texts)
+    words[:, ~fast] = np.frombuffer(body.encode("ascii"), "<u8").reshape(-1, 3).T
+    return words
+
+
+def _csv_blocks(table: np.ndarray) -> Iterator[str]:
+    """The CSV lines of an (n, 12) table, 256 rows to a string, each block built
+    in one reused buffer from one _fmt17_words call.  A column constant over
+    a block is formatted once, and where rho10 = conj(rho01) bit for bit (not
+    nan), rho10 takes rho01's fields with the sign of rho10_im toggled."""
+    # each field's three words, then a fourth ending in its separator
+    buffer = np.zeros((min(len(table), 256), 12, 4), "<u8")
+    buffer[:, :, 3] = ord(",") << 56
+    buffer[:, -1, 3] = ord("\n") << 56
+    for start in range(0, len(table), 256):
+        block = table[start:start + 256]
+        fields, bits = buffer[:len(block)], block.view(np.int64)
+        const = (bits == bits[0]).all(axis=0)
+        # columns 3 and 4 hold rho01's re and im, 5 and 6 rho10's
+        pair = np.column_stack([bits[:, 5] == bits[:, 3],
+                                (bits[:, 6] == bits[:, 4] ^ _SIGN) & ~np.isnan(block[:, 6])])
+        pair[:, const[5:7]] = False
+        own = ~const | (np.arange(len(block)) == 0)[:, None]
+        own[:, 5:7] &= ~pair
+        for w, words in enumerate(_fmt17_words(block[own])):
+            fields[:, :, w][own] = words
+        fields[1:, const] = fields[0, const]
+        np.copyto(fields[:, 5:7], fields[:, 3:5], where=pair[:, :, None])
+        fields[:, 6, 0] ^= pair[:, 1] * np.uint64(45)  # toggle "-"
+        text = fields.view(np.uint8)
+        yield text[text != 0].tobytes().decode("ascii")
 
 
 def _format_block(block: np.ndarray, conv: str,
@@ -91,17 +193,21 @@ def _format_block(block: np.ndarray, conv: str,
 
 def write_series(series: TimeSeries, out: TextIO, fmt: str) -> None:
     """Write the series to the text stream ``out`` in format "csv" or "json",
-    4096 rows at a time: the whole text is never held in memory."""
-    conv, template, sep, head, tail, empty = _LAYOUTS[fmt]
+    never holding the whole text: CSV 256 rows at a time through _csv_blocks,
+    JSON 4096 rows at a time through _format_block with json's repr, ``%r``."""
     n = len(series)
     # (n, 2, 2) complex viewed as (n, 8) floats: re/im of rho00, 01, 10, 11
     parts = np.ascontiguousarray(series.rho).reshape(n, 4).view(float)
     table = np.column_stack([series.t, parts, series.purity, series.c_l1, series.c_frob])
-    out.write(head if n else empty)
+    if fmt == "csv":
+        out.write(CSV_HEADER + "\n")
+        out.writelines(_csv_blocks(table))
+        return
+    out.write("[\n" if n else "[]\n")
     for start in range(0, n, 4096):
-        block = _format_block(table[start:start + 4096], conv, template)
-        out.write((sep if start else "") + sep.join(block))
-    out.write(tail if n else "")
+        block = _format_block(table[start:start + 4096], "%r", _json_record)
+        out.write((",\n" if start else "") + ",\n".join(block))
+    out.write("\n]\n" if n else "")
 
 
 @contextmanager

@@ -67,8 +67,12 @@ class RabiParams:
 
     @property
     def omega_rabi(self) -> float:
-        """Rabi frequency Omega = sqrt(Theta^2/4 + |coupling|^2)."""
-        return math.sqrt(self.theta**2 / 4.0 + abs(self.coupling) ** 2)
+        """Rabi frequency Omega = sqrt(Theta^2/4 + |coupling|^2).  A subnormal
+        radicand has lost bits to its absolute rounding, and hypot keeps them."""
+        radicand = self.theta**2 / 4.0 + abs(self.coupling) ** 2
+        if 0.0 < radicand < 2.2250738585072014e-308:  # the smallest normal double
+            return math.hypot(self.theta / 2.0, abs(self.coupling))
+        return math.sqrt(radicand)
 
     @property
     def population_period(self) -> float:

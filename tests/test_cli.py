@@ -982,6 +982,26 @@ class TestProcess:
             work.mkdir()
             assert run_case(case, work)[1] == EXPECTED[case]
 
+    # what `import qdrive.cli` may load beyond numpy: each module a CLI start
+    # imports weighs on every run's start-up time
+    CLI_IMPORTS = {"argparse", "gettext", "csv", "_csv", "json", "_json", "dataclasses", "copy",
+                   "array", "__future__"}
+
+    def test_cli_imports_only_pinned_modules_beyond_numpy(self):
+        code = ("import sys, numpy\n"
+                "before = set(sys.modules)\n"
+                "import qdrive.cli\n"
+                "print(' '.join(sorted(set(sys.modules) - before)))\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.split()
+        assert "qdrive.cli" in loaded
+        assert [m for m in loaded if m not in self.CLI_IMPORTS and m.split(".")[0] not in
+                ("json", "qdrive")] == []
+
     def test_cli_run_never_imports_scipy(self):
         code = ("import sys, qdrive, qdrive.cli\n"
                 "rc = qdrive.cli.main(['sweep', '--param', 'f0', '--values', '0.5,2',"

@@ -62,8 +62,8 @@ def assert_normalized(c0, c1):
     of at most four factors, each within a rounding or one ulp of libm (sin,
     cos, e^{-i w0 t}), so its square is within 16u of its value; the four
     squares weigh 1 in total and add three more roundings: 25u < 16 EPS.  Where
-    Omega^2 is subnormal (Omega < 1.5e-154) its rounding is absolute, but it
-    is weighted by sin^2 x <= (Omega t)^2, below 1e-300 for |t| <= 1e3."""
+    Omega^2 is subnormal (Omega < 1.5e-154) its rounding is absolute, so
+    omega_rabi takes Omega by hypot, within an ulp, instead."""
     norm = c0.real * c0.real + c0.imag * c0.imag + c1.real * c1.real + c1.imag * c1.imag
     assert np.abs(norm - 1.0).max() <= 16 * EPS
 
@@ -72,6 +72,15 @@ def assert_normalized(c0, c1):
 @given(rabi_params(zero_coupling=st.booleans()), times)
 def test_rabi_amplitudes_are_normalized(p, t):
     assert_normalized(*rabi_amplitudes(p, t))
+
+
+def test_rabi_amplitudes_are_normalized_for_a_subnormal_rabi_radicand():
+    """Omega^2 = Theta^2/4 + |g|^2 is subnormal here, and its absolute
+    rounding, taken through sqrt, missed the norm by 18 EPS once sin^2
+    (Omega t) is of order 1."""
+    p = RabiParams(0.0, 7.613567898163442e-155, 0.0,
+                   4.509649021943113e-162 + 2.582822035434573e-162j)
+    assert_normalized(*rabi_amplitudes(p, np.linspace(1e153, 1e156, 50)))
 
 
 @settings(max_examples=500, deadline=None)

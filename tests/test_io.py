@@ -1,7 +1,8 @@
 """Series writers and readers, and the sampled-drive loader.
 
 The block writer gives the same bytes as the one-shot reference writers
-below, CSV and JSON round trips keep any finite double bit for bit, the
+below, its CSV kernel gives the text of '%.17g' % v for any double, CSV
+and JSON round trips keep any finite double bit for bit, the
 table reader gives the same bits and messages as the per-field reference
 reader below, and the readers reject non-finite values and rows that are
 not density matrices.
@@ -22,15 +23,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import qdrive.io
 from qdrive import ConfigInvalid, Sampled, TimeSeries
 from qdrive.coherence import build_series
 from qdrive.errors import BadParam
 from qdrive.io import (
-    _LAYOUTS,
     CSV_FIELDS,
     CSV_HEADER,
     DRIVE_FIELDS,
+    _csv_blocks,
     _format_block,
+    _json_record,
     _read_table,
     fmt17,
     read_sampled_drive,
@@ -192,7 +195,7 @@ class CountingFormat(str):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_only_rows_that_break_the_hermitian_pair_format_rho10(fmt, tmp_path):
+def test_only_rows_that_break_the_hermitian_pair_format_rho10(fmt, tmp_path, monkeypatch):
     """propagate stores rho0 as given, so |0><0| starts a series with rho10_im
     = +0.0 where conj(rho01_im) is -0.0.  Only that row formats rho10_im on
     its own; every other row reuses rho01's text, and row 0 keeps its 0."""
@@ -210,18 +213,107 @@ def test_only_rows_that_break_the_hermitian_pair_format_rho10(fmt, tmp_path):
     _check_writers(s, tmp_path)
     table = _table(s)
     constant = int((table == table[0]).all(axis=0).sum())
+    if fmt == "csv":
+        # the kernel is given the constant columns once each, every other
+        # column but rho10's per row, and row 0's rho10_im
+        sizes, kernel = [], qdrive.io._fmt17_words
+        monkeypatch.setattr(qdrive.io, "_fmt17_words", lambda x: sizes.append(len(x)) or kernel(x))
+        assert "".join(_csv_blocks(table)) in REFERENCES[fmt](s)
+        assert sum(sizes) == constant + (len(CSV_FIELDS) - constant - 2) * n + 1
+        return
     CountingFormat.calls = 0
-    rows = _format_block(table, CountingFormat(_LAYOUTS[fmt][0]), _LAYOUTS[fmt][1])
-    assert _LAYOUTS[fmt][2].join(rows) in REFERENCES[fmt](s)
+    rows = _format_block(table, CountingFormat("%r"), _json_record)
+    assert ",\n".join(rows) in REFERENCES[fmt](s)
     # the constant columns once each, rho01's re and im per row, row 0's rho10_im
     assert CountingFormat.calls == constant + 2 * n + 1
 
 
+# Values the CSV kernel must print exactly as '%.17g' % v: near every power
+# of ten (where log10 may be one off and the rounded digits may carry into
+# the next power), exact ties at the 18th digit (odd m / 2^j whose decimal
+# expansion has 18 significant digits, so its last is a 5), doubles nearest
+# a 17-digit decimal followed by a 5, integers up to 1e17, signed zeros.
+POWERS = np.array([float(f"1e{e}") for e in range(-8, 19)])
+NEAR_POWERS = (POWERS.view(np.int64)[:, None] + np.arange(-40, 41)).view(float).ravel()
+ties = st.integers(3, 25).flatmap(lambda j: st.builds(
+    lambda h: (2 * h + 1) / 2**j,  # exact: m < 2^53
+    st.integers(-(-10**17 // 5**j) // 2, (10**18 // 5**j - 1) // 2)))
+near_ties = st.builds(lambda d, e: float(f"{d}5e{e}"), st.integers(10**16, 10**17 - 1),
+                      st.integers(-24, 2))
+kernel_values = st.one_of(
+    st.floats(allow_subnormal=True), st.sampled_from(NEAR_POWERS.tolist()), ties, near_ties,
+    st.integers(0, 10**17).map(float), st.sampled_from([0.0, 1e-4, 1e17]),
+    ).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+def _reference_rows(table: np.ndarray) -> list[str]:
+    return [",".join("%.17g" % v for v in row) for row in table.tolist()]
+
+
+def _check_csv_blocks(table: np.ndarray) -> None:
+    lines = "".join(_csv_blocks(table)).split("\n")
+    assert lines.pop() == ""
+    for got, row, expected in zip(lines, table.tolist(), _reference_rows(table), strict=True):
+        assert got == expected, row
+
+
+@st.composite
+def kernel_tables(draw) -> np.ndarray:
+    """(m, 12) tables of kernel_values with the structures the block writer
+    shortcuts: constant columns, rho10 = conj(rho01) bit for bit in some
+    rows only, +-0.0 and values Python formats in rho01's place."""
+    m = draw(st.integers(1, 40))
+    pool = np.array(draw(st.lists(kernel_values, min_size=1, max_size=24)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    table = rng.choice(pool, (m, 12))
+    for j in draw(st.sets(st.integers(0, 11))):  # constant columns
+        table[:, j] = table[0, j]
+    for re, im in draw(st.lists(st.tuples(kernel_values, st.sampled_from(
+            [0.0, -0.0, 5e-324, -1e-300, 1e300, -np.inf, np.nan, 0.5])), max_size=m)):
+        i = draw(st.integers(0, m - 1))
+        table[i, 3], table[i, 4] = re, im
+    paired = draw(arrays(bool, m))
+    table[paired, 5] = table[paired, 3]
+    table[paired, 6] = -table[paired, 4]
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_tables())
+def test_csv_blocks_match_percent_17g(table):
+    _check_csv_blocks(table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(kernel_values, min_size=1, max_size=600))
+def test_csv_kernel_matches_percent_17g(values):
+    # each value 12 times, in several columns
+    _check_csv_blocks(np.resize(np.array(values), (len(values), 12)))
+
+
+def test_csv_kernel_near_powers_of_ten():
+    values = np.concatenate([NEAR_POWERS, -NEAR_POWERS, [0.0, -0.0]])
+    _check_csv_blocks(np.column_stack([values] + [values[::-1]] * 11))
+
+
+@pytest.mark.parametrize("n", [0, 1, 1025])
+def test_csv_writer_matches_reference_on_kernel_values(n, tmp_path):
+    """A series of values near powers of ten, in no block, one or five, with
+    a Hermitian pair in its odd rows only, writes the reference bytes."""
+    rng = np.random.default_rng(n)
+    cols = rng.choice(NEAR_POWERS, (n, 11)) * rng.choice([1.0, -1.0], (n, 11))
+    cols[1::2, 4], cols[1::2, 5] = cols[1::2, 2], -cols[1::2, 3]
+    rho = np.ascontiguousarray(cols[:, :8]).view(complex).reshape(n, 2, 2)
+    s = TimeSeries(t=np.arange(n, dtype=float), rho=rho, purity=cols[:, 8], c_l1=cols[:, 9],
+                   c_frob=np.full(n, 0.5))
+    _check_writers(s, tmp_path)
+
+
 @pytest.mark.parametrize("fmt, bound_mb", [("csv", 8.0), ("json", 16.0)])
 def test_writer_peak_memory(fmt, bound_mb, tmp_path):
-    """Writing a 16385-row trajectory holds about one 4096-row block of text:
-    the peak traced allocation is about 5 MB (CSV) and 7 MB (JSON), where
-    building the whole text took about 10 MB and 52 MB."""
+    """Writing a 16385-row trajectory holds about one block of text: the peak
+    traced allocation is about 2 MB (CSV) and 7 MB (JSON), where building
+    the whole text took about 10 MB and 52 MB."""
     t = np.linspace(0.0, 40.0, 16385)
     s = build_series(t, rabi_rho(RabiParams(e_g=-0.1, e_e=1.2, omega0=-0.9,
                                             coupling=0.3 - 0.4j), t))

@@ -32,12 +32,6 @@ from .pulse import PulseParams, reduced_time
 ZOOM = 128
 
 
-def l1_columns(rho: np.ndarray) -> np.ndarray:
-    """|rho01| + |rho10| of each matrix in a (..., 2, 2) array, each |z| as libm hypot."""
-    r01, r10 = rho[..., 0, 1], rho[..., 1, 0]
-    return np.hypot(r01.real, r01.imag) + np.hypot(r10.real, r10.imag)
-
-
 def l1_pulse_closed_form(p: PulseParams, t: np.ndarray | float) -> np.ndarray | float:
     """Closed-form l1 coherence of the square-pulse solution at time(s) t:
     a float for scalar t, an array of t's shape otherwise."""

@@ -6,7 +6,10 @@ the text comes from an exact numpy kernel, _fmt17_words):
 
     t,rho00_re,rho00_im,rho01_re,rho01_im,rho10_re,rho10_im,rho11_re,rho11_im,purity,c_l1,c_frobenius
 
-JSON output is json.dumps(records, indent=1) of per-sample records, same fields.
+JSON output is json.dumps(records, indent=1) of per-sample records, same
+fields, each float as its shortest repr.  One block writer, _blocks, writes
+both formats 256 rows at a time, each number in a field after the format's
+constant text.
 Sampled drives are JSON documents {"samples": [{"t": ..., "h00_re": ...,
 ..., "h11_im": ...}, ...]}.
 """
@@ -39,11 +42,6 @@ DRIVE_FIELDS = ("t", "h00_re", "h00_im", "h01_re", "h01_im",
 def fmt17(x: float) -> str:
     """17 significant digits: enough to reproduce any double exactly."""
     return f"{x:.17g}"
-
-
-def _json_record(slots: list[str]) -> str:
-    # one record as json.dumps(records, indent=1) lays it out
-    return " {\n" + ",\n".join(f'  "{k}": {v}' for k, v in zip(CSV_FIELDS, slots)) + "\n }"
 
 
 _SIGN = np.int64(-2**63)  # the sign bit of a double viewed as int64
@@ -123,24 +121,57 @@ def _fmt17_words(x: np.ndarray) -> np.ndarray:
     w = w & keep | moved << 8 | (_KEEP.take(8 + k[i], axis=1) ^ keep) & 0x2E2E2E2E2E2E2E2E
     w[1:] |= moved[:-1] >> 56
     words[:, i] = w
-    texts = ("%.17g" % v for v in x[~fast].tolist())
-    body = "".join((s if s[0] == "-" else "\0" + s).ljust(24, "\0") for s in texts)
-    words[:, ~fast] = np.frombuffer(body.encode("ascii"), "<u8").reshape(-1, 3).T
+    words[:, ~fast] = _text_words("%.17g".__mod__, x[~fast])
     return words
 
 
-def _csv_blocks(table: np.ndarray) -> Iterator[str]:
-    """The CSV lines of an (n, 12) table, 256 rows to a string, each block built
-    in one reused buffer from one _fmt17_words call.  A column constant over
-    a block is formatted once, and where rho10 = conj(rho01) bit for bit (not
-    nan), rho10 takes rho01's fields with the sign of rho10_im toggled."""
-    # each field's three words, then a fourth ending in its separator
-    buffer = np.zeros((min(len(table), 256), 12, 4), "<u8")
-    buffer[:, :, 3] = ord(",") << 56
-    buffer[:, -1, 3] = ord("\n") << 56
+def _text_words(text: Callable[[float], str], x: np.ndarray) -> np.ndarray:
+    """text(|v|) of each value of the 1-D array ``x`` as a field (above), with
+    "-" in byte 0 where v is negative and not nan, in a (3, n) array of words.
+    Unsigned repr and '%.17g' text of a double is at most 23 characters,
+    1.7976931348623157e+308 or 2.2250738585072014e-308, so "S23" cuts none."""
+    fields = np.empty((len(x), 24), np.uint8)
+    fields[:, 0] = (np.signbit(x) & ~np.isnan(x)) * ord("-")
+    texts = np.array(list(map(text, np.abs(x).tolist())), "S23")
+    fields[:, 1:] = texts.view(np.uint8).reshape(-1, 23)
+    return fields.view("<u8").T
+
+
+def _repr_words(x: np.ndarray) -> np.ndarray:
+    """repr(v), json's text of a float, of each value of the 1-D array ``x``
+    as fields (above), in a (3, n) array of words."""
+    return _text_words(repr, x)
+
+
+def _row_words(prefixes: list[str]) -> np.ndarray:
+    """The words of a row's fields: each field's prefix, zero-padded to whole
+    words, then three zero words for its number."""
+    width = -(-max(map(len, prefixes)) // 8) * 8 + 24
+    return np.array(prefixes, f"S{width}").view("<u8").reshape(len(prefixes), -1)
+
+
+# A row's first prefix closes the row before it: "\n" in CSV, which ends the
+# header, and in JSON "\n }," and the next record's "{", as
+# json.dumps(records, indent=1) lays them out; write_series cuts the
+# "\n },\n" from the first row's
+_CSV = _fmt17_words, _row_words(["\n"] + [","] * 11)
+_JSON = _repr_words, _row_words([("\n },\n {" if j == 0 else ",") + f'\n  "{k}": '
+                                 for j, k in enumerate(CSV_FIELDS)])
+
+
+def _blocks(table: np.ndarray, number_words: Callable[[np.ndarray], np.ndarray],
+            row: np.ndarray) -> Iterator[str]:
+    """The text of an (n, 12) table, 256 rows to a string, each block built
+    in one reused buffer of ``row``'s words, the numbers' words from one
+    number_words call.  A column constant over a block is formatted once, and
+    where rho10 = conj(rho01) bit for bit (not nan), rho10 takes rho01's
+    words with the sign of rho10_im toggled, which is exact for any text
+    that writes the sign as a leading "-"."""
+    buffer = np.tile(row, (min(len(table), 256), 1, 1))
+    numbers = buffer[:, :, -3:]
     for start in range(0, len(table), 256):
         block = table[start:start + 256]
-        fields, bits = buffer[:len(block)], block.view(np.int64)
+        fields, bits = numbers[:len(block)], block.view(np.int64)
         const = (bits == bits[0]).all(axis=0)
         # columns 3 and 4 hold rho01's re and im, 5 and 6 rho10's
         pair = np.column_stack([bits[:, 5] == bits[:, 3],
@@ -148,66 +179,36 @@ def _csv_blocks(table: np.ndarray) -> Iterator[str]:
         pair[:, const[5:7]] = False
         own = ~const | (np.arange(len(block)) == 0)[:, None]
         own[:, 5:7] &= ~pair
-        for w, words in enumerate(_fmt17_words(block[own])):
+        for w, words in enumerate(number_words(block[own])):
             fields[:, :, w][own] = words
         fields[1:, const] = fields[0, const]
         np.copyto(fields[:, 5:7], fields[:, 3:5], where=pair[:, :, None])
-        fields[:, 6, 0] ^= pair[:, 1] * np.uint64(45)  # toggle "-"
-        text = fields.view(np.uint8)
+        fields[:, 6, 0] ^= pair[:, 1] * np.uint64(ord("-"))
+        text = buffer[:len(block)].view(np.uint8)
         yield text[text != 0].tobytes().decode("ascii")
 
 
-def _format_block(block: np.ndarray, conv: str,
-                  template: Callable[[list[str]], str]) -> list[str]:
-    """The rows of an (m, 12) block of the table, each value formatted with
-    ``conv``.  A column whose bits are constant over the block is formatted
-    once, into the row template.  Where rho10 = conj(rho01) bit for bit, a row
-    reuses rho01's text: rho10_re takes it as it is, and rho10_im takes
-    rho01_im's text with its leading minus toggled, which is exact for finite
-    doubles, 0 and -0 included.  A row that breaks the pair formats its own."""
-    bits = block.view(np.int64)
-    const = (bits == bits[0]).all(axis=0)
-    # columns 3 and 4 hold rho01's re and im, 5 and 6 rho10's
-    pair = {5: bits[:, 5] == bits[:, 3], 6: bits[:, 6] == bits[:, 4] ^ _SIGN}
-    first = block[0].tolist()
-    slots, columns, text = [], [], {}
-    for j, column in enumerate(block.T):
-        if const[j]:
-            slots.append(conv % first[j])
-            continue
-        if j in (3, 4) and not const[j + 2] and pair[j + 2].any():
-            strings = text[j] = [conv % v for v in column.tolist()]
-        elif j in (5, 6) and j - 2 in text:
-            strings = text[3][:] if j == 5 else [s[1:] if s[0] == "-" else "-" + s for s in text[4]]
-            for i in np.flatnonzero(~pair[j]).tolist():
-                strings[i] = conv % column[i].item()
-        else:
-            slots.append(conv)
-            columns.append(column.tolist())
-            continue
-        slots.append("%s")
-        columns.append(strings)
-    row = template(slots)
-    return [row % r for r in zip(*columns)] if columns else [row] * len(block)
-
-
 def write_series(series: TimeSeries, out: TextIO, fmt: str) -> None:
-    """Write the series to the text stream ``out`` in format "csv" or "json",
-    never holding the whole text: CSV 256 rows at a time through _csv_blocks,
-    JSON 4096 rows at a time through _format_block with json's repr, ``%r``."""
+    """Write the series to the text stream ``out`` in format "csv" or "json"
+    (else BadParam), never holding the whole text: both go 256 rows at a time
+    through _blocks, CSV with '%.17g' text and JSON with json's repr."""
+    if fmt not in ("csv", "json"):
+        raise BadParam(f'format must be "csv" or "json", got {fmt!r}')
     n = len(series)
     # (n, 2, 2) complex viewed as (n, 8) floats: re/im of rho00, 01, 10, 11
     parts = np.ascontiguousarray(series.rho).reshape(n, 4).view(float)
     table = np.column_stack([series.t, parts, series.purity, series.c_l1, series.c_frob])
     if fmt == "csv":
-        out.write(CSV_HEADER + "\n")
-        out.writelines(_csv_blocks(table))
-        return
-    out.write("[\n" if n else "[]\n")
-    for start in range(0, n, 4096):
-        block = _format_block(table[start:start + 4096], "%r", _json_record)
-        out.write((",\n" if start else "") + ",\n".join(block))
-    out.write("\n]\n" if n else "")
+        out.write(CSV_HEADER)
+        out.writelines(_blocks(table, *_CSV))
+        out.write("\n")
+    elif n:
+        blocks = _blocks(table, *_JSON)
+        out.write("[\n" + next(blocks)[len("\n },\n"):])
+        out.writelines(blocks)
+        out.write("\n }\n]\n")
+    else:
+        out.write("[]\n")
 
 
 @contextmanager

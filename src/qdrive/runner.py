@@ -7,7 +7,7 @@ from functools import partial
 
 import numpy as np
 
-from .coherence import build_series, l1_columns, l1_pulse_closed_form, refine_max
+from .coherence import build_series, l1_pulse_closed_form, refine_max
 from .config import ScenarioConfig
 from .core import TimeSeries, dm_new, scan_rho
 from .errors import BadParam, ConfigInvalid, QdriveError
@@ -101,7 +101,6 @@ def _swept(drive: RabiParams | PulseParams, param: str, value: float) -> RabiPar
 
 
 def _sweep_row(drive: RabiParams | PulseParams, steps: int, param: str, value: float) -> SweepRow:
-    polished: list[np.ndarray] = []  # the rabi polish's batches of states, checked after it
     p = _swept(drive, param, value)
     pulse = isinstance(p, PulseParams)
     if pulse:
@@ -110,16 +109,14 @@ def _sweep_row(drive: RabiParams | PulseParams, steps: int, param: str, value: f
     else:
         period, rho_at, dm_at = p.population_period, rabi_rho, rabi_density
 
-        def c_l1_at(t):
-            polished.append(rabi_rho(p, t))
-            return l1_columns(polished[-1])
+        def c_l1_at(t):  # each batch of the polish is checked as it is made
+            return scan_rho(rabi_rho(p, t)).require_valid().c_l1
 
     times = np.linspace(0.0, period, steps + 1)
     scan = scan_rho(rho_at(p, times)).require_valid()
     # rabi scans the states it just validated; pulse scans its closed form,
     # whose bits differ from scan.c_l1
     max_l1 = refine_max(c_l1_at, 0.0, period, samples=steps, scan=None if pulse else scan.c_l1)
-    scan_rho(np.array(polished)).require_valid()  # the first failing state, in call order, raises
     ret = float(np.abs(dm_at(p, period).matrix - np.diag([1.0, 0.0])).max())
     return SweepRow(
         value=value,

@@ -23,7 +23,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import qdrive.io
 from qdrive import ConfigInvalid, Sampled, TimeSeries
 from qdrive.coherence import build_series
 from qdrive.errors import BadParam
@@ -31,9 +30,9 @@ from qdrive.io import (
     CSV_FIELDS,
     CSV_HEADER,
     DRIVE_FIELDS,
-    _csv_blocks,
-    _format_block,
-    _json_record,
+    _CSV,
+    _JSON,
+    _blocks,
     _read_table,
     fmt17,
     read_sampled_drive,
@@ -184,18 +183,8 @@ def test_writers_match_reference_on_hermitian_blocks(n, tmp_path):
     _check_writers(s, tmp_path)
 
 
-class CountingFormat(str):
-    """A conversion string that counts the values formatted through it alone,
-    outside a row template."""
-    calls = 0
-
-    def __mod__(self, value):
-        CountingFormat.calls += 1
-        return str.__mod__(self, value)
-
-
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_only_rows_that_break_the_hermitian_pair_format_rho10(fmt, tmp_path, monkeypatch):
+def test_only_rows_that_break_the_hermitian_pair_format_rho10(fmt, tmp_path):
     """propagate stores rho0 as given, so |0><0| starts a series with rho10_im
     = +0.0 where conj(rho01_im) is -0.0.  Only that row formats rho10_im on
     its own; every other row reuses rho01's text, and row 0 keeps its 0."""
@@ -213,19 +202,21 @@ def test_only_rows_that_break_the_hermitian_pair_format_rho10(fmt, tmp_path, mon
     _check_writers(s, tmp_path)
     table = _table(s)
     constant = int((table == table[0]).all(axis=0).sum())
-    if fmt == "csv":
-        # the kernel is given the constant columns once each, every other
-        # column but rho10's per row, and row 0's rho10_im
-        sizes, kernel = [], qdrive.io._fmt17_words
-        monkeypatch.setattr(qdrive.io, "_fmt17_words", lambda x: sizes.append(len(x)) or kernel(x))
-        assert "".join(_csv_blocks(table)) in REFERENCES[fmt](s)
-        assert sum(sizes) == constant + (len(CSV_FIELDS) - constant - 2) * n + 1
-        return
-    CountingFormat.calls = 0
-    rows = _format_block(table, CountingFormat("%r"), _json_record)
-    assert ",\n".join(rows) in REFERENCES[fmt](s)
-    # the constant columns once each, rho01's re and im per row, row 0's rho10_im
-    assert CountingFormat.calls == constant + 2 * n + 1
+    number_words, row = {"csv": _CSV, "json": _JSON}[fmt]
+    sizes = []
+    text = "".join(_blocks(table, lambda x: sizes.append(len(x)) or number_words(x), row))
+    assert text.removeprefix("\n },\n") in REFERENCES[fmt](s)
+    # the formatter is given the constant columns once each, every other
+    # column but rho10's per row, and row 0's rho10_im
+    assert sum(sizes) == constant + (len(CSV_FIELDS) - constant - 2) * n + 1
+
+
+@pytest.mark.parametrize("fmt", ["CSV", "Json", "xml", ""])
+def test_write_series_rejects_an_unknown_format(fmt):
+    out = io.StringIO()
+    with pytest.raises(BadParam, match=f"got {fmt!r}"):
+        write_series(_edge_series(), out, fmt)
+    assert out.getvalue() == ""
 
 
 # Values the CSV kernel must print exactly as '%.17g' % v: near every power
@@ -251,8 +242,8 @@ def _reference_rows(table: np.ndarray) -> list[str]:
 
 
 def _check_csv_blocks(table: np.ndarray) -> None:
-    lines = "".join(_csv_blocks(table)).split("\n")
-    assert lines.pop() == ""
+    lines = "".join(_blocks(table, *_CSV)).split("\n")
+    assert lines.pop(0) == ""  # each row opens with the newline that ends the one before
     for got, row, expected in zip(lines, table.tolist(), _reference_rows(table), strict=True):
         assert got == expected, row
 
@@ -309,11 +300,11 @@ def test_csv_writer_matches_reference_on_kernel_values(n, tmp_path):
     _check_writers(s, tmp_path)
 
 
-@pytest.mark.parametrize("fmt, bound_mb", [("csv", 8.0), ("json", 16.0)])
+@pytest.mark.parametrize("fmt, bound_mb", [("csv", 8.0), ("json", 8.0)])
 def test_writer_peak_memory(fmt, bound_mb, tmp_path):
     """Writing a 16385-row trajectory holds about one block of text: the peak
-    traced allocation is about 2 MB (CSV) and 7 MB (JSON), where building
-    the whole text took about 10 MB and 52 MB."""
+    traced allocation is about 2 MB in either format, where building the
+    whole text took about 10 MB (CSV) and 52 MB (JSON)."""
     t = np.linspace(0.0, 40.0, 16385)
     s = build_series(t, rabi_rho(RabiParams(e_g=-0.1, e_e=1.2, omega0=-0.9,
                                             coupling=0.3 - 0.4j), t))

@@ -65,22 +65,25 @@ def refine_max(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     ``h``, until ``h <= 1e-9 (hi - lo)``: a smooth peak is then missed by less
     than 1e-18 of its curvature times (hi - lo)^2.  The scan keeps the polish
     out of secondary lobes; the result, the largest value seen, is never below
-    the grid maximum.
+    the grid maximum.  A nan value, of ``fn`` or in ``scan``, raises BadParam
+    naming its t.
     """
     if not isinstance(samples, (int, np.integer)) or samples < 1:
         raise BadParam(f"samples must be an integer >= 1, got {samples!r}")
     if not (isfinite(lo) and isfinite(hi - lo) and hi >= lo):
         raise BadParam(f"lo = {lo!r}, hi = {hi!r}: lo, hi and hi - lo must be finite and lo <= hi")
-    ts = np.linspace(lo, hi, samples + 1)
-    vals = np.asarray(fn(ts) if scan is None else scan, dtype=float)
-    if vals.shape != ts.shape:
+    pts, h = np.linspace(lo, hi, samples + 1), (hi - lo) / samples
+    vals = np.asarray(fn(pts) if scan is None else scan, dtype=float)
+    if vals.shape != pts.shape:
         raise BadParam(f"scan must hold {samples + 1} values, got shape {vals.shape}")
-    i = int(np.argmax(vals))
-    t, best, h = ts[i], vals[i], (hi - lo) / samples
-    offsets = np.linspace(-1.0, 1.0, ZOOM + 1)
-    while h > 1e-9 * (hi - lo):
-        pts = np.clip(t + h * offsets, lo, hi)
-        vals = np.asarray(fn(pts), dtype=float)
+    best, offsets = -np.inf, np.linspace(-1.0, 1.0, ZOOM + 1)
+    while True:
+        nan = np.isnan(vals)  # np.argmax would pick a nan
+        if nan.any():
+            raise BadParam(f"the value at t = {float(pts[nan.argmax()])!r} is nan")
         i = int(np.argmax(vals))
-        t, best, h = pts[i], max(best, vals[i]), 2.0 * h / ZOOM
-    return float(best)
+        t, best = pts[i], max(best, vals[i])
+        if h <= 1e-9 * (hi - lo):
+            return float(best)
+        pts = np.clip(t + h * offsets, lo, hi)
+        vals, h = np.asarray(fn(pts), dtype=float), 2.0 * h / ZOOM

@@ -197,8 +197,8 @@ class TimeGrid:
             raise BadParam("grid endpoints and the span between them must be finite")
         if not self.t_end > self.t_start:
             raise BadParam(f"t_end ({self.t_end}) must exceed t_start ({self.t_start})")
-        if int(self.steps) != self.steps or self.steps < 1:
-            raise BadParam(f"steps must be a positive integer, got {self.steps}")
+        if not isinstance(self.steps, (int, np.integer)) or self.steps < 1:
+            raise BadParam(f"steps must be an integer >= 1, got {self.steps!r}")
         # node i rounds i*h and t_start + i*h, each by at most half the
         # spacing u of doubles at 2 max(|t_start|, |t_end|), so nodes differ
         # by at least h - 2u; only a smaller h needs a node-by-node check

@@ -9,7 +9,8 @@ the text comes from an exact numpy kernel, _fmt17_words):
 JSON output is json.dumps(records, indent=1) of per-sample records, same
 fields, each float as its shortest repr.  One block writer, _blocks, writes
 both formats 256 rows at a time, each number in a field after the format's
-constant text.
+constant text; Python's text of a value (repr, and '%.17g' outside the
+kernel's range) is made once per distinct magnitude of a block.
 Sampled drives are JSON documents {"samples": [{"t": ..., "h00_re": ...,
 ..., "h11_im": ...}, ...]}.
 """
@@ -42,9 +43,6 @@ DRIVE_FIELDS = ("t", "h00_re", "h00_im", "h01_re", "h01_im",
 def fmt17(x: float) -> str:
     """17 significant digits: enough to reproduce any double exactly."""
     return f"{x:.17g}"
-
-
-_SIGN = np.int64(-2**63)  # the sign bit of a double viewed as int64
 
 
 # The exact %.17g kernel.  A value of decimal exponent k (|x| in [10^k,
@@ -128,12 +126,14 @@ def _fmt17_words(x: np.ndarray) -> np.ndarray:
 def _text_words(text: Callable[[float], str], x: np.ndarray) -> np.ndarray:
     """text(|v|) of each value of the 1-D array ``x`` as a field (above), with
     "-" in byte 0 where v is negative and not nan, in a (3, n) array of words.
+    text is called once per distinct |v|: +-v, +-0 and every nan share a call.
     Unsigned repr and '%.17g' text of a double is at most 23 characters,
     1.7976931348623157e+308 or 2.2250738585072014e-308, so "S23" cuts none."""
     fields = np.empty((len(x), 24), np.uint8)
     fields[:, 0] = (np.signbit(x) & ~np.isnan(x)) * ord("-")
-    texts = np.array(list(map(text, np.abs(x).tolist())), "S23")
-    fields[:, 1:] = texts.view(np.uint8).reshape(-1, 23)
+    magnitudes, inverse = np.unique(np.abs(x), return_inverse=True)
+    texts = np.array(list(map(text, magnitudes.tolist())), "S23")
+    fields[:, 1:] = texts.view(np.uint8).reshape(-1, 23)[inverse]
     return fields.view("<u8").T
 
 
@@ -163,27 +163,11 @@ def _blocks(table: np.ndarray, number_words: Callable[[np.ndarray], np.ndarray],
             row: np.ndarray) -> Iterator[str]:
     """The text of an (n, 12) table, 256 rows to a string, each block built
     in one reused buffer of ``row``'s words, the numbers' words from one
-    number_words call.  A column constant over a block is formatted once, and
-    where rho10 = conj(rho01) bit for bit (not nan), rho10 takes rho01's
-    words with the sign of rho10_im toggled, which is exact for any text
-    that writes the sign as a leading "-"."""
+    number_words call per block."""
     buffer = np.tile(row, (min(len(table), 256), 1, 1))
-    numbers = buffer[:, :, -3:]
     for start in range(0, len(table), 256):
         block = table[start:start + 256]
-        fields, bits = numbers[:len(block)], block.view(np.int64)
-        const = (bits == bits[0]).all(axis=0)
-        # columns 3 and 4 hold rho01's re and im, 5 and 6 rho10's
-        pair = np.column_stack([bits[:, 5] == bits[:, 3],
-                                (bits[:, 6] == bits[:, 4] ^ _SIGN) & ~np.isnan(block[:, 6])])
-        pair[:, const[5:7]] = False
-        own = ~const | (np.arange(len(block)) == 0)[:, None]
-        own[:, 5:7] &= ~pair
-        for w, words in enumerate(number_words(block[own])):
-            fields[:, :, w][own] = words
-        fields[1:, const] = fields[0, const]
-        np.copyto(fields[:, 5:7], fields[:, 3:5], where=pair[:, :, None])
-        fields[:, 6, 0] ^= pair[:, 1] * np.uint64(ord("-"))
+        buffer[:len(block), :, -3:] = number_words(block.ravel()).T.reshape(*block.shape, 3)
         text = buffer[:len(block)].view(np.uint8)
         yield text[text != 0].tobytes().decode("ascii")
 
@@ -191,7 +175,8 @@ def _blocks(table: np.ndarray, number_words: Callable[[np.ndarray], np.ndarray],
 def write_series(series: TimeSeries, out: TextIO, fmt: str) -> None:
     """Write the series to the text stream ``out`` in format "csv" or "json"
     (else BadParam), never holding the whole text: both go 256 rows at a time
-    through _blocks, CSV with '%.17g' text and JSON with json's repr."""
+    through _blocks, CSV with '%.17g' text and JSON with json's repr, every
+    value of a block in one formatter call."""
     if fmt not in ("csv", "json"):
         raise BadParam(f'format must be "csv" or "json", got {fmt!r}')
     n = len(series)

@@ -40,13 +40,17 @@ from .rabi import RabiParams, _nonzero_omega, floquet_quasienergy, rabi_hamilton
 
 def xi_squared(p: RabiParams, t: np.ndarray | float, c_const: float) -> np.ndarray | float:
     """Squared auxiliary amplitude xi^2(t) with xi^2(0) = 1, d(xi^2)/dt(0) = 0:
-    a float for scalar t, else an array of t's shape."""
+    a float for scalar t, else an array of t's shape.  BadParam names
+    c_const if it is not finite or makes xi^2 overflow."""
     t = finite_times(t)
     om = _nonzero_omega(p)
     g2 = abs(p.coupling) ** 2
-    x2 = (2.0 - c_const) * g2 / (2.0 * om * om) * np.cos(2.0 * om * t) + (
-        p.theta**2 + 2.0 * c_const * g2
-    ) / (4.0 * om * om)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x2 = (2.0 - c_const) * g2 / (2.0 * om * om) * np.cos(2.0 * om * t) + (
+            p.theta**2 + 2.0 * c_const * g2
+        ) / (4.0 * om * om)
+    if not (math.isfinite(c_const) and np.isfinite(x2).all()):
+        raise BadParam(f"c_const must be finite and keep xi^2 finite, got {c_const!r}")
     return x2 if t.ndim else float(x2)
 
 

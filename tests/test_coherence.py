@@ -208,6 +208,23 @@ class TestRefineMaxRejects:
         with pytest.raises(BadParam, match="^samples must be an integer >= 1"):
             refine_max(self.f, 0.0, 1.0, samples=samples)
 
+    @pytest.mark.parametrize("where", ["scan", "grid", "polish"])
+    def test_nan_value_names_its_first_t(self, where):
+        # nans at points 3 and 7 of the scan, the grid or the first polish step
+        first = []
+
+        def fn(t):
+            v = self.f(t)
+            if len(t) == (ZOOM + 1 if where == "polish" else 11) and not first:
+                first.append(float(t[3]))
+                v[[3, 7]] = np.nan
+            return v
+
+        scan = fn(np.linspace(0.0, 1.0, 11)) if where == "scan" else None
+        with pytest.raises(BadParam) as err:
+            refine_max(fn, 0.0, 1.0, samples=10, scan=scan)
+        assert str(err.value) == f"the value at t = {first[0]!r} is nan"
+
     @pytest.mark.parametrize("lo, hi", [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0),
                                         (0.0, np.nan), (0.0, np.inf), (0.0, -np.inf),
                                         (0.0, -0.5), (-1e308, 1e308)],

@@ -1,4 +1,5 @@
 """Core types: validated density matrices, 2x2 helpers, grids and series."""
+import re
 import warnings
 
 import numpy as np
@@ -152,6 +153,17 @@ class TestTimeGrid:
             TimeGrid(0.0, np.inf, 4)
         with pytest.raises(BadParam, match="span"):  # t_end - t_start overflows
             TimeGrid(-1e308, 1e308, 4)
+
+    @pytest.mark.parametrize("steps", [4.0, 2.5, np.nan, np.inf, "4", None, 0, -1])
+    def test_steps_not_an_integer_of_at_least_one(self, steps):
+        # a float is no step count, even 4.0, and nan and inf raise BadParam,
+        # not ValueError or OverflowError
+        message = f"steps must be an integer >= 1, got {steps!r}"
+        with pytest.raises(BadParam, match=f"^{re.escape(message)}$"):
+            TimeGrid(0.0, 1.0, steps)
+
+    def test_numpy_integer_steps(self):
+        assert len(TimeGrid(0.0, 1.0, np.int64(4)).times()) == 5
 
     def test_colliding_nodes_rejected(self):
         # h = 2440 is below 16384, the spacing of doubles at 1e20

@@ -1,8 +1,11 @@
 """Dynamical invariant: auxiliary amplitude, operator, residuals, phase."""
+import re
+
 import numpy as np
 import pytest
 
 from qdrive import (
+    BadParam,
     DegenerateDrive,
     RabiParams,
     floquet_quasienergy,
@@ -39,6 +42,18 @@ class TestXiSquared:
         p = RabiParams(e_g=0.0, e_e=1.0, omega0=1.0, coupling=0.0)
         with pytest.raises(DegenerateDrive):
             xi_squared(p, 0.1, 1.0)
+
+
+@pytest.mark.parametrize("c_const", [np.nan, np.inf, -np.inf, 1e308, -1e308])
+def test_c_const_not_finite_or_overflowing_xi_squared(c_const):
+    """Each Lewis function names c_const instead of returning nan or inf
+    with a RuntimeWarning; the check sits in xi_squared, which the others call."""
+    calls = [lambda: xi_squared(P2, 0.3, c_const),
+             lambda: invariant_operator(P2, np.array([0.0, 0.3]), c_const),
+             lambda: invariance_residual(P2, 0.3, 1e-5, c_const)]
+    for call in calls:
+        with pytest.raises(BadParam, match=f"^c_const.*{re.escape(repr(c_const))}"):
+            call()
 
 
 class TestInvariantOperator:

@@ -45,7 +45,7 @@ CASES = {
     "rabi_default_csv": (["rabi", "--steps", 64, "--output", "{out}"], 0, "file"),
     "rabi_detuned_csv": (["rabi", *RABI_DETUNED, "--t-start", -1.5, "--t-end", 7.0,
                           "--steps", 64, "--output", "{out}"], 0, "file"),
-    # 4101 rows: the only case whose series crosses a 4096-row write block
+    # 4101 rows: 16 full 256-row write blocks and a 5-row tail
     "rabi_json_4100": (["rabi", "--steps", 4100, "--format", "json", "--output", "{out}"],
                        0, "file"),
     "pulse_default_csv": (["pulse", "--steps", 64, "--output", "{out}"], 0, "file"),

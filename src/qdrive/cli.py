@@ -232,6 +232,8 @@ def _run_command(args: argparse.Namespace) -> int:
 
 
 def _coherence_command(args: argparse.Namespace) -> int:
+    if args.output is not None:  # fail before reading the input, not after it
+        probe_output(args.output)
     t, rho = read_states_csv(args.input)
     _write_series(build_series(t, rho, check_states(rho, args.input)), args.output, args.format)
     return 0

@@ -97,11 +97,15 @@ class Scan(NamedTuple):
                 f"coherence radicand {self.radicand[bad][0]:.3e} below {floor:.3e} (tolerance {self.tol:g})")
         return np.sqrt(np.clip(self.radicand, 0.0, 1.0))
 
-    def require_valid(self) -> Scan:
-        """This scan if every state passed; else raise the first failure."""
-        if self.bad is not None:
-            raise self.bad[1]
-        return self
+    def require_valid(self, times: np.ndarray | None = None, name: str = "sample") -> Scan:
+        """This scan if every state passed; else raise the first failure, its
+        message prefixed "{name} k, t = t_k: " when the states' ``times`` are given."""
+        if self.bad is None:
+            return self
+        k, error = self.bad
+        if times is None:
+            raise error
+        raise type(error)(f"{name} {k}, t = {float(times[k])!r}: {error}") from None
 
 
 def scan_rho(rho: np.ndarray, tol: float = TOL, drift: bool = False) -> Scan:

@@ -6,11 +6,11 @@ the text comes from an exact numpy kernel, _fmt17_words):
 
     t,rho00_re,rho00_im,rho01_re,rho01_im,rho10_re,rho10_im,rho11_re,rho11_im,purity,c_l1,c_frobenius
 
-JSON output is json.dumps(records, indent=1) of per-sample records, same
-fields, each float as its shortest repr.  One block writer, _blocks, writes
-both formats 256 rows at a time, each number in a field after the format's
-constant text; Python's text of a value (repr, and '%.17g' outside the
-kernel's range) is made once per distinct magnitude of a block.
+JSON output is laid out as json.dumps(records, indent=1) of per-sample
+records, same fields, each number the kernel's text but repr's for integral
+|v| < 1e17 (_json_words): JSON values read back bit for bit, JSON bytes are
+no contract.  One block writer, _blocks, writes both formats 256 rows at a
+time, each number in a field after the format's constant text.
 Sampled drives are JSON documents {"samples": [{"t": ..., "h00_re": ...,
 ..., "h11_im": ...}, ...]}.
 """
@@ -93,11 +93,12 @@ def _fmt17_words(x: np.ndarray) -> np.ndarray:
         k += up.astype(np.int64) - down
         hi, lo = _scaled(b, k)
     # N < 10^17: no double in range is within half a unit of digit 17 below 10^(k+1)
-    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    d0 = np.where(zero, 0, n // 10**16).astype(np.uint64)
+    n = np.where(zero, 0, hi.astype(np.int64) + np.rint(lo).astype(np.int64)).astype(np.uint64)
+    q = n // 10**8
+    d0 = q // 10**8
     # digits 1-16 as two words of eight, one digit a byte, the first lowest:
     # each word's lanes split 4 + 4, 2 + 2 and 1 + 1 by multiply and shift
-    v = np.stack([n % 10**16 // 10**8, n % 10**8]).astype(np.uint64)
+    v = np.stack([q - d0 * 10**8, n - q * 10**8])
     q = v // 10**4
     v = q | (v - q * 10**4) << 32
     q = (v * 5243 >> 19) & 0x0000007F0000007F
@@ -119,14 +120,17 @@ def _fmt17_words(x: np.ndarray) -> np.ndarray:
     w = w & keep | moved << 8 | (_KEEP.take(8 + k[i], axis=1) ^ keep) & 0x2E2E2E2E2E2E2E2E
     w[1:] |= moved[:-1] >> 56
     words[:, i] = w
-    words[:, ~fast] = _text_words("%.17g".__mod__, x[~fast])
+    if not fast.all():
+        words[:, ~fast] = _text_words("%.17g".__mod__, x[~fast])
     return words
 
 
 def _text_words(text: Callable[[float], str], x: np.ndarray) -> np.ndarray:
     """text(|v|) of each value of the 1-D array ``x`` as a field (above), with
-    "-" in byte 0 where v is negative and not nan, in a (3, n) array of words.
-    text is called once per distinct |v|: +-v, +-0 and every nan share a call.
+    "-" in byte 0 where v is negative and not nan, in a (3, n) array of words;
+    its users are the kernel's '%.17g' fallback and _json_words' repr.
+    text is called once per distinct |v|: +-v, +-0 and every nan share a call,
+    which pays for JSON's integral values (+-0 and 1 fill whole columns).
     Unsigned repr and '%.17g' text of a double is at most 23 characters,
     1.7976931348623157e+308 or 2.2250738585072014e-308, so "S23" cuts none."""
     fields = np.empty((len(x), 24), np.uint8)
@@ -137,10 +141,15 @@ def _text_words(text: Callable[[float], str], x: np.ndarray) -> np.ndarray:
     return fields.view("<u8").T
 
 
-def _repr_words(x: np.ndarray) -> np.ndarray:
-    """repr(v), json's text of a float, of each value of the 1-D array ``x``
-    as fields (above), in a (3, n) array of words."""
-    return _text_words(repr, x)
+def _json_words(x: np.ndarray) -> np.ndarray:
+    """JSON's text of each value of the 1-D array ``x`` as fields (above), in
+    a (3, n) array of words: the kernel's, but repr's for integral |v| < 1e17,
+    which '%.17g' prints with no point, so json would read an int and -0 as 0."""
+    words = _fmt17_words(x)
+    i = np.flatnonzero((np.abs(x) < 1e17) & (np.trunc(x) == x))
+    if len(i):
+        words[:, i] = _text_words(repr, x[i])
+    return words
 
 
 def _row_words(prefixes: list[str]) -> np.ndarray:
@@ -155,7 +164,7 @@ def _row_words(prefixes: list[str]) -> np.ndarray:
 # json.dumps(records, indent=1) lays them out; write_series cuts the
 # "\n },\n" from the first row's
 _CSV = _fmt17_words, _row_words(["\n"] + [","] * 11)
-_JSON = _repr_words, _row_words([("\n },\n {" if j == 0 else ",") + f'\n  "{k}": '
+_JSON = _json_words, _row_words([("\n },\n {" if j == 0 else ",") + f'\n  "{k}": '
                                  for j, k in enumerate(CSV_FIELDS)])
 
 
@@ -175,8 +184,8 @@ def _blocks(table: np.ndarray, number_words: Callable[[np.ndarray], np.ndarray],
 def write_series(series: TimeSeries, out: TextIO, fmt: str) -> None:
     """Write the series to the text stream ``out`` in format "csv" or "json"
     (else BadParam), never holding the whole text: both go 256 rows at a time
-    through _blocks, CSV with '%.17g' text and JSON with json's repr, every
-    value of a block in one formatter call."""
+    through _blocks, every value of a block in one formatter call, CSV's
+    from _fmt17_words and JSON's from _json_words."""
     if fmt not in ("csv", "json"):
         raise BadParam(f'format must be "csv" or "json", got {fmt!r}')
     n = len(series)

@@ -192,11 +192,7 @@ def _check_states(rhos: np.ndarray, times: np.ndarray) -> Scan:
     that drifted in trace or Hermiticity (InvariantDrift), is not finite or not PSD.
     rho0 passed DensityMatrix's TOL check, so its drift is at most hypot(TOL, 2 TOL)
     and k >= 1."""
-    scan = scan_rho(rhos, TOL_RUNTIME, drift=True)
-    if scan.bad is not None:
-        k, error = scan.bad
-        raise type(error)(f"step {k}, t = {float(times[k])!r}: {error}") from None
-    return scan
+    return scan_rho(rhos, TOL_RUNTIME, drift=True).require_valid(times, "step")
 
 
 def propagate(drive: DriveHamiltonian, rho0: DensityMatrix, grid: TimeGrid) -> TimeSeries:

@@ -44,7 +44,7 @@ def analytic_series(cfg: ScenarioConfig) -> TimeSeries:
         raise ConfigInvalid("sampled drives have no closed form")
     times = cfg.grid.times()
     rho = CLOSED_FORMS[cfg.scenario](cfg.drive, times)
-    return build_series(times, rho, scan_rho(rho).require_valid())
+    return build_series(times, rho, scan_rho(rho).require_valid(times))
 
 
 def numeric_series(cfg: ScenarioConfig) -> TimeSeries:
@@ -113,7 +113,7 @@ def _sweep_row(drive: RabiParams | PulseParams, steps: int, param: str, value: f
             return scan_rho(rabi_rho(p, t)).require_valid().c_l1
 
     times = np.linspace(0.0, period, steps + 1)
-    scan = scan_rho(rho_at(p, times)).require_valid()
+    scan = scan_rho(rho_at(p, times)).require_valid(times)
     # rabi scans the states it just validated; pulse scans its closed form,
     # whose bits differ from scan.c_l1
     max_l1 = refine_max(c_l1_at, 0.0, period, samples=steps, scan=None if pulse else scan.c_l1)

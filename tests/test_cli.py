@@ -730,6 +730,21 @@ class TestScenarios:
         assert run(["coherence", "--input", src, "--format", fmt]) == 0
         assert capsys.readouterr().out == text
 
+    def test_closed_form_names_its_failing_sample(self, monkeypatch, capsys):
+        """A closed-form batch that holds a bad state fails naming its sample
+        index and time, as propagate names its step."""
+        from qdrive import runner
+
+        def one_bad_state(p, t):
+            rho = rabi_rho(p, t)
+            rho[5, 0, 1] += 1e-3
+            return rho
+
+        monkeypatch.setitem(runner.CLOSED_FORMS, "rabi", one_bad_state)
+        assert run(["rabi", "--t-end", 8, "--steps", 64]) == 1
+        assert capsys.readouterr() == ("", "run failed: NotHermitian: sample 5, t = 0.625: "
+                                           "Hermiticity violation 1.000e-03 exceeds 1.0e-12\n")
+
 
 class TestSweep:
     def test_f0_sweep_values(self, capsys):
@@ -763,6 +778,22 @@ class TestSweep:
         [row] = runner.run_sweep(drive, steps, "omega0", [0.7])
         assert len(batches) == 2
         assert row.error == "TraceNotOne: |trace - 1| = 5.000e-01 exceeds 1.0e-12"
+
+    def test_grid_scan_names_its_failing_sample(self, monkeypatch):
+        from qdrive import runner
+
+        def one_bad_state(p, t):
+            rho = pulse_rho(p, t)
+            if np.ndim(t) and len(t) == 257:  # the grid, not the period return
+                rho[3, 0, 1] += 1e-3
+            return rho
+
+        monkeypatch.setattr(runner, "pulse_rho", one_bad_state)
+        drive, steps, _ = sweep_config_from_dict({"scenario": "pulse", "grid": {"steps": 256}})
+        [row] = runner.run_sweep(drive, steps, "f0", [1.0])
+        t = float(np.linspace(0.0, runner._swept(drive, "f0", 1.0).period, 257)[3])
+        assert row.error == (f"NotHermitian: sample 3, t = {t!r}: "
+                             "Hermiticity violation 1.000e-03 exceeds 1.0e-12")
 
     def test_empty_sweep(self, capsys):
         assert run(["sweep", "--param", "f0", "--values", ""]) == 0
@@ -945,12 +976,14 @@ class TestFiles:
         ["rabi", "--steps", 2_000_000],
         ["verify", "--scenario", "pulse", "--steps", 2_000_000],
         ["sweep", "--param", "omega0", "--values", "0.5,1", "--steps", 2_000_000],
-    ], ids=["rabi", "verify", "sweep"])
+        ["coherence", "--input", "/nonexistent/states.csv"],
+    ], ids=["rabi", "verify", "sweep", "coherence"])
     def test_unwritable_output_fails_before_compute(self, argv, monkeypatch, capsys):
         def must_not_run(*args, **kwargs):
             raise AssertionError("computed before probing the output path")
         monkeypatch.setattr("qdrive.cli.run_scenario", must_not_run)
         monkeypatch.setattr("qdrive.cli.run_sweep", must_not_run)
+        monkeypatch.setattr("qdrive.cli.read_states_csv", must_not_run)
         out = "/nonexistent/x.csv"
         assert run([*argv, "--output", out]) == 2
         err = capsys.readouterr().err

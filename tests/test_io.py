@@ -113,8 +113,16 @@ def reference_csv(s: TimeSeries) -> str:
     return "\n".join([CSV_HEADER, *(row % tuple(r) for r in _table(s).tolist())]) + "\n"
 
 
+def json_text(v: float) -> str:
+    """The JSON writer's text of a value: '%.17g', but repr for integral
+    |v| < 1e17, which '%.17g' prints with no point."""
+    return repr(v) if abs(v) < 1e17 and v.is_integer() else "%.17g" % v
+
+
 def reference_json(s: TimeSeries) -> str:
-    return json.dumps([dict(zip(CSV_FIELDS, r)) for r in _table(s).tolist()], indent=1) + "\n"
+    """json.dumps(records, indent=1), each number's text replaced by json_text's."""
+    text = json.dumps([dict(zip(CSV_FIELDS, r)) for r in _table(s).tolist()], indent=1)
+    return re.sub(r'(?<=": )[^,\n]+', lambda m: json_text(float(m[0])), text) + "\n"
 
 
 REFERENCES = {"csv": reference_csv, "json": reference_json}
@@ -125,6 +133,16 @@ def _text(s: TimeSeries, fmt: str) -> str:
     out = io.StringIO()
     write_series(s, out, fmt)
     return out.getvalue()
+
+
+def _json_values(text: str, n: int) -> np.ndarray:
+    """The (n, 12) table json.loads reads from a JSON series, after checking
+    that each record holds CSV_FIELDS in order and each value is a float."""
+    records = json.loads(text)
+    assert [list(rec) for rec in records] == [list(CSV_FIELDS)] * n
+    values = [rec[k] for rec in records for k in CSV_FIELDS]
+    assert all(type(v) is float for v in values)
+    return np.array(values, dtype=float).reshape(n, len(CSV_FIELDS))
 
 
 def _check_writers(s: TimeSeries, directory: Path) -> None:
@@ -144,10 +162,36 @@ def _check_writers(s: TimeSeries, directory: Path) -> None:
 def test_writers_match_reference(s):
     with tempfile.TemporaryDirectory() as d:
         _check_writers(s, Path(d))
-    # JSON floats are shortest reprs, so JSON round-trips bit for bit too
-    records = json.loads(_text(s, "json"))
-    back = np.array([[rec[k] for k in CSV_FIELDS] for rec in records], dtype=float)
-    assert _same_bits(back.reshape(len(s), len(CSV_FIELDS)), _table(s))
+    assert _same_bits(_json_values(_text(s, "json"), len(s)), _table(s))
+
+
+# doubles at the edges of the JSON number rule: signed zeros, integral values
+# through 2^53 and in [1e16, 1e17), 1e-4 and the double below it, subnormals,
+# and values of at least 1e17
+json_values = st.one_of(
+    st.sampled_from([0.0, 1e-4, float(np.nextafter(1e-4, 0)), 2.0**53, 1e16, 1e17, MAX]),
+    st.integers(0, 2**53).map(float), st.integers(10**16, 10**17 - 1).map(float),
+    st.floats(0.0, sys.float_info.min, exclude_max=True, allow_subnormal=True),
+    st.floats(1e17, MAX), finite,
+    ).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(json_values, min_size=1, max_size=40))
+def test_json_numbers_read_back_as_the_written_floats(values):
+    """Every value json.loads reads from the JSON writer's text is a float
+    with the bits written, and the CSV text of the series reads back the
+    same bits."""
+    n = len(values)
+    cols = np.resize(np.array(values), (n, 11))
+    rho = np.ascontiguousarray(cols[:, :8]).view(complex).reshape(n, 2, 2)
+    s = TimeSeries(t=np.arange(n, dtype=float), rho=rho, purity=cols[:, 8], c_l1=cols[:, 9],
+                   c_frob=cols[:, 10])
+    from_json = _json_values(_text(s, "json"), n)
+    assert _same_bits(from_json, _table(s))
+    rows = _text(s, "csv").split("\n")[1:-1]
+    from_csv = np.array([[float(v) for v in row.split(",")] for row in rows])
+    assert _same_bits(from_csv, from_json)
 
 
 @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8193])

@@ -76,9 +76,12 @@ EXPECTED = {
     # the largest |delta| of each moved case: coherence_* re-read a rabi
     # trajectory whose rho moved by 3.3e-16 and measures by 5.6e-16 (purity)
     "coherence_csv_stdout": "c8cbf868eba12870318935727f57dfd3ece8729e4790c452e5ef6e5be83040b4",
-    "coherence_json": "8fb04e668bb02924fa7fe4c7db7cf7875ca15ec616a41052812b4bf4f9888e3c",
+    # The four JSON cases were re-pinned when JSON numbers moved from repr to
+    # the CSV kernel's '%.17g' text (repr for integral |v| < 1e17): every
+    # value json.loads reads back kept its bits, only the text moved.
+    "coherence_json": "756cf894566ce3161607f65343114c8f1864e0bcc09af024e56d189e5dcbf110",
     # the same bytes as coherence_json, written to stdout
-    "coherence_json_stdout": "8fb04e668bb02924fa7fe4c7db7cf7875ca15ec616a41052812b4bf4f9888e3c",
+    "coherence_json_stdout": "756cf894566ce3161607f65343114c8f1864e0bcc09af024e56d189e5dcbf110",
     # integrate_csv and the two verify cases run RK4; recorded with the maps
     # applied in 64-step chunks and the RWA drive as one co-rotating map.
     # Against the one-dot-per-step loop before it, the largest |delta rho| was
@@ -91,14 +94,15 @@ EXPECTED = {
     "integrate_csv": "896a28dbd5dd97d7f19d825f669d071538434d1939abed87084e84cf8948fe19",
     # projector: rho 2.2e-16, measures 4.4e-16 (purity)
     "pulse_default_csv": "a4bf94c20da6ae0a37dcfe164f440b6726b2294b03ddd58fab4697016a7f21f9",
-    # projector: rho 2.2e-16, measures 5.6e-16 (purity)
-    "pulse_json": "8bf91bf2fe3288b6f92fc069898cb88758dd6aa2036fd45e70a343a3c434f495",
+    # projector: rho 2.2e-16, measures 5.6e-16 (purity); JSON numbers (above)
+    "pulse_json": "afe5b444993fee34e338c5be57775ac023642ecfdfd287b48072c8b096ce55fc",
     # projector: rho 1.2e-16, measures 3.3e-16 (purity, c_frobenius)
     "rabi_default_csv": "21c67fc5028693824b059e5f3d9c3a97172bfcb3c8035a0eb5ab81b7babdaf62",
     # projector: rho 2.5e-16, measures 4.4e-16 (purity)
     "rabi_detuned_csv": "b6313ea74c79d173fecec690797b558dc0b393e514a22adfb9c168194bd6e624",
-    # projector: rho 2.2e-16, measures 4.4e-16 (purity, c_frobenius)
-    "rabi_json_4100": "141c94dd57366cfab94cdc75602dd41b99db84842da3ceb226b67698dc6565fd",
+    # projector: rho 2.2e-16, measures 4.4e-16 (purity, c_frobenius); JSON
+    # numbers (above)
+    "rabi_json_4100": "35a091d6f7a40cff71c2fb05b0b5431cc8ff17eaaa978e33c4a5d55e825e05cb",
     # the resampling polish moved max_c_l1 at 0.3 (0.9999999999999999 ->
     # 1.0000000000000002) and 0.9 (0.9999999999999999 -> 1.0), closed-form
     # peak 1 for both; the table prints 9 digits, so the bytes hold

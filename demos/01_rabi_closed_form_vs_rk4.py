@@ -16,10 +16,9 @@ from qdrive import (
     RabiParams,
     TimeGrid,
     floquet_quasienergy,
-    ground_state_dm,
     propagate,
     rabi_amplitudes,
-    rabi_density,
+    rabi_rho,
 )
 from qdrive.core import projector
 
@@ -35,7 +34,7 @@ print()
 period = params.population_period
 print(" t/T      rho_gg    rho_ee    |rho_ge|")
 for frac in np.linspace(0.0, 1.0, 9):
-    rho = rabi_density(params, frac * period).matrix
+    rho = rabi_rho(params, frac * period)
     print(f"{frac:5.3f}   {rho[0, 0].real:8.5f}  {rho[1, 1].real:8.5f}"
           f"  {abs(rho[0, 1]):8.5f}")
 print()
@@ -47,13 +46,11 @@ print()
 
 # Independent check: integrate the Liouville equation drho/dt = -i[H, rho]
 # with fixed-step RK4 and compare every sample against the closed form.
-# The parameters are the drive: propagate takes them as they are.
+# The parameters are the drive: propagate takes them as they are, and the
+# initial state as a plain 2x2 array, here |0><0|.
 grid = TimeGrid(0.0, period, 5000)
-series = propagate(params, ground_state_dm(), grid)
-worst = max(
-    np.abs(series.rho[i] - rabi_density(params, t).matrix).max()
-    for i, t in enumerate(series.t)
-)
+series = propagate(params, np.diag([1.0, 0.0]), grid)
+worst = np.abs(series.rho - rabi_rho(params, series.t)).max()
 print(f"RK4 vs closed form over one period ({grid.steps} steps):"
       f" max entrywise error = {worst:.3e}")
 
@@ -65,5 +62,5 @@ print()
 # paper's full solution e^{i zeta t} |phi(t)> has the same projector.
 t_probe = 0.37 * period
 c0, c1 = rabi_amplitudes(params, t_probe)
-gap = np.abs(projector(c0, c1) - rabi_density(params, t_probe).matrix).max()
+gap = np.abs(projector(c0, c1) - rabi_rho(params, t_probe)).max()
 print(f"state projector vs density matrix at t = {t_probe:.3f}: gap = {gap:.3e}")

@@ -17,12 +17,9 @@ from .core import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    DensityMatrix,
     TimeGrid,
     TimeSeries,
     commutator,
-    dm_new,
-    ground_state_dm,
 )
 from .errors import (
     BadParam,

@@ -42,7 +42,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import DensityMatrix, TimeGrid, dm_new, ground_state_dm
+from .core import TimeGrid, scan_rho
 from .errors import BadParam, ConfigInvalid, DegenerateDrive, QdriveError
 from .io import json_number, read_sampled_drive, sampled_from_records
 from .liouville import DriveHamiltonian, Sampled
@@ -62,13 +62,16 @@ MAX_STEPS = 2**24
 
 RABI_DEFAULTS = {"e_g": 0.0, "e_e": 1.0, "omega0": 1.0, "coupling": 0.5 + 0.0j}
 PULSE_DEFAULTS = {"e0": 1.0, "f0": 1.0, "n_period": 1}
+#: The default rho0, |0><0| (read-only: every config shares it).
+GROUND_STATE = np.diag([1.0, 0.0]).astype(complex)
+GROUND_STATE.flags.writeable = False
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     scenario: str
     drive: DriveHamiltonian
-    rho0: DensityMatrix
+    rho0: np.ndarray  #: (2, 2), a density matrix within TOL
     grid: TimeGrid
     mode: str
     output_path: str | None
@@ -119,7 +122,7 @@ def _drive_params(scenario: str, block: dict) -> RabiParams | PulseParams:
         raise ConfigInvalid(f"params: {exc}") from exc
 
 
-def _sampled_params(block: dict) -> tuple[Sampled, DensityMatrix]:
+def _sampled_params(block: dict) -> tuple[Sampled, np.ndarray]:
     _check_keys(block, ("drive_file", "samples", "rho0"), "params (sampled)")
     if ("drive_file" in block) == ("samples" in block):
         raise ConfigInvalid('params (sampled) needs exactly one of "drive_file" or "samples"')
@@ -130,7 +133,7 @@ def _sampled_params(block: dict) -> tuple[Sampled, DensityMatrix]:
     else:
         drive = sampled_from_records(block["samples"])
 
-    rho0 = ground_state_dm()
+    rho0 = GROUND_STATE
     if "rho0" in block:
         v = block["rho0"]
         ok = (isinstance(v, list) and len(v) == 4
@@ -140,9 +143,9 @@ def _sampled_params(block: dict) -> tuple[Sampled, DensityMatrix]:
                                 "for (rho00, rho01, rho10, rho11)")
         entries = [complex(json_number(e[0], f"params.rho0[{i}][0]"),
                            json_number(e[1], f"params.rho0[{i}][1]")) for i, e in enumerate(v)]
-        m = np.array(entries, dtype=complex).reshape(2, 2)
+        rho0 = np.array(entries, dtype=complex).reshape(2, 2)
         try:
-            rho0 = dm_new(m)
+            scan_rho(rho0).require_valid()
         except QdriveError as exc:  # NotHermitian / TraceNotOne / NotPositive / BadParam
             raise ConfigInvalid(f"params.rho0 is not a valid density matrix: {exc}") from exc
     return drive, rho0
@@ -199,7 +202,7 @@ def scenario_config_from_dict(raw: dict[str, Any]) -> ScenarioConfig:
     params_block = _block(raw, "params")
 
     # default time span: one drive period (sampled: the sample window)
-    rho0 = ground_state_dm()
+    rho0 = GROUND_STATE
     if scenario == "sampled":
         drive, rho0 = _sampled_params(params_block)
         if mode != "numeric":

@@ -1,11 +1,11 @@
-"""Scalar/2x2-matrix arithmetic and the validated state types.
+"""Scalar/2x2-matrix arithmetic, the state check and the grid and series types.
 
 Everything downstream works with 2x2 complex matrices (numpy arrays of
-shape ``(2, 2)``, dtype complex128).  This module provides the one-pass batch
-check of density-matrix invariants and output columns (:func:`scan_rho`, on
-``(n, 2, 2)`` arrays) and the constructors that apply it at the boundary:
+shape ``(2, 2)``, dtype complex128), a batch of states as an ``(n, 2, 2)``
+array.  This module provides the one-pass check of density-matrix
+invariants (Hermitian, unit trace, positive semidefinite) and output
+columns (:func:`scan_rho`), and two validated types:
 
-* :class:`DensityMatrix` -- Hermitian, unit trace, positive semidefinite;
 * :class:`TimeGrid`      -- uniform grid for propagation/sampling;
 * :class:`TimeSeries`    -- ordered (t, rho, purity, coherence) record.
 
@@ -97,15 +97,18 @@ class Scan(NamedTuple):
                 f"coherence radicand {self.radicand[bad][0]:.3e} below {floor:.3e} (tolerance {self.tol:g})")
         return np.sqrt(np.clip(self.radicand, 0.0, 1.0))
 
-    def require_valid(self, times: np.ndarray | None = None, name: str = "sample") -> Scan:
-        """This scan if every state passed; else raise the first failure, its
-        message prefixed "{name} k, t = t_k: " when the states' ``times`` are given."""
+    def require_valid(self, times: np.ndarray | float | None = None,
+                      where: str = "sample {k}") -> Scan:
+        """This scan if every state passed; else raise the first failure k, its
+        message prefixed "{where}, t = t_k: " when the states' ``times`` (one
+        per state, or a scalar for one state) are given; ``where`` may name k."""
         if self.bad is None:
             return self
         k, error = self.bad
         if times is None:
             raise error
-        raise type(error)(f"{name} {k}, t = {float(times[k])!r}: {error}") from None
+        t = float(np.reshape(times, -1)[k])
+        raise type(error)(f"{where.format(k=k)}, t = {t!r}: {error}") from None
 
 
 def scan_rho(rho: np.ndarray, tol: float = TOL, drift: bool = False) -> Scan:
@@ -154,37 +157,6 @@ def scan_rho(rho: np.ndarray, tol: float = TOL, drift: bool = False) -> Scan:
     else:
         error = NotPositive(f"smallest eigenvalue {lam_min[i]:.3e} below -{tol:.1e}")
     return Scan((i, error), purity, c_l1, radicand, tol)
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """2x2 density matrix checked at construction by scan_rho at TOL.  The
-    stored matrix is the one supplied -- never renormalized -- and read-only.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise BadParam(f"density matrix must be 2x2, got shape {m.shape}")
-        scan_rho(m).require_valid()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-def dm_new(m: np.ndarray) -> DensityMatrix:
-    """Validate a 2x2 matrix as a density matrix.
-
-    Raises NotHermitian / TraceNotOne / NotPositive naming the violated
-    invariant and the offending magnitude.
-    """
-    return DensityMatrix(m)
-
-
-def ground_state_dm() -> DensityMatrix:
-    """The |0><0| (ground-state) density matrix, diag(1, 0)."""
-    return DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
 
 
 @dataclass(frozen=True)

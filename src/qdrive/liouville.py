@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import build_series
-from .core import TOL_RUNTIME, DensityMatrix, Scan, TimeGrid, TimeSeries, scan_rho
+from .core import TOL_RUNTIME, Scan, TimeGrid, TimeSeries, scan_rho
 from .errors import BadParam, OutOfRange
 from .pulse import PulseParams, pulse_hamiltonian, reduced_time
 from .rabi import RabiParams, rabi_hamiltonian
@@ -190,19 +190,25 @@ def _corotating_map(p: RabiParams, t0: float, h: float) -> np.ndarray:
 def _check_states(rhos: np.ndarray, times: np.ndarray) -> Scan:
     """Scan the states at TOL_RUNTIME; raise, naming k and t_k, for the lowest state k
     that drifted in trace or Hermiticity (InvariantDrift), is not finite or not PSD.
-    rho0 passed DensityMatrix's TOL check, so its drift is at most hypot(TOL, 2 TOL)
+    rho0 passed propagate's TOL check, so its drift is at most hypot(TOL, 2 TOL)
     and k >= 1."""
-    return scan_rho(rhos, TOL_RUNTIME, drift=True).require_valid(times, "step")
+    return scan_rho(rhos, TOL_RUNTIME, drift=True).require_valid(times, "step {k}")
 
 
-def propagate(drive: DriveHamiltonian, rho0: DensityMatrix, grid: TimeGrid) -> TimeSeries:
-    """Fixed-step RK4 propagation of rho over the grid.
+def propagate(drive: DriveHamiltonian, rho0, grid: TimeGrid) -> TimeSeries:
+    """Fixed-step RK4 propagation of rho from the (2, 2) array-like rho0 over the grid.
 
-    Returns a TimeSeries of steps + 1 samples including the initial state.
-    Raises BadParam for a square-pulse step longer than T/2, OutOfRange for
-    the first step outside a sampled drive's window (after checking the
-    states before it), and the errors of _check_states.
+    Returns a TimeSeries of steps + 1 samples, the first rho0 as given.
+    Raises BadParam for a rho0 of another shape, the errors of
+    scan_rho(rho0).require_valid() for one that is not a density matrix
+    within TOL, BadParam for a square-pulse step longer than T/2,
+    OutOfRange for the first step outside a sampled drive's window (after
+    checking the states before it), and the errors of _check_states.
     """
+    m = np.array(rho0, dtype=complex)
+    if m.shape != (2, 2):
+        raise BadParam(f"density matrix must be 2x2, got shape {m.shape}")
+    scan_rho(m).require_valid()
     h, t0, times, n = grid.h, grid.t_start, grid.times(), grid.steps
     pieces = _pieces(drive, grid)
     # an unstable step size may overflow the maps and states; _check_states reports it
@@ -229,7 +235,6 @@ def propagate(drive: DriveHamiltonian, rho0: DensityMatrix, grid: TimeGrid) -> T
     # Hermitian; the columns of r hold the coordinates of P and Q.  Each
     # node's r sits in its own rho: the (re, im) slots of rho00, rho01, rho10
     # and rho11 take its rows, and the off-diagonals are rebuilt at the end
-    m = np.array(rho0.matrix, dtype=complex)
     s, d = 0.5 * (m[0, 1] + np.conj(m[1, 0])), 0.5 * (m[0, 1] - np.conj(m[1, 0]))
     rhos = np.empty((grid.steps + 1, 2, 2), dtype=complex)
     coords = rhos.view(float).reshape(-1, 4, 2)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SIGMA_X, SIGMA_Z, DensityMatrix, dm_new, finite_times, projector
+from .core import SIGMA_X, SIGMA_Z, finite_times, projector, scan_rho
 from .errors import BadParam
 
 
@@ -121,6 +121,9 @@ def pulse_rho(p: PulseParams, t: np.ndarray | float) -> np.ndarray:
     return projector(*pulse_amplitudes(p, t))
 
 
-def pulse_density(p: PulseParams, t: float) -> DensityMatrix:
-    """Validated closed-form density matrix at a single time t (see pulse_rho)."""
-    return dm_new(pulse_rho(p, t))
+def pulse_density(p: PulseParams, t: float) -> np.ndarray:
+    """The closed-form density matrix at a single time t (see pulse_rho), checked
+    by scan_rho at TOL; an error names t ("state, t = ...")."""
+    rho = pulse_rho(p, t)
+    scan_rho(rho).require_valid(t, "state")
+    return rho

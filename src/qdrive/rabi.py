@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, dm_new, finite_times, hermitian, projector
+from .core import finite_times, hermitian, projector, scan_rho
 from .errors import BadParam, DegenerateDrive
 
 
@@ -124,9 +124,12 @@ def rabi_rho(p: RabiParams, t: np.ndarray | float) -> np.ndarray:
     return projector(*rabi_amplitudes(p, t))
 
 
-def rabi_density(p: RabiParams, t: float) -> DensityMatrix:
-    """Validated closed-form density matrix at a single time t (see rabi_rho)."""
-    return dm_new(rabi_rho(p, t))
+def rabi_density(p: RabiParams, t: float) -> np.ndarray:
+    """The closed-form density matrix at a single time t (see rabi_rho), checked
+    by scan_rho at TOL; an error names t ("state, t = ...")."""
+    rho = rabi_rho(p, t)
+    scan_rho(rho).require_valid(t, "state")
+    return rho
 
 
 def floquet_quasienergy(p: RabiParams) -> float:

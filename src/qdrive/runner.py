@@ -9,7 +9,7 @@ import numpy as np
 
 from .coherence import build_series, l1_pulse_closed_form, refine_max
 from .config import ScenarioConfig
-from .core import TimeSeries, dm_new, scan_rho
+from .core import TimeSeries, scan_rho
 from .errors import BadParam, ConfigInvalid, QdriveError
 from .liouville import propagate
 from .pulse import PulseParams, pulse_density, pulse_rho
@@ -53,7 +53,7 @@ def numeric_series(cfg: ScenarioConfig) -> TimeSeries:
     its -0.0 entries), so both routes follow one trajectory."""
     rho0 = cfg.rho0
     if cfg.scenario in CLOSED_FORMS:
-        rho0 = dm_new(CLOSED_FORMS[cfg.scenario](cfg.drive, cfg.grid.t_start) + 0.0)
+        rho0 = CLOSED_FORMS[cfg.scenario](cfg.drive, cfg.grid.t_start) + 0.0
     return propagate(cfg.drive, rho0, cfg.grid)
 
 
@@ -110,14 +110,14 @@ def _sweep_row(drive: RabiParams | PulseParams, steps: int, param: str, value: f
         period, rho_at, dm_at = p.population_period, rabi_rho, rabi_density
 
         def c_l1_at(t):  # each batch of the polish is checked as it is made
-            return scan_rho(rabi_rho(p, t)).require_valid().c_l1
+            return scan_rho(rabi_rho(p, t)).require_valid(t, "polish point").c_l1
 
     times = np.linspace(0.0, period, steps + 1)
     scan = scan_rho(rho_at(p, times)).require_valid(times)
     # rabi scans the states it just validated; pulse scans its closed form,
     # whose bits differ from scan.c_l1
     max_l1 = refine_max(c_l1_at, 0.0, period, samples=steps, scan=None if pulse else scan.c_l1)
-    ret = float(np.abs(dm_at(p, period).matrix - np.diag([1.0, 0.0])).max())
+    ret = float(np.abs(dm_at(p, period) - np.diag([1.0, 0.0])).max())
     return SweepRow(
         value=value,
         max_c_l1=max_l1,

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from qdrive import DensityMatrix, dm_new
+from qdrive.core import scan_rho
 
 
-def random_density_matrix(rng: np.random.Generator) -> DensityMatrix:
-    """Random mixed qubit state: normalized A A^dag with Ginibre A."""
+def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
+    """Random mixed qubit state: normalized A A^dag with Ginibre A, checked by scan_rho."""
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     m = a @ a.conj().T
     m = m / m.trace().real
-    return dm_new(m)
+    scan_rho(m).require_valid()
+    return m
 
 
 @pytest.fixture

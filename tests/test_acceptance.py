@@ -13,7 +13,6 @@ from qdrive import (
     RabiParams,
     TimeGrid,
     floquet_quasienergy,
-    ground_state_dm,
     invariance_residual,
     invariant_operator,
     l1_pulse_closed_form,
@@ -27,6 +26,7 @@ from qdrive import (
     refine_max,
 )
 from qdrive.cli import main as cli_main
+from qdrive.config import GROUND_STATE
 from qdrive.core import scan_rho
 from qdrive.io import CSV_HEADER, read_series_csv, write_series_csv
 from conftest import random_density_matrix
@@ -42,9 +42,9 @@ def _report(num: int, name: str, detail: str) -> None:
 
 def _max_series_error(params: RabiParams, steps: int) -> float:
     grid = TimeGrid(0.0, params.population_period, steps)
-    series = propagate(params, ground_state_dm(), grid)
+    series = propagate(params, GROUND_STATE, grid)
     return max(
-        np.abs(series.rho[i] - rabi_density(params, t).matrix).max()
+        np.abs(series.rho[i] - rabi_density(params, t)).max()
         for i, t in enumerate(series.t)
     )
 
@@ -62,11 +62,11 @@ def test_criterion_1_rabi_oracle_equivalence():
 def test_criterion_2_purity_preservation():
     worst = 0.0
     for t in np.linspace(0.0, 2 * RABI_DETUNED.population_period, 1000):
-        m = rabi_density(RABI_DETUNED, t).matrix
+        m = rabi_density(RABI_DETUNED, t)
         worst = max(worst, abs((m @ m).trace().real - 1.0))
     p = PulseParams(e0=1.0, f0=1.0, n_period=1)
     for t in np.linspace(0.0, 2 * p.period, 1000):
-        m = pulse_density(p, t).matrix
+        m = pulse_density(p, t)
         worst = max(worst, abs((m @ m).trace().real - 1.0))
     assert worst <= 1e-12
     _report(2, "purity-preservation", f"max |tr(rho^2) - 1| = {worst:.3e}")
@@ -76,7 +76,7 @@ def test_criterion_3_invariant_identification():
     worst = 0.0
     for p in (RABI_DETUNED, RabiParams(e_g=0.0, e_e=2.0, omega0=1.0, coupling=0.7)):
         for t in np.linspace(0.0, p.population_period, 100):
-            err = np.abs(invariant_operator(p, t, 1.0) - rabi_density(p, t).matrix).max()
+            err = np.abs(invariant_operator(p, t, 1.0) - rabi_density(p, t)).max()
             worst = max(worst, err)
     assert worst <= 1e-12
     _report(3, "invariant-identification", f"max entrywise gap {worst:.3e}")
@@ -115,12 +115,12 @@ def test_criterion_6_pulse_periodicity():
     for f0, n in PULSE_COMBOS:
         p = PulseParams(e0=1.0, f0=f0, n_period=n)
         for k in range(1, 6):
-            err = np.abs(pulse_density(p, k * p.period).matrix - np.diag([1.0, 0.0])).max()
+            err = np.abs(pulse_density(p, k * p.period) - np.diag([1.0, 0.0])).max()
             worst_return = max(worst_return, err)
         grid = TimeGrid(0.0, p.period, 8192)
-        series = propagate(p, ground_state_dm(), grid)
+        series = propagate(p, GROUND_STATE, grid)
         err = max(
-            np.abs(series.rho[i] - pulse_density(p, t).matrix).max()
+            np.abs(series.rho[i] - pulse_density(p, t)).max()
             for i, t in enumerate(series.t)
         )
         worst_oracle = max(worst_oracle, err)
@@ -175,7 +175,7 @@ def test_criterion_10_measure_cross_validation():
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(1000):
-        m = random_density_matrix(rng).matrix
+        m = random_density_matrix(rng)
         lm, lp = np.linalg.eigvalsh(m)
         via_eigs = np.sqrt(2.0 * ((lp - 0.5) ** 2 + (lm - 0.5) ** 2))
         worst = max(worst, abs(scan_rho(m).c_frob.item() - via_eigs))

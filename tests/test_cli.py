@@ -440,7 +440,7 @@ json_values = st.recursive(
 @st.composite
 def rho0_entries(draw):
     """[[re, im]] x 4: a state from a Bloch vector of length <= 1, one entry
-    pushed by up to 1e-8 so that dm_new accepts some and rejects others."""
+    pushed by up to 1e-8 so that the state check accepts some and rejects others."""
     x, y, z = (draw(st.floats(-1.0, 1.0)) for _ in range(3))
     norm = max(1.0, float(np.hypot(np.hypot(x, y), z)))
     x, y, z = x / norm, y / norm, z / norm
@@ -493,7 +493,7 @@ def config_documents(draw):
     return {k: v for k, v in doc.items() if draw(st.integers(0, 3)) < 3}
 
 
-# the boundary the fuzz pins: a sampled drive's params.rho0 goes through dm_new
+# the boundary the fuzz pins: a sampled drive's params.rho0 goes through scan_rho
 rho0_documents = st.fixed_dictionaries({
     "scenario": st.just("sampled"), "mode": st.just("numeric"),
     "params": st.fixed_dictionaries({"samples": st.just(TWO_SAMPLES),
@@ -757,8 +757,8 @@ class TestSweep:
 
     def test_polish_reports_its_first_failing_state(self, monkeypatch):
         """The rabi polish checks each batch of states as it is made: the row
-        names the first failing state in the order the states were made, and
-        the polish stops at the batch that holds it."""
+        names the first failing state, by its t, in the order the states were
+        made, and the polish stops at the batch that holds it."""
         from qdrive import runner
         real, batches = runner.rabi_rho, []
 
@@ -777,7 +777,21 @@ class TestSweep:
         drive, steps, _ = sweep_config_from_dict({"scenario": "rabi", "grid": {"steps": 256}})
         [row] = runner.run_sweep(drive, steps, "omega0", [0.7])
         assert len(batches) == 2
-        assert row.error == "TraceNotOne: |trace - 1| = 5.000e-01 exceeds 1.0e-12"
+        assert row.error == (f"TraceNotOne: polish point, t = {float(batches[1][20])!r}: "
+                             "|trace - 1| = 5.000e-01 exceeds 1.0e-12")
+
+    def test_period_return_names_its_time(self, monkeypatch):
+        from qdrive import pulse, runner
+
+        def bad_state(p, t):  # pulse_density's closed form, not the grid's
+            return pulse_rho(p, t) * 1.5  # |trace - 1| = 0.5
+
+        monkeypatch.setattr(pulse, "pulse_rho", bad_state)
+        drive, steps, _ = sweep_config_from_dict({"scenario": "pulse", "grid": {"steps": 256}})
+        [row] = runner.run_sweep(drive, steps, "f0", [1.0])
+        period = runner._swept(drive, "f0", 1.0).period
+        assert row.error == (f"TraceNotOne: state, t = {period!r}: "
+                             "|trace - 1| = 5.000e-01 exceeds 1.0e-12")
 
     def test_grid_scan_names_its_failing_sample(self, monkeypatch):
         from qdrive import runner

@@ -12,7 +12,6 @@ from qdrive import (
     BadParam,
     PulseParams,
     RabiParams,
-    dm_new,
     l1_pulse_closed_form,
     pulse_density,
     refine_max,
@@ -46,10 +45,10 @@ class TestFrobenius:
         assert scan_rho(np.diag([0.5, 0.5]).astype(complex)).c_frob.item() == 0.0
 
     def test_state_at_the_trace_tolerance_is_zero(self):
-        # trace 1 + 9.998e-13 passes DensityMatrix's 1e-12 check; the radicand
-        # 1 - trace^2 = -2.0e-12 is within what that tolerance admits
-        rho = dm_new(np.diag([0.5 + 4.999e-13] * 2))
-        assert scan_rho(rho.matrix).c_frob.item() == 0.0
+        # trace 1 + 9.998e-13 passes the state check at TOL = 1e-12; the
+        # radicand 1 - trace^2 = -2.0e-12 is within what that tolerance admits
+        scan = scan_rho(np.diag([0.5 + 4.999e-13] * 2)).require_valid()
+        assert scan.c_frob.item() == 0.0
 
     def test_diagonal_mixed_state(self):
         c_frob = scan_rho(np.diag([0.75, 0.25]).astype(complex)).c_frob.item()
@@ -58,7 +57,7 @@ class TestFrobenius:
     def test_matches_eigenvalue_route(self, rng):
         # sqrt(2 ((lam+ - 1/2)^2 + (lam- - 1/2)^2)) from LAPACK's eigenvalues
         for _ in range(1000):
-            m = random_density_matrix(rng).matrix
+            m = random_density_matrix(rng)
             lm, lp = np.linalg.eigvalsh(m)
             via_eigs = np.sqrt(2.0 * ((lp - 0.5) ** 2 + (lm - 0.5) ** 2))
             assert abs(scan_rho(m).c_frob.item() - via_eigs) <= 1e-12
@@ -86,14 +85,14 @@ class TestPulseClosedForm:
     def test_equals_density_matrix_route(self, f0):
         p = PulseParams(e0=1.0, f0=f0, n_period=1)
         for t in np.linspace(0.0, 2 * p.period, 400):
-            direct = scan_rho(pulse_density(p, t).matrix).c_l1.item()
+            direct = scan_rho(pulse_density(p, t)).c_l1.item()
             assert abs(l1_pulse_closed_form(p, t) - direct) <= 1e-12
 
     @pytest.mark.parametrize("f0", [0.1, 1.0, 4.5])
     def test_frobenius_constant_for_pulse(self, f0):
         p = PulseParams(e0=1.0, f0=f0, n_period=1)
         for t in np.linspace(0.0, 2 * p.period, 400):
-            assert abs(scan_rho(pulse_density(p, t).matrix).c_frob.item() - 1.0) <= 1e-12
+            assert abs(scan_rho(pulse_density(p, t)).c_frob.item() - 1.0) <= 1e-12
 
     def test_interior_maximizer_strong_drive(self):
         # for f0 > 1 the half-period max sits at sin^2(eps0 tau) = (1+f0^2)/(2 f0^2)

@@ -1,4 +1,4 @@
-"""Core types: validated density matrices, 2x2 helpers, grids and series."""
+"""Core helpers: the state check, 2x2 helpers, grids and series."""
 import re
 import warnings
 
@@ -14,16 +14,16 @@ from qdrive import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    Sampled,
     TimeGrid,
     TimeSeries,
     TraceNotOne,
     commutator,
-    dm_new,
-    ground_state_dm,
     invariance_residual,
     invariant_operator,
     l1_pulse_closed_form,
     lewis_phase,
+    propagate,
     pulse_amplitudes,
     pulse_hamiltonian,
     pulse_rho,
@@ -36,49 +36,53 @@ from qdrive.core import scan_rho
 from conftest import random_density_matrix
 
 
+def start(m) -> np.ndarray:
+    """The first state of a one-step propagation from m: propagate checks m first."""
+    drive = Sampled(times=np.array([0.0, 1.0]), matrices=np.zeros((2, 2, 2), dtype=complex))
+    return propagate(drive, m, TimeGrid(0.0, 1.0, 1)).rho[0]
+
+
 class TestDmNew:
+    """propagate's check of rho0 on the hand-picked cases of the former dm_new
+    constructor; tests/test_liouville.py draws random ones."""
+
     def test_ground_state_valid(self):
-        rho = dm_new(np.diag([1.0, 0.0]).astype(complex))
-        assert scan_rho(rho.matrix).purity.item() == pytest.approx(1.0, abs=1e-15)
+        rho = start(np.diag([1.0, 0.0]).astype(complex))
+        assert scan_rho(rho).purity.item() == pytest.approx(1.0, abs=1e-15)
 
     def test_maximally_mixed_valid(self):
-        rho = dm_new(np.diag([0.5, 0.5]).astype(complex))
-        assert scan_rho(rho.matrix).purity.item() == pytest.approx(0.5, abs=1e-15)
+        rho = start(np.diag([0.5, 0.5]).astype(complex))
+        assert scan_rho(rho).purity.item() == pytest.approx(0.5, abs=1e-15)
 
     def test_indefinite_matrix_rejected(self):
         # eigenvalues 1.1 and -0.1 by the 2x2 formula
         with pytest.raises(NotPositive):
-            dm_new(np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex))
+            start(np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex))
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(NotHermitian):
-            dm_new(np.array([[0.5, 0.2], [0.3, 0.5]], dtype=complex))
+            start(np.array([[0.5, 0.2], [0.3, 0.5]], dtype=complex))
         with pytest.raises(NotHermitian):
-            dm_new(np.array([[0.5 + 1e-6j, 0], [0, 0.5]], dtype=complex))
+            start(np.array([[0.5 + 1e-6j, 0], [0, 0.5]], dtype=complex))
 
     def test_bad_trace_rejected(self):
         with pytest.raises(TraceNotOne):
-            dm_new(np.diag([0.6, 0.6]).astype(complex))
+            start(np.diag([0.6, 0.6]).astype(complex))
 
     def test_non_finite_rejected(self):
         with pytest.raises(BadParam):
-            dm_new(np.array([[np.inf, 0], [0, 0]], dtype=complex))
+            start(np.array([[np.inf, 0], [0, 0]], dtype=complex))
 
     def test_non_finite_message_is_one_line(self):
         # a sweep prints and writes it as one cell
         with pytest.raises(BadParam, match=r"^density-matrix entry must be finite, got "
                                            r"\[\[\(nan\+0j\), 0j\], \[0j, \(1\+0j\)\]\]$"):
-            dm_new(np.array([[np.nan, 0], [0, 1]], dtype=complex))
+            start(np.array([[np.nan, 0], [0, 1]], dtype=complex))
 
     def test_relaxed_tolerances(self):
         m = np.array([[0.5 + 3e-9, 0.1], [0.1, 0.5 - 1e-9]], dtype=complex)
         with pytest.raises(TraceNotOne):
-            dm_new(m)
-
-    def test_matrix_is_immutable(self):
-        rho = ground_state_dm()
-        with pytest.raises(ValueError):
-            rho.matrix[0, 0] = 0.3
+            start(m)
 
 
 class TestCommutator:
@@ -121,19 +125,19 @@ class TestPurityAndEigenvalues:
 
     def test_eigenvalues_match_direct_radicand(self, rng):
         for _ in range(2000):
-            m = random_density_matrix(rng).matrix
+            m = random_density_matrix(rng)
             lm, lp = np.linalg.eigvalsh(m)
             assert abs(scan_rho(m).radicand.item() - (lp - lm) ** 2) <= 1e-12
 
     def test_eigenvalues_sum_to_one(self, rng):
-        # a state dm_new accepts has eigenvalues >= 0 summing to 1, within its 1e-12
+        # a state the TOL check accepts has eigenvalues >= 0 summing to 1, within 1e-12
         for _ in range(200):
-            lam = np.linalg.eigvalsh(random_density_matrix(rng).matrix)
+            lam = np.linalg.eigvalsh(random_density_matrix(rng))
             assert abs(lam.sum() - 1.0) <= 1e-12 and lam.min() >= -1e-12
 
     def test_purity_equals_eigenvalue_squares(self, rng):
         for _ in range(200):
-            m = random_density_matrix(rng).matrix
+            m = random_density_matrix(rng)
             lm, lp = np.linalg.eigvalsh(m)
             assert abs(scan_rho(m).purity.item() - (lp * lp + lm * lm)) <= 1e-12
 

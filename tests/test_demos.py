@@ -1,4 +1,6 @@
-"""Smoke test: every narrative demo runs to completion.
+"""Smoke test: every narrative demo runs to completion with warnings as
+errors (``python -W error``), as ``filterwarnings = error`` makes them for the
+in-process suite.
 
 Each script is copied into a temporary directory first, so files it writes
 next to itself (demo 03's CSVs) land there and not in the source tree.
@@ -20,7 +22,7 @@ def test_demo_runs(demo, tmp_path):
     script = tmp_path / demo.name
     shutil.copy(demo, script)
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error", str(script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

@@ -32,10 +32,10 @@ class TestXiSquared:
                 assert xi_squared(p, 0.0, c_const) == pytest.approx(1.0, abs=1e-15)
 
     def test_equals_ground_population_at_unit_constant(self):
-        rho00 = rabi_density(P, 0.9).matrix[0, 0].real
+        rho00 = rabi_density(P, 0.9)[0, 0].real
         assert xi_squared(P, 0.9, 1.0) == pytest.approx(rho00, abs=1e-12)
         for t in np.linspace(0.0, 4.0, 50):
-            assert abs(xi_squared(P2, t, 1.0) - rabi_density(P2, t).matrix[0, 0].real) <= 1e-12
+            assert abs(xi_squared(P2, t, 1.0) - rabi_density(P2, t)[0, 0].real) <= 1e-12
 
     def test_constant_at_c_two(self):
         # cosine coefficient vanishes; remainder is Omega^2/Omega^2 = 1
@@ -66,12 +66,12 @@ class TestInvariantOperator:
         assert np.abs(op - np.diag([1.0, 0.0])).max() <= 1e-15
 
     def test_identifies_with_density_matrix(self):
-        err = np.abs(invariant_operator(P, 0.9, 1.0) - rabi_density(P, 0.9).matrix).max()
+        err = np.abs(invariant_operator(P, 0.9, 1.0) - rabi_density(P, 0.9)).max()
         assert err <= 1e-12
         # over a whole population period, 100 samples
         for p in (P, P2):
             for t in np.linspace(0.0, p.population_period, 100):
-                err = np.abs(invariant_operator(p, t, 1.0) - rabi_density(p, t).matrix).max()
+                err = np.abs(invariant_operator(p, t, 1.0) - rabi_density(p, t)).max()
                 assert err <= 1e-12
 
     def test_trace_equals_constant(self):

@@ -1,5 +1,6 @@
 """Fixed-step RK4 Liouville propagator and the drive variants."""
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from qdrive import (
     BadParam,
+    ConfigInvalid,
     InvariantDrift,
     NotPositive,
     OutOfRange,
@@ -17,8 +19,6 @@ from qdrive import (
     SIGMA_X,
     Sampled,
     TimeGrid,
-    dm_new,
-    ground_state_dm,
     propagate,
     pulse_density,
     pulse_hamiltonian,
@@ -27,11 +27,13 @@ from qdrive import (
     rabi_hamiltonian,
     rabi_rho,
 )
-from qdrive.core import commutator
+from qdrive.config import GROUND_STATE, scenario_config_from_dict
+from qdrive.core import commutator, scan_rho
 from qdrive.liouville import (_BLOCK, _CHUNK, _corotating_map, _generator, _held, _piece_map,
                               _pieces, _rk4_map, _split_maps)
 from test_array_core import moderate
 from test_identities import rabi_params
+from test_scan import broken_states, edge_states, outcome, same_bits, valid_states
 
 RES = RabiParams(e_g=0.0, e_e=1.0, omega0=1.0, coupling=0.5)
 EPS = np.finfo(float).eps
@@ -79,7 +81,7 @@ class TestHamiltonianAt:
         assert held.tolist() == [0, 1, 2, -1, -1]  # -1: outside the samples
         grid = TimeGrid(-0.1, 2.0, 4)
         with pytest.raises(OutOfRange, match=r"^step 1, t = 0\.425"):
-            propagate(drive, ground_state_dm(), grid)
+            propagate(drive, GROUND_STATE, grid)
 
     def test_sampled_validation(self):
         with pytest.raises(BadParam):
@@ -100,13 +102,13 @@ def rhs(ham, rho):
 
 class TestRhs:
     def test_zero_hamiltonian(self):
-        rho = ground_state_dm().matrix
+        rho = GROUND_STATE
         assert np.abs(rhs(np.zeros((2, 2), dtype=complex), rho)).max() == 0.0
 
     def test_resonant_initial_slope(self):
         # -i[H, diag(1,0)] has off-diagonal entries +i conj(g), -i g
         p = RabiParams(e_g=0.0, e_e=1.0, omega0=1.0, coupling=0.3 + 0.4j)
-        out = rhs(rabi_hamiltonian(p, 0.0), ground_state_dm().matrix)
+        out = rhs(rabi_hamiltonian(p, 0.0), GROUND_STATE)
         expected = np.array([[0.0, 1j * np.conj(p.coupling)], [-1j * p.coupling, 0.0]])
         assert np.abs(out - expected).max() <= 1e-15
 
@@ -117,16 +119,16 @@ class TestRhs:
 
 class TestPropagate:
     def test_zero_drive_is_constant(self):
-        rho0 = dm_new(np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex))
+        rho0 = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
         series = propagate(zero_drive(), rho0, TimeGrid(0.0, 5.0, 64))
-        assert np.abs(series.rho - rho0.matrix).max() == 0.0
+        assert np.abs(series.rho - rho0).max() == 0.0
 
     def test_zero_drive_keeps_non_hermitian_start(self):
         # rho01 and rho10 miss being conjugates by 8e-13: the anti-Hermitian
         # part Q of rho = P + iQ is carried along with P and put back
-        rho0 = dm_new(np.array([[0.7, 0.2 + 4e-13], [0.2 - 4e-13, 0.3]], dtype=complex))
+        rho0 = np.array([[0.7, 0.2 + 4e-13], [0.2 - 4e-13, 0.3]], dtype=complex)
         series = propagate(zero_drive(), rho0, TimeGrid(0.0, 5.0, 64))
-        assert np.abs(series.rho - rho0.matrix).max() == 0.0
+        assert np.abs(series.rho - rho0).max() == 0.0
 
     @pytest.mark.parametrize("drive, closed_form", [
         (RES, rabi_rho),
@@ -135,36 +137,36 @@ class TestPropagate:
     ], ids=["RabiParams", "PulseParams", "Sampled"])
     def test_each_drive_is_accepted_as_it_is(self, drive, closed_form):
         grid = TimeGrid(0.0, 2.0, 2048)
-        series = propagate(drive, ground_state_dm(), grid)
+        series = propagate(drive, GROUND_STATE, grid)
         assert np.abs(series.rho - closed_form(drive, grid.times())).max() <= 1e-10
 
     def test_rejects_what_is_not_a_drive(self):
         grid = TimeGrid(0.0, 1.0, 8)
         with pytest.raises(BadParam, match="^unknown drive type TimeGrid$"):
-            propagate(grid, ground_state_dm(), grid)
+            propagate(grid, GROUND_STATE, grid)
 
     def test_rabi_example_against_closed_form(self):
         # one population period 2 pi / (2 Omega) at Omega = 1/2
         grid = TimeGrid(0.0, 2 * np.pi, 5000)
-        series = propagate(RES, ground_state_dm(), grid)
-        err = np.abs(series.rho[-1] - rabi_density(RES, grid.t_end).matrix).max()
+        series = propagate(RES, GROUND_STATE, grid)
+        err = np.abs(series.rho[-1] - rabi_density(RES, grid.t_end)).max()
         assert err <= 1e-8
 
     def test_pulse_returns_to_ground(self):
         p = PulseParams(e0=1.0, f0=1.0, n_period=1)
-        series = propagate(p, ground_state_dm(), TimeGrid(0.0, p.period, 8192))
+        series = propagate(p, GROUND_STATE, TimeGrid(0.0, p.period, 8192))
         assert np.abs(series.rho[-1] - np.diag([1.0, 0.0])).max() <= 1e-8
 
     def test_series_has_measure_columns(self):
         p = PulseParams(e0=1.0, f0=0.5, n_period=1)
-        series = propagate(p, ground_state_dm(), TimeGrid(0.0, p.period, 128))
+        series = propagate(p, GROUND_STATE, TimeGrid(0.0, p.period, 128))
         assert len(series) == 129
         assert np.all(series.purity > 0.999999)
         assert np.abs(series.c_frob - 1.0).max() <= 1e-6
         # spot-check one l1 value against the closed form
         i = 32
         assert series.c_l1[i] == pytest.approx(
-            2 * abs(pulse_density(p, series.t[i]).matrix[0, 1]), abs=1e-7)
+            2 * abs(pulse_density(p, series.t[i])[0, 1]), abs=1e-7)
 
     def test_conservation_properties(self):
         runs = [
@@ -173,7 +175,7 @@ class TestPropagate:
              TimeGrid(0.0, PulseParams(e0=1.0, f0=1.0, n_period=1).period, 8192)),
         ]
         for drive, grid in runs:
-            series = propagate(drive, ground_state_dm(), grid)
+            series = propagate(drive, GROUND_STATE, grid)
             trace_drift = np.abs(series.rho[:, 0, 0] + series.rho[:, 1, 1] - 1.0).max()
             herm_drift = np.abs(series.rho[:, 0, 1] - series.rho[:, 1, 0].conj()).max()
             purity_drift = np.abs(series.purity - 1.0).max()
@@ -187,9 +189,9 @@ class TestPropagate:
         errs = {}
         for steps in (2500, 5000):
             grid = TimeGrid(0.0, RES.population_period, steps)
-            series = propagate(RES, ground_state_dm(), grid)
+            series = propagate(RES, GROUND_STATE, grid)
             errs[steps] = max(
-                np.abs(series.rho[i] - rabi_density(RES, t).matrix).max()
+                np.abs(series.rho[i] - rabi_density(RES, t)).max()
                 for i, t in enumerate(series.t)
             )
         ratio = errs[2500] / errs[5000]
@@ -197,13 +199,13 @@ class TestPropagate:
 
     def test_aligned_multiperiod_grid_accepted(self):
         p = PulseParams(e0=1.0, f0=1.0, n_period=1)
-        series = propagate(p, ground_state_dm(),
+        series = propagate(p, GROUND_STATE,
                            TimeGrid(0.0, 2 * p.period, 1024))
         assert np.abs(series.rho[-1] - np.diag([1.0, 0.0])).max() <= 1e-8
 
     def test_sampled_out_of_range_propagation(self):
         with pytest.raises(OutOfRange):
-            propagate(zero_drive(t_end=1.0), ground_state_dm(), TimeGrid(0.0, 2.0, 16))
+            propagate(zero_drive(t_end=1.0), GROUND_STATE, TimeGrid(0.0, 2.0, 16))
 
     def test_invariant_drift_detected(self):
         # a 1e-12 Hermiticity defect on the diagonal is amplified by a wildly
@@ -211,7 +213,7 @@ class TestPropagate:
         # (I/2 + sigma_x/2) commutes with the sigma_x drive and stays put
         drive = Sampled(times=np.array([0.0, 1000.0]),
                         matrices=np.stack([SIGMA_X] * 2))
-        rho0 = dm_new(np.array([[0.5 + 1e-12j, 0.5], [0.5, 0.5]], dtype=complex))
+        rho0 = np.array([[0.5 + 1e-12j, 0.5], [0.5, 0.5]], dtype=complex)
         # step 1 also fails the 1e-8 Hermiticity check; drift is reported first
         with pytest.raises(InvariantDrift, match=r"^step 1, t = 100\.0: trace drift"):
             propagate(drive, rho0, TimeGrid(0.0, 1000.0, 10))
@@ -221,7 +223,7 @@ class TestPropagate:
         # (1e-8) reports it as InvariantDrift, not NotHermitian
         drive = Sampled(times=np.array([0.0, 25.0]),
                         matrices=np.stack([SIGMA_X] * 2))
-        rho0 = dm_new(np.array([[0.5 + 1e-12j, 0.5], [0.5, 0.5]], dtype=complex))
+        rho0 = np.array([[0.5 + 1e-12j, 0.5], [0.5, 0.5]], dtype=complex)
         with pytest.raises(InvariantDrift, match=r"^step 4, t = 10\.0: trace drift 1\.000e-12, "
                                                  r"Hermiticity drift 1\.053e-07 \(limit 1e-08\)$"):
             propagate(drive, rho0, TimeGrid(0.0, 25.0, 10))
@@ -231,14 +233,48 @@ class TestPropagate:
         # already has eigenvalue -3.3
         drive = Sampled(times=np.array([0.0, 20.0]), matrices=np.stack([SIGMA_X, SIGMA_X]))
         with pytest.raises(NotPositive, match=r"^step 1, t = 2\.0: smallest eigenvalue -3\.304e\+00"):
-            propagate(drive, ground_state_dm(), TimeGrid(0.0, 20.0, 10))
+            propagate(drive, GROUND_STATE, TimeGrid(0.0, 20.0, 10))
 
     def test_invalid_state_reported_before_later_out_of_range(self):
         # the drive ends at t = 10, so step 5 leaves its range; the state
         # after step 1 is already invalid and is the failure reported
         drive = Sampled(times=np.array([0.0, 10.0]), matrices=np.stack([SIGMA_X, SIGMA_X]))
         with pytest.raises(NotPositive, match=r"^step 1, t = 2\.0: "):
-            propagate(drive, ground_state_dm(), TimeGrid(0.0, 20.0, 10))
+            propagate(drive, GROUND_STATE, TimeGrid(0.0, 20.0, 10))
+
+
+SAMPLE_KEYS = ("h00_re", "h00_im", "h01_re", "h01_im", "h10_re", "h10_im", "h11_re", "h11_im")
+
+
+def sampled_doc(rho0) -> dict:
+    """A zero sampled-drive config whose params.rho0 holds the entries of rho0."""
+    return {"scenario": "sampled", "mode": "numeric",
+            "params": {"samples": [{"t": t, **dict.fromkeys(SAMPLE_KEYS, 0.0)} for t in (0.0, 1.0)],
+                       "rho0": [[float(z.real), float(z.imag)] for z in rho0.reshape(4)]}}
+
+
+@settings(max_examples=400, deadline=None)
+@given(m=st.one_of(valid_states(), edge_states(), broken_states()))
+def test_rho0_is_checked_as_scan_rho_checks_it(m):
+    """propagate raises for rho0 exactly what scan_rho(rho0).require_valid()
+    raises, type and message, and starts from a valid rho0 bit for bit; a
+    config's params.rho0 raises the same message in its ConfigInvalid."""
+    expected = outcome(lambda: scan_rho(m).require_valid().bad)  # None if m is valid
+    start = outcome(lambda: propagate(zero_drive(1.0), m, TimeGrid(0.0, 1.0, 4)).rho[0])
+    config = outcome(lambda: scenario_config_from_dict(sampled_doc(m)).rho0)
+    if expected is not None:
+        assert start == expected
+        assert config == (ConfigInvalid, f"params.rho0 is not a valid density matrix: {expected[1]}")
+    else:
+        assert same_bits(start.view(float), m.view(float))
+        assert same_bits(config.view(float), m.view(float))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.lists(st.integers(0, 3), max_size=3).map(tuple).filter(lambda s: s != (2, 2)))
+def test_rho0_of_another_shape_is_bad_param(shape):
+    with pytest.raises(BadParam, match=rf"^density matrix must be 2x2, got shape {re.escape(str(shape))}$"):
+        propagate(zero_drive(1.0), np.full(shape, 0.5), TimeGrid(0.0, 1.0, 4))
 
 
 P15 = PulseParams(e0=1.0, f0=1.5, n_period=1)
@@ -255,7 +291,7 @@ SMOOTH = Sampled(times=SMOOTH_TIMES, matrices=np.stack([
 def observed_order(drive, t_end, steps):
     """log2(|rho_4h - rho_2h| / |rho_2h - rho_h|) over the nodes of the
     coarsest of three grids of steps, 2 steps and 4 steps."""
-    rho = [propagate(drive, ground_state_dm(), TimeGrid(0.0, t_end, k * steps)).rho[::k]
+    rho = [propagate(drive, GROUND_STATE, TimeGrid(0.0, t_end, k * steps)).rho[::k]
            for k in (1, 2, 4)]
     return np.log2(np.abs(rho[0] - rho[1]).max() / np.abs(rho[1] - rho[2]).max())
 
@@ -276,14 +312,14 @@ class TestPiecewiseConstantOrder:
 
     def test_sampled_pulse_matches_closed_form(self):
         # no step may mix the two branches of the held samples
-        series = propagate(SAMPLED_PULSE, ground_state_dm(), TimeGrid(0.0, P15.period, 1024))
+        series = propagate(SAMPLED_PULSE, GROUND_STATE, TimeGrid(0.0, P15.period, 1024))
         assert np.abs(series.rho - pulse_rho(P15, series.t)).max() <= 1e-8
 
     def test_aligned_sampled_pulse_equals_square_pulse(self):
         # both hold the branch in force at each step midpoint, bit for bit
         grid = TimeGrid(0.0, P15.period, 256)
-        a = propagate(SAMPLED_PULSE, ground_state_dm(), grid)
-        b = propagate(P15, ground_state_dm(), grid)
+        a = propagate(SAMPLED_PULSE, GROUND_STATE, grid)
+        b = propagate(P15, GROUND_STATE, grid)
         assert np.array_equal(a.rho, b.rho)
 
     def test_switch_within_tolerance_of_node_does_not_split(self):
@@ -292,12 +328,12 @@ class TestPiecewiseConstantOrder:
         moved = Sampled(times=SAMPLED_PULSE.times + np.array([0.0, 1e-10 * h, 0.0]),
                         matrices=SAMPLED_PULSE.matrices)
         grid = TimeGrid(0.0, P15.period, 64)
-        assert np.array_equal(propagate(moved, ground_state_dm(), grid).rho,
-                              propagate(SAMPLED_PULSE, ground_state_dm(), grid).rho)
+        assert np.array_equal(propagate(moved, GROUND_STATE, grid).rho,
+                              propagate(SAMPLED_PULSE, GROUND_STATE, grid).rho)
 
     def test_step_longer_than_half_period_rejected(self):
         with pytest.raises(BadParam, match="exceeds the half period"):
-            propagate(P15, ground_state_dm(), TimeGrid(0.0, 3 * P15.period, 5))
+            propagate(P15, GROUND_STATE, TimeGrid(0.0, 3 * P15.period, 5))
 
 
 def rk4_step(rho, h, h_a, h_mid, h_b):
@@ -321,7 +357,7 @@ def reference_propagate(drive, rho0, grid):
         tol = 1e-9 * h
         first, last = _held(starts, times[:-1] + tol), _held(starts, times[1:] - tol)
         assert (first >= 0).all() and (last >= 0).all()
-    rhos = [np.array(rho0.matrix, dtype=complex)]
+    rhos = [np.array(rho0, dtype=complex)]
     for i in range(grid.steps):
         a, rho = t0 + i * h, rhos[-1]
         if pieces is None:
@@ -337,7 +373,7 @@ def reference_propagate(drive, rho0, grid):
 
 # a mixed start: RK4's truncation error at large h then cannot push an
 # eigenvalue below zero, which propagate would reject
-MIXED = dm_new(np.array([[0.7, 0.1 - 0.2j], [0.1 + 0.2j, 0.3]], dtype=complex))
+MIXED = np.array([[0.7, 0.1 - 0.2j], [0.1 + 0.2j, 0.3]], dtype=complex)
 
 
 def assert_matches_reference(drive, grid):
@@ -431,7 +467,7 @@ def lab_step_maps(drive, grid):
 def chained_propagate(drive, rho0, grid):
     """Raw (steps + 1, 2, 2) trajectory of the lab-frame maps of
     lab_step_maps applied as r = maps[i] @ r, one new array per step."""
-    m = np.array(rho0.matrix, dtype=complex)
+    m = np.array(rho0, dtype=complex)
     s, d = 0.5 * (m[0, 1] + np.conj(m[1, 0])), 0.5 * (m[0, 1] - np.conj(m[1, 0]))
     r = np.array([[m[0, 0].real, m[0, 0].imag], [s.real, d.imag], [s.imag, -d.real],
                   [m[1, 1].real, m[1, 1].imag]])
@@ -496,12 +532,12 @@ class TestChunkedApply:
                        matrices=np.stack([0 * sx, 1e-3 * sx, 1e-3 * sx]))
         with pytest.raises(OutOfRange, match=r"^step 4201, t = 4201\.0: outside the sampled "
                                              r"range \[0\.0, 4200\.5\]$"):
-            propagate(calm, ground_state_dm(), grid)
+            propagate(calm, GROUND_STATE, grid)
         # at 2 sigma_x from t = 4100 the step h = 1 is RK4-unstable: the state
         # after step 4101, inside a chunk, fails before the window's end
         wild = Sampled(times=calm.times, matrices=np.stack([0 * sx, 2 * sx, 2 * sx]))
         with pytest.raises(NotPositive, match=r"^step 4101, t = 4101\.0: smallest eigenvalue"):
-            propagate(wild, ground_state_dm(), grid)
+            propagate(wild, GROUND_STATE, grid)
 
 
 def turn(phi):
@@ -566,7 +602,7 @@ class TestMatchesClosedForms:
     def test_rwa(self, p, steps, courant):
         rate = gap(rabi_hamiltonian(p, 0.0)) + abs(p.omega0)
         grid = TimeGrid(0.0, steps * courant / rate, steps)
-        series = propagate(p, ground_state_dm(), grid)
+        series = propagate(p, GROUND_STATE, grid)
         err = np.abs(series.rho - rabi_rho(p, series.t)).max()
         assert err <= closed_form_tol(steps, courant)
 
@@ -576,6 +612,6 @@ class TestMatchesClosedForms:
     def test_square_pulse(self, e0, f0, n, steps, courant):
         p = PulseParams(e0=e0, f0=f0, n_period=n)
         grid = TimeGrid(0.0, steps * courant / (2 * p.eps0), steps)
-        series = propagate(p, ground_state_dm(), grid)
+        series = propagate(p, GROUND_STATE, grid)
         err = np.abs(series.rho - pulse_rho(p, series.t)).max()
         assert err <= closed_form_tol(steps, courant, n)

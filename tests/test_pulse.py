@@ -10,7 +10,6 @@ from qdrive import (
     BadParam,
     PulseParams,
     TimeGrid,
-    ground_state_dm,
     periodicity_T,
     propagate,
     pulse_amplitudes,
@@ -19,6 +18,7 @@ from qdrive import (
     pulse_hamiltonian,
     pulse_rho,
 )
+from qdrive.config import GROUND_STATE
 
 P11 = PulseParams(e0=1.0, f0=1.0, n_period=1)
 
@@ -74,16 +74,16 @@ class TestPulseF:
 
 class TestPulseDensity:
     def test_initial_state(self):
-        assert np.abs(pulse_density(P11, 0.0).matrix - np.diag([1.0, 0.0])).max() == 0.0
+        assert np.abs(pulse_density(P11, 0.0) - np.diag([1.0, 0.0])).max() == 0.0
 
     def test_quarter_period_value(self):
         # 2 eps0 T/4 = pi, so rho00 = (1/4)(-1) + 3/4 = 1/2
         rho = pulse_density(P11, P11.period / 4)
-        assert rho.matrix[0, 0].real == pytest.approx(0.5, abs=1e-12)
+        assert rho[0, 0].real == pytest.approx(0.5, abs=1e-12)
 
     def test_half_period_returns_to_ground(self):
         for p in (P11, PulseParams(e0=1.0, f0=4.5, n_period=1)):
-            err = np.abs(pulse_density(p, p.period / 2).matrix - np.diag([1.0, 0.0])).max()
+            err = np.abs(pulse_density(p, p.period / 2) - np.diag([1.0, 0.0])).max()
             assert err <= 1e-12
 
     def test_period_return(self):
@@ -91,14 +91,14 @@ class TestPulseDensity:
                   PulseParams(e0=1.0, f0=1.0, n_period=3)):
             T = p.period
             for k in range(1, 6):
-                err = np.abs(pulse_density(p, k * T).matrix - np.diag([1.0, 0.0])).max()
+                err = np.abs(pulse_density(p, k * T) - np.diag([1.0, 0.0])).max()
                 assert err <= 1e-12
 
     def test_purity(self):
         for f0 in (0.1, 1.0, 4.5):
             p = PulseParams(e0=1.0, f0=f0, n_period=1)
             for t in np.linspace(0.0, 2 * p.period, 300):
-                m = pulse_density(p, t).matrix
+                m = pulse_density(p, t)
                 assert np.abs(m @ m - m).max() <= 1e-12
 
     def test_off_diagonal_sign_flip(self):
@@ -109,7 +109,7 @@ class TestPulseDensity:
         for tau in np.linspace(0.55 * T, 0.95 * T, 17):
             first_branch = (f0 / (2 * q) * (1 - np.cos(2 * eps0 * tau))
                             - 1j * f0 / (2 * np.sqrt(q)) * np.sin(2 * eps0 * tau))
-            assert abs(pulse_density(p, tau).matrix[0, 1] - (-first_branch)) <= 1e-12
+            assert abs(pulse_density(p, tau)[0, 1] - (-first_branch)) <= 1e-12
 
 
 class TestPulseState:
@@ -122,7 +122,7 @@ class TestPulseState:
         for frac in (0.4, 0.15, 0.8):
             t = frac * p.period
             psi = np.array(pulse_amplitudes(p, t))
-            err = np.abs(np.outer(psi, psi.conj()) - pulse_density(p, t).matrix).max()
+            err = np.abs(np.outer(psi, psi.conj()) - pulse_density(p, t)).max()
             assert err <= 1e-12
 
     def test_excited_population(self):
@@ -184,9 +184,9 @@ class TestPulseLewisPhase:
 def test_density_matches_propagator(f0, n):
     p = PulseParams(e0=1.0, f0=f0, n_period=n)
     grid = TimeGrid(0.0, p.period, 8192)
-    series = propagate(p, ground_state_dm(), grid)
+    series = propagate(p, GROUND_STATE, grid)
     worst = max(
-        np.abs(series.rho[i] - pulse_density(p, t).matrix).max()
+        np.abs(series.rho[i] - pulse_density(p, t)).max()
         for i, t in enumerate(series.t)
     )
     assert worst <= 1e-8

@@ -8,13 +8,13 @@ from qdrive import (
     RabiParams,
     TimeGrid,
     floquet_quasienergy,
-    ground_state_dm,
     propagate,
     rabi_amplitudes,
     rabi_density,
     rabi_hamiltonian,
     rabi_rho,
 )
+from qdrive.config import GROUND_STATE
 
 RESONANT = RabiParams(e_g=0.0, e_e=1.0, omega0=1.0, coupling=0.5)
 DETUNED = RabiParams(e_g=0.3, e_e=1.7, omega0=1.0, coupling=0.4 - 0.3j)
@@ -65,17 +65,17 @@ def test_derived_constants():
 class TestRabiDensity:
     def test_initial_condition(self):
         for p in (RESONANT, DETUNED, THETA_ONE):
-            assert np.abs(rabi_density(p, 0.0).matrix - np.diag([1.0, 0.0])).max() == 0.0
+            assert np.abs(rabi_density(p, 0.0) - np.diag([1.0, 0.0])).max() == 0.0
 
     def test_full_population_transfer_on_resonance(self):
         # Omega = 0.5, so at t = pi the excited population is sin^2(pi/2) = 1
         rho = rabi_density(RESONANT, np.pi)
-        assert rho.matrix[1, 1].real == pytest.approx(1.0, abs=1e-12)
+        assert rho[1, 1].real == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_coupling_freezes_populations(self):
         p = RabiParams(e_g=0.0, e_e=3.0, omega0=1.0, coupling=0.0)  # Theta = 2
         for t in (0.0, 0.7, 3.3):
-            assert np.abs(rabi_density(p, t).matrix - np.diag([1.0, 0.0])).max() <= 1e-15
+            assert np.abs(rabi_density(p, t) - np.diag([1.0, 0.0])).max() <= 1e-15
 
     def test_degenerate_drive_rejected(self):
         p = RabiParams(e_g=0.0, e_e=1.0, omega0=1.0, coupling=0.0)  # Theta = 0 too
@@ -85,7 +85,7 @@ class TestRabiDensity:
     def test_purity_and_trace(self):
         for p in (RESONANT, DETUNED):
             for t in np.linspace(0.0, 2 * p.population_period, 200):
-                m = rabi_density(p, t).matrix
+                m = rabi_density(p, t)
                 assert abs((m @ m - m)).max() <= 1e-12  # projector
                 assert abs(m.trace() - 1.0) <= 1e-12
 
@@ -93,8 +93,8 @@ class TestRabiDensity:
         p = DETUNED
         T = p.population_period
         for t in np.linspace(0.0, T, 37):
-            a = rabi_density(p, t).matrix[0, 0]
-            b = rabi_density(p, t + T).matrix[0, 0]
+            a = rabi_density(p, t)[0, 0]
+            b = rabi_density(p, t + T)[0, 0]
             assert abs(a - b) <= 1e-12
 
 
@@ -107,7 +107,7 @@ class TestRabiState:
         assert abs(THETA_ONE.theta - 1.0) < 1e-15 and abs(THETA_ONE.coupling) == 1.0
         t = 0.7
         phi = np.array(rabi_amplitudes(THETA_ONE, t))
-        err = np.abs(np.outer(phi, phi.conj()) - rabi_density(THETA_ONE, t).matrix).max()
+        err = np.abs(np.outer(phi, phi.conj()) - rabi_density(THETA_ONE, t)).max()
         assert err <= 1e-12
 
     def test_resonant_quarter_period(self):
@@ -173,9 +173,9 @@ def test_density_matches_propagator():
     # independent numerical oracle over one population period
     for p in (RESONANT, DETUNED):
         grid = TimeGrid(0.0, p.population_period, 5000)
-        series = propagate(p, ground_state_dm(), grid)
+        series = propagate(p, GROUND_STATE, grid)
         worst = max(
-            np.abs(series.rho[i] - rabi_density(p, t).matrix).max()
+            np.abs(series.rho[i] - rabi_density(p, t)).max()
             for i, t in enumerate(series.t)
         )
         assert worst <= 1e-8

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qdrive import (BadParam, DensityMatrix, DiscriminantNegative, InvariantDrift, NotHermitian,
+from qdrive import (BadParam, DiscriminantNegative, InvariantDrift, NotHermitian,
                     NotPositive, QdriveError, TraceNotOne, build_series)
 from qdrive.core import TOL, TOL_RUNTIME, scan_rho
 
@@ -173,7 +173,7 @@ def test_scan_matches_the_four_passes(tols, rho):
 @settings(max_examples=150, deadline=None)
 @given(ms=st.lists(st.one_of(valid_states(), broken_states()), min_size=1, max_size=4))
 def test_single_matrices_match(tols, ms):
-    """(2, 2) inputs, the form DensityMatrix checks, behave like one-row batches."""
+    """(2, 2) inputs, the form of an initial state, behave like one-row batches."""
     for m in ms:
         assert verdict(scan_rho(m, *tols).bad) == verdict(reference_validate(m, *tols))
 
@@ -205,11 +205,11 @@ def test_each_failure_kind_is_named():
 # push meets rho00 rho11 < 0
 @example(m=np.array([[1.0 - 1.2e-12, 1e-12], [1e-12, -1.2e-12]], dtype=complex))
 def test_accepted_states_pass_the_runtime_checks(m):
-    """What a state DensityMatrix accepts (every invariant within TOL) always
+    """What the initial-state check accepts (every invariant within TOL) always
     satisfies: its drift is at most hypot(TOL, 2 TOL), inside TOL_RUNTIME, and
     its eigenvalue radicand is at least -TOL (2 + TOL)/4 before rounding."""
     try:
-        DensityMatrix(m)
+        scan_rho(m).require_valid()
     except QdriveError:
         return
     assert scan_rho(m, TOL_RUNTIME, drift=True).bad is None

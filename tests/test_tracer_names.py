@@ -3,7 +3,7 @@ perfbench/tracer.py) exist in qdrive as plain functions.
 
 The test suite does not collect perfbench/, so a renamed function would only
 zero a benchmark counter.  The tracer rebinds every reference to the object it
-wraps, so a wrapped class (an alias such as dm_new = DensityMatrix) would be
+wraps, so a wrapped class (an alias such as name = SomeClass) would be
 replaced by the wrapper wherever it is used."""
 import importlib
 import importlib.util
@@ -12,7 +12,7 @@ from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 #: names the tracer still lists that qdrive no longer defines; their metrics read 0
-KNOWN_ABSENT = {"qdrive.liouville.hamiltonian_at"}
+KNOWN_ABSENT = {"qdrive.liouville.hamiltonian_at", "qdrive.core.dm_new"}
 
 
 def load_tracer():

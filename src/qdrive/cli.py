@@ -13,6 +13,8 @@ The subcommand decides the scenario and mode that run (see _RUNS).  Flags
 mirror configuration fields; ``--config FILE`` loads a JSON document whose
 values override the flags, but may only repeat that scenario and mode.  Exit
 codes: 0 success, 1 verification (or run) failure, 2 configuration error.
+A failed write to stdout is a configuration error too, except a broken pipe
+(its reader has gone), which exits 1 silently.
 """
 from __future__ import annotations
 
@@ -20,8 +22,10 @@ import argparse
 import csv
 import functools
 import json
+import os
 import re
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .coherence import build_series
@@ -185,10 +189,34 @@ def _reject_cross_scenario_flags(args: argparse.Namespace, scenario: str) -> Non
             )
 
 
+class _StdoutGone(Exception):
+    """stdout's reader has gone (a broken pipe)."""
+
+
+@contextmanager
+def _to_stdout():
+    """Flush what the block writes to stdout.  A failed write raises
+    ConfigInvalid, a broken pipe _StdoutGone; either way the process's own
+    stdout is pointed at os.devnull, so the bytes still buffered for it are
+    not written again at exit, where they would fail with a second error."""
+    try:
+        yield
+        sys.stdout.flush()
+    except OSError as exc:
+        if sys.stdout is sys.__stdout__:  # not an in-process caller's stream
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            raise _StdoutGone from exc
+        raise ConfigInvalid(f"cannot write to stdout: {exc}") from exc
+
+
 def _write_series(series, path: str | None, fmt: str) -> None:
     """Write the series to path, or to stdout when path is None."""
     if path is None:
-        write_series(series, sys.stdout, fmt)
+        with _to_stdout():
+            write_series(series, sys.stdout, fmt)
     elif fmt == "json":
         write_series_json(series, path)
     else:
@@ -223,11 +251,13 @@ def _run_command(args: argparse.Namespace) -> int:
     if cfg.output_path is not None:
         _write_series(series, cfg.output_path, cfg.output_format)
     if report is not None:
-        _print_report(report)
+        with _to_stdout():
+            _print_report(report)
         return 0 if report.passed else 1
-    print(f"{cfg.scenario} [{cfg.mode}]: {len(series)} samples over "
-          f"[{cfg.grid.t_start:g}, {cfg.grid.t_end:g}]"
-          + (f" -> {cfg.output_path}" if cfg.output_path else ""))
+    with _to_stdout():
+        print(f"{cfg.scenario} [{cfg.mode}]: {len(series)} samples over "
+              f"[{cfg.grid.t_start:g}, {cfg.grid.t_end:g}]"
+              + (f" -> {cfg.output_path}" if cfg.output_path else ""))
     return 0
 
 
@@ -258,7 +288,8 @@ def _sweep_command(args: argparse.Namespace) -> int:
     if output_path is not None:
         probe_output(output_path)
     rows = run_sweep(drive, steps, args.param, _parse_values(args.values))
-    _print_sweep(args.param, rows)
+    with _to_stdout():
+        _print_sweep(args.param, rows)
     if output_path is not None:
         _write_sweep_csv(output_path, args.param, rows)
     return 0
@@ -316,6 +347,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except QdriveError as exc:
         print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except _StdoutGone:
         return 1
 
 

@@ -22,7 +22,6 @@ import argparse
 import csv
 import functools
 import json
-import os
 import re
 import sys
 from contextlib import contextmanager
@@ -189,26 +188,18 @@ def _reject_cross_scenario_flags(args: argparse.Namespace, scenario: str) -> Non
             )
 
 
-class _StdoutGone(Exception):
-    """stdout's reader has gone (a broken pipe)."""
-
-
 @contextmanager
 def _to_stdout():
     """Flush what the block writes to stdout.  A failed write raises
-    ConfigInvalid, a broken pipe _StdoutGone; either way the process's own
-    stdout is pointed at os.devnull, so the bytes still buffered for it are
-    not written again at exit, where they would fail with a second error."""
+    ConfigInvalid, but a broken pipe stays a BrokenPipeError, which main
+    turns into a silent exit 1.  The failed write or flush leaves nothing
+    buffered, so the interpreter's flush at exit does not fail again."""
     try:
         yield
         sys.stdout.flush()
+    except BrokenPipeError:
+        raise
     except OSError as exc:
-        if sys.stdout is sys.__stdout__:  # not an in-process caller's stream
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-        if isinstance(exc, BrokenPipeError):
-            raise _StdoutGone from exc
         raise ConfigInvalid(f"cannot write to stdout: {exc}") from exc
 
 
@@ -250,11 +241,10 @@ def _run_command(args: argparse.Namespace) -> int:
     series, report = run_scenario(cfg)
     if cfg.output_path is not None:
         _write_series(series, cfg.output_path, cfg.output_format)
-    if report is not None:
-        with _to_stdout():
-            _print_report(report)
-        return 0 if report.passed else 1
     with _to_stdout():
+        if report is not None:
+            _print_report(report)
+            return 0 if report.passed else 1
         print(f"{cfg.scenario} [{cfg.mode}]: {len(series)} samples over "
               f"[{cfg.grid.t_start:g}, {cfg.grid.t_end:g}]"
               + (f" -> {cfg.output_path}" if cfg.output_path else ""))
@@ -348,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     except QdriveError as exc:
         print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except _StdoutGone:
+    except BrokenPipeError:  # stdout's reader has gone (_to_stdout)
         return 1
 
 

@@ -1019,6 +1019,69 @@ class TestFiles:
         assert not new.exists()
 
 
+class TestStdoutFailure:
+    """A failed write to stdout: a broken pipe exits 1 and prints nothing,
+    any other error is a one-line config error with exit 2.  The pipe and
+    device cases run the CLI as a child, on the process's own stdout."""
+
+    @staticmethod
+    def start(argv, stdout):
+        src = Path(__file__).resolve().parent.parent / "src"
+        return subprocess.Popen([sys.executable, "-m", "qdrive.cli", *map(str, argv)],
+                                env={**os.environ, "PYTHONPATH": str(src)},
+                                stdout=stdout, stderr=subprocess.PIPE)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_broken_pipe_exits_1_silently(self, fmt, tmp_path):
+        states = tmp_path / "states.csv"
+        assert run(["rabi", "--steps", 16384, "--output", states]) == 0
+        # about 3 MB of output, far beyond what the pipe buffers
+        with self.start(["coherence", "--input", states, "--format", fmt],
+                        subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 1
+        assert err == b""  # no traceback, and no "Exception ignored" at exit
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["coherence", "--input", "STATES"],
+        ["coherence", "--input", "STATES", "--format", "json"],
+        ["sweep", "--param", "f0", "--values", "0.5,1", "--steps", 64],
+        ["rabi", "--steps", 8],
+        ["verify", "--scenario", "pulse", "--steps", 64],
+    ], ids=["coherence", "coherence-json", "sweep", "rabi", "verify"])
+    def test_full_device_is_a_config_error(self, argv, tmp_path):
+        states = tmp_path / "states.csv"
+        states.write_text(",".join(CSV_HEADER.split(",")[:9]) + "\n0,1,0,0,0,0,0,0,0\n")
+        with open("/dev/full", "wb") as full, \
+                self.start([states if a == "STATES" else a for a in argv], full) as proc:
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=120) == 2
+        assert err == "config error: cannot write to stdout: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize("error, rc, expected_err", [
+        (BrokenPipeError(32, "Broken pipe"), 1, ""),
+        (OSError(28, "No space left on device"),
+         2, "config error: cannot write to stdout: [Errno 28] No space left on device\n"),
+    ], ids=["broken-pipe", "no-space"])
+    def test_in_process_caller_keeps_its_stdout(self, error, rc, expected_err, monkeypatch,
+                                                capsys):
+        """An in-process caller's failing stdout gets the exit code and
+        message of a failing process stdout, and the next call writes as before."""
+        class Failing(io.StringIO):
+            def write(self, text):
+                raise error
+
+        with monkeypatch.context() as m:
+            m.setattr(sys, "stdout", Failing())
+            assert run(["rabi", "--steps", 8]) == rc
+        assert capsys.readouterr().err == expected_err
+        assert run(["rabi", "--steps", 8]) == 0
+        assert capsys.readouterr().out.startswith("rabi [analytic]: 9 samples")
+
+
 class TestProcess:
     def test_parser_is_built_once_and_reused(self, tmp_path):
         assert build_parser() is build_parser()

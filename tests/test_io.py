@@ -32,6 +32,7 @@ from qdrive.io import (
     DRIVE_FIELDS,
     _CSV,
     _JSON,
+    _BLOCK_ROWS,
     _blocks,
     _read_table,
     _text_words,
@@ -46,6 +47,7 @@ from qdrive.io import (
 )
 from qdrive.rabi import RabiParams, rabi_rho
 
+B = _BLOCK_ROWS
 MAX = sys.float_info.max
 SUBNORMAL = 5e-324
 EDGE_ROW = [-0.0, SUBNORMAL, -SUBNORMAL, MAX, -MAX, np.nextafter(MAX, 0), 1e-310, 0.0,
@@ -194,7 +196,7 @@ def test_json_numbers_read_back_as_the_written_floats(values):
     assert _same_bits(from_csv, from_json)
 
 
-@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("n", sorted({0, 1, B - 1, B, B + 1, 2 * B + 1, 4095, 4096, 4097, 8193}))
 def test_writers_match_reference_across_blocks(n, tmp_path):
     # values from the edge row and random doubles of every magnitude
     rng = np.random.default_rng(n)
@@ -209,9 +211,10 @@ def test_writers_match_reference_across_blocks(n, tmp_path):
 @pytest.mark.parametrize("n", [4097, 8193])
 def test_writers_match_reference_on_hermitian_blocks(n, tmp_path):
     """Blocks where rho10 = conj(rho01) bit for bit and columns that are
-    constant over a block write the reference's bytes.  Block 0 is Hermitian, with +-0.0 in rho01_im and one -0.0
-    in an otherwise +0.0 rho00_im column; block 1 (when n = 8193) is not,
-    by one sign bit of a zero; the last block is a single row."""
+    constant over a block write the reference's bytes.  The rows are
+    Hermitian, with +-0.0 in rho01_im and one -0.0 in an otherwise +0.0
+    rho00_im column, but for row 5000 when n = 8193, by one sign bit of a
+    zero; the last block is a single row."""
     rng = np.random.default_rng(n)
     re01 = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
     im01 = rng.choice([0.0, -0.0, 1.0 / 3.0, -0.1, SUBNORMAL, -MAX], n)
@@ -259,6 +262,19 @@ def test_each_distinct_magnitude_is_formatted_once(fmt, tmp_path):
     sizes = []
     "".join(_blocks(_table(s), lambda x: sizes.append(len(x)) or number_words(x), row))
     assert sizes == [n * len(CSV_FIELDS)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_blocks_hold_block_rows_each(fmt):
+    """A (2B + 1)-row table goes to the formatter in three calls, two full
+    blocks and a one-row tail, and comes out as three strings of as many rows."""
+    number_words, row = {"csv": _CSV, "json": _JSON}[fmt]
+    table = np.random.default_rng(2).standard_normal((2 * B + 1, len(CSV_FIELDS)))
+    sizes = []
+    texts = list(_blocks(table, lambda x: sizes.append(len(x)) or number_words(x), row))
+    assert sizes == [12 * B, 12 * B, 12]
+    row_start = {"csv": "\n", "json": '"t": '}[fmt]
+    assert [text.count(row_start) for text in texts] == [B, B, 1]
 
 
 @pytest.mark.parametrize("fmt", ["CSV", "Json", "xml", ""])
@@ -339,7 +355,7 @@ def test_csv_kernel_near_powers_of_ten():
 
 @pytest.mark.parametrize("n", [0, 1, 1025])
 def test_csv_writer_matches_reference_on_kernel_values(n, tmp_path):
-    """A series of values near powers of ten, in no block, one or five, with
+    """A series of values near powers of ten, in no block, one or two, with
     a Hermitian pair in its odd rows only, writes the reference bytes."""
     rng = np.random.default_rng(n)
     cols = rng.choice(NEAR_POWERS, (n, 11)) * rng.choice([1.0, -1.0], (n, 11))
@@ -353,8 +369,9 @@ def test_csv_writer_matches_reference_on_kernel_values(n, tmp_path):
 @pytest.mark.parametrize("fmt, bound_mb", [("csv", 8.0), ("json", 8.0)])
 def test_writer_peak_memory(fmt, bound_mb, tmp_path):
     """Writing a 16385-row trajectory holds about one block of text: the peak
-    traced allocation is about 2 MB in either format, where building the
-    whole text took about 10 MB (CSV) and 52 MB (JSON)."""
+    traced allocation is about 4 MB in either format (2 MB with 256-row
+    blocks), where building the whole text took about 10 MB (CSV) and 52 MB
+    (JSON)."""
     t = np.linspace(0.0, 40.0, 16385)
     s = build_series(t, rabi_rho(RabiParams(e_g=-0.1, e_e=1.2, omega0=-0.9,
                                             coupling=0.3 - 0.4j), t))

@@ -30,9 +30,9 @@ from qdrive.io import (
     CSV_FIELDS,
     CSV_HEADER,
     DRIVE_FIELDS,
+    _BLOCK_ROWS,
     _CSV,
     _JSON,
-    _BLOCK_ROWS,
     _blocks,
     _read_table,
     _text_words,
